@@ -401,34 +401,6 @@ def simple_root_expansion(sys: RealizedRootSystem, v: Vector) -> Tuple[Fraction,
     return coeff
 
 
-def cyclic_e8_generators() -> Tuple[Vector, ...]:
-    """Alternate generating set for type-E roots, indexed over Z/8.
-
-    One balanced half-sum vector plus the consecutive coordinate
-    differences, wrapping once around the cycle.  All eight vectors are
-    E8 roots but lie in the sum-zero hyperplane, so they span rank 7
-    only: their reflection closure inside E8 is the 126-root E7 there,
-    not the full 240-root set.
-    """
-    half = tuple(Fraction(s, 2) for s in (1, 1, 1, 1, -1, -1, -1, -1))
-    chain = [_basis_vec(8, {i: _q(1), i - 1: _q(-1)}) for i in range(2, 8)]
-    wrap = _basis_vec(8, {0: _q(1), 7: _q(-1)})  # index 8 wraps to 0
-    return tuple([half] + chain + [wrap])
-
-
-def cyclic_e7_basis() -> Tuple[Vector, ...]:
-    """An E7 simple system in the cyclic coordinates.
-
-    The balanced half-sum vector, five consecutive differences, and one
-    unbalanced half-sum vector; the seven pair into the E7 diagram and
-    generate the 126 roots of an E7 inside E8.
-    """
-    half = tuple(Fraction(s, 2) for s in (1, 1, 1, 1, -1, -1, -1, -1))
-    chain = [_basis_vec(8, {i: _q(1), i - 1: _q(-1)}) for i in range(2, 7)]
-    beta = tuple(Fraction(s, 2) for s in (-1, 1, 1, 1, 1, 1, -1, 1))
-    return tuple([half] + chain + [beta])
-
-
 def irreducible_labels(rank: int) -> List[TypeLabel]:
     """Irreducible detection targets of the given rank.
 

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: project, detect, enumerate, verify-paper.  Exit codes are 0
-on success or table match, 1 on verification mismatch, 2 on usage errors.
+on success or table match, 1 on verification mismatch, 2 on usage errors
+and on bad outside input such as an --out path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv as csv_mod
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from typing import List, Optional
 
 from . import output
@@ -35,8 +37,14 @@ def _parse_theta(text: str) -> tuple:
         raise UsageError(f"bad theta {text!r}: expected comma-separated indices")
 
 
-def _open_out(path: Optional[str]):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+@contextmanager
+def _output(path: Optional[str]):
+    """The file named by --out, closed on exit, or stdout when none."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        yield out
 
 
 def cmd_project(args) -> int:
@@ -47,8 +55,7 @@ def cmd_project(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     pr = project_all(sys_, theta, allow_improper=args.allow_improper_theta)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             json.dump(output.projection_doc(pr), out, sort_keys=True)
             out.write("\n")
@@ -65,9 +72,6 @@ def cmd_project(args) -> int:
                 writer.writerow(["census", str(norm), str(pr.census[norm])])
         else:
             out.write("\n".join(output.projection_text(pr)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -84,22 +88,11 @@ def cmd_detect(args) -> int:
         raise UsageError(
             f"target rank {target.rank} does not match d={pr.d}")
     report = find_subsystem(pr, target, restrict_to_delta_theta=args.restricted)
-    out = _open_out(args.out)
-    try:
-        if args.format == "json":
-            json.dump(output.detection_doc(sys_.label, pr.theta, pr.d, [report]),
-                      out, sort_keys=True)
-            out.write("\n")
-        elif args.format == "csv":
-            writer = csv_mod.writer(out)
-            writer.writerow(output.CSV_COLUMNS)
-            writer.writerows(output.csv_rows(sys_.label, pr.theta, pr.d, [report]))
-        else:
-            out.write("\n".join(
-                output.detection_text(sys_.label, pr.theta, pr.d, [report])) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    doc = output.detection_doc(sys_.label, pr.theta, pr.d, [report])
+    with _output(args.out) as out:
+        if args.format == "csv":
+            csv_mod.writer(out).writerow(output.CSV_COLUMNS)
+        _write_record(out, doc, args.format)
     return EXIT_OK
 
 
@@ -112,14 +105,14 @@ def _one_record(task):
 
 
 def cmd_enumerate(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     label = parse_label(args.sigma)
     thetas = list(proper_subsets(label.rank))
     tasks = [(args.sigma, t) for t in thetas]
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
-            writer = csv_mod.writer(out)
-            writer.writerow(output.CSV_COLUMNS)
+            csv_mod.writer(out).writerow(output.CSV_COLUMNS)
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 docs = pool.map(_one_record, tasks, chunksize=4)
@@ -128,9 +121,6 @@ def cmd_enumerate(args) -> int:
         else:
             for task in tasks:
                 _write_record(out, _one_record(task), args.format)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -138,14 +128,9 @@ def _write_record(out, doc: dict, fmt: str) -> None:
     if fmt == "json":
         out.write(json.dumps(doc, sort_keys=True) + "\n")
     elif fmt == "csv":
-        writer = csv_mod.writer(out)
-        reports = [output.parse_report(r) for r in doc["reports"]]
-        writer.writerows(output.csv_rows(
-            parse_label(doc["sigma"]), doc["theta"], doc["d"], reports))
+        csv_mod.writer(out).writerows(output.csv_rows(doc))
     else:
-        reports = [output.parse_report(r) for r in doc["reports"]]
-        out.write("\n".join(output.detection_text(
-            parse_label(doc["sigma"]), doc["theta"], doc["d"], reports)) + "\n")
+        out.write("\n".join(output.detection_text(doc)) + "\n")
     out.flush()
 
 
@@ -154,8 +139,7 @@ def cmd_verify_paper(args) -> int:
     if not (label.is_exceptional and label.family != "G"):
         raise UsageError("verify-paper runs on E6, E7, E8 or F4")
     report = verify_paper(label)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             doc = {
                 "schema": output.SCHEMA,
@@ -171,9 +155,6 @@ def cmd_verify_paper(args) -> int:
             out.write("\n")
         else:
             out.write("\n".join(report.summary_lines()) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -225,10 +206,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # OSError: e.g. --out into a missing directory, which is bad
+        # outside input, never a verification mismatch
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,17 +1,20 @@
 """Detection of root systems of maximal rank inside a projection.
 
-The pipeline for one candidate basis is pairing matrix -> Dynkin-type
-recognition -> reflection closure inside the projected set, which yields
-a certificate that can be re-validated independently.  The search over
-bases is an incremental backtracking over one representative per +-pair,
-sorted by squared norm; partial bases are pruned with the Cartan-integer
+``certify`` is the single definition of a certified copy of a label: the
+candidate basis must have the label's Dynkin type (BC_k read as B_k, BC_1
+as A_1), its reflection closure must stay inside the projected set, and
+for BC the doubles of the shortest roots must be there as well.  The
+search, the class-union shortcut, the restricted search and
+``revalidate`` all go through it.  The search over bases is an
+incremental backtracking over one representative per +-pair, sorted by
+squared norm; partial bases are pruned with the Cartan-integer
 constraints, tree-shape bounds of the target diagram, and the norm
 census of the projection.
 
 Raw subset enumeration would be hopeless at rank 7 over a hundred
 vectors, but the census frequently forces the candidate classes to have
 exactly the cardinality of the target system, in which case the only
-possible copy is the class union itself and a direct closure test
+possible copy is the class union itself and certifying its simple roots
 decides the question without any search.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .catalog import Target, TypeLabel
@@ -163,10 +167,16 @@ def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[
 
 @dataclass(frozen=True)
 class ClosureFailure:
-    """Why a reflection closure did not certify a root system."""
+    """Why a candidate basis did not certify a root system.
+
+    ``escaping`` names a generated vector outside the universe,
+    ``oversize`` flags an orbit past the size bound, and ``mistyped``
+    says the basis is not a simple system of the requested type.
+    """
 
     escaping: Optional[Vector] = None
     oversize: bool = False
+    mistyped: bool = False
 
     def __bool__(self) -> bool:
         return False
@@ -206,6 +216,38 @@ def reflection_closure(basis: Sequence[Vector], universe: frozenset,
                     return ClosureFailure(oversize=True)
         frontier = sorted(new)
     return frozenset(orbit)
+
+
+def _reduced(label: TypeLabel) -> TypeLabel:
+    """The reduced type whose simple system a basis of label must form."""
+    if label.rank == 1:
+        return TypeLabel("A", 1)
+    return TypeLabel("B", label.rank) if label.family == "BC" else label
+
+
+def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
+    """Root set of the copy of label that basis generates inside universe.
+
+    The basis must be a simple system of the reduced type (BC_k reads as
+    B_k, every rank-1 label as A_1) and its reflection closure must stay
+    inside universe; for BC the doubles of the shortest roots must lie in
+    universe too and join the root set.  A basis of finite type generates
+    exactly the type's roots, so the result has label.root_count
+    elements.  Returns a frozenset, or a ClosureFailure saying why not.
+    """
+    inner = _reduced(label)
+    decomp = match_type(basis)
+    if decomp is None or len(decomp) != 1 or decomp[0][0] != inner:
+        return ClosureFailure(mistyped=True)
+    orbit = reflection_closure(basis, universe, max_size=inner.root_count)
+    if isinstance(orbit, ClosureFailure) or label.family != "BC":
+        return orbit
+    short = min(norm2(v) for v in orbit)
+    doubles = sorted(scale(Fraction(2), v) for v in orbit if norm2(v) == short)
+    for dv in doubles:
+        if dv not in universe:
+            return ClosureFailure(escaping=dv)
+    return orbit | frozenset(doubles)
 
 
 @dataclass(frozen=True)
@@ -315,59 +357,52 @@ def _try_class_union(label: TypeLabel, base: Fraction,
     """Decide occurrence when census classes exactly match the copy's sizes.
 
     If each needed class has exactly as many vectors as the copy would
-    contribute, any copy must equal the class union, so testing that
-    union directly is both sound and complete at this scale.
+    contribute, any copy must equal the class union.  The union's
+    indecomposable lex-positive vectors are certified as a basis, and the
+    union must lie inside the roots they generate.  Those roots hold
+    exactly as many vectors at the class norms as the union does, so the
+    union is that copy.  This is sound and complete at this scale.
     """
-    root_prof = _component_profiles(label)[1]
+    root_prof = _component_profiles(_reduced(label))[1]
     class_norms = {base * rel for rel in root_prof}
     union = [v for v in pr.sigma_theta if norm2(v) in class_norms]
-    uset = set(union)
     for v in union:
         if max(v, neg(v)) not in pool_set:
             return None
-    for a in union:
-        na = norm2(a)
-        for b in union:
-            c = 2 * dot(a, b) / na
-            if c.denominator != 1:
-                return None
-            if c != 0 and sub(b, scale(c, a)) not in uset:
-                return None
     positives = [v for v in union if v > neg(v)]
     pset = set(positives)
     simples = [p for p in positives
                if not any((sub(p, q) in pset) for q in positives if q != p)]
     if len(simples) != label.rank:
         return None
-    decomp = match_type(simples)
-    if decomp is None or len(decomp) != 1 or decomp[0][0] != label:
+    roots = certify(label, simples, pr.sigma_theta_set)
+    if isinstance(roots, ClosureFailure) or not roots.issuperset(union):
         return None
-    return tuple(sorted(simples)), frozenset(union)
+    return tuple(sorted(simples)), roots
 
 
-def _iter_component_bases(label: TypeLabel, pool: List[Vector],
-                          pr: ProjectionResult,
-                          scales: Optional[List[Fraction]] = None
-                          ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
-    """Yield (basis, orbit) realizations of an irreducible reduced label.
+def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult
+                ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
+    """Yield (basis, roots) realizations of an irreducible label.
 
     Exhaustive over the pool in deterministic order.  The pool must hold
     one representative per +-pair: a subsystem always owns a simple
     system made of lexicographically positive vectors (positivity in the
-    lex order is additive), so nothing is lost.
+    lex order is additive), so nothing is lost.  A BC label is searched
+    as its reduced type at the scales where the census can also hold the
+    doubled short roots; ``certify`` checks the doubles.
     """
-    basis_prof, root_prof = _component_profiles(label)
+    inner = _reduced(label)
+    basis_prof, root_prof = _component_profiles(inner)
     universe = pr.sigma_theta_set
     pool_set = set(pool)
-    if scales is None:
-        scales = census_scales(label, pr.census)
-    maxdeg = _MAX_DEGREE[label.family]
-    maxw = _MAX_EDGE_WEIGHT[label.family]
-    branch_budget = 1 if label.family in ("D", "E") else 0
-    heavy_budget = 1 if label.family in ("B", "C", "F", "G") else 0
+    maxdeg = _MAX_DEGREE[inner.family]
+    maxw = _MAX_EDGE_WEIGHT[inner.family]
+    branch_budget = 1 if inner.family in ("D", "E") else 0
+    heavy_budget = 1 if inner.family in ("B", "C", "F", "G") else 0
     k = label.rank
 
-    for base in scales:
+    for base in census_scales(label, pr.census):
         exact = all(pr.census.get(base * rel, 0) == need
                     for rel, need in root_prof.items())
         if exact:
@@ -383,13 +418,9 @@ def _iter_component_bases(label: TypeLabel, pool: List[Vector],
                 deg: List[int], comp_id: List[int], ncomp: int,
                 branches: int, heavies: int):
             if len(chosen) == k:
-                decomp = match_type(chosen)
-                if decomp and len(decomp) == 1 and decomp[0][0] == label:
-                    orbit = reflection_closure(chosen, universe,
-                                               max_size=label.root_count)
-                    if not isinstance(orbit, ClosureFailure) \
-                            and len(orbit) == label.root_count:
-                        yield tuple(chosen), orbit
+                roots = certify(label, chosen, universe)
+                if not isinstance(roots, ClosureFailure):
+                    yield tuple(chosen), roots
                 return
             slots = k - len(chosen)
             if ncomp - (maxdeg - 1) * slots > 1:
@@ -454,33 +485,6 @@ def _iter_component_bases(label: TypeLabel, pool: List[Vector],
         yield from dfs(0, [], dict(need), [], [], 0, 0, 0)
 
 
-def _iter_bc_bases(rank: int, pool: List[Vector], pr: ProjectionResult
-                   ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
-    """Realizations of the non-reduced BC_rank.
-
-    A BC copy is a B copy (A1 when rank is 1) whose short roots also
-    appear doubled in the projection; the doubled vectors join the
-    certified root set.
-    """
-    label = TypeLabel("A", 1) if rank == 1 else TypeLabel("B", rank)
-    universe = pr.sigma_theta_set
-    prof = _bc_root_profile(rank)
-    scales = [b for b in sorted(pr.census)
-              if all(pr.census.get(b * rel, 0) >= need for rel, need in prof.items())]
-    for basis, orbit in _iter_component_bases(label, pool, pr, scales=scales):
-        short_norm = min(norm2(v) for v in orbit)
-        shorts = [v for v in orbit if norm2(v) == short_norm]
-        doubles = [scale(Fraction(2), s) for s in shorts]
-        if all(dv in universe for dv in doubles):
-            yield basis, frozenset(orbit | set(doubles))
-
-
-def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult):
-    if label.family == "BC":
-        return _iter_bc_bases(label.rank, pool, pr)
-    return _iter_component_bases(label, pool, pr)
-
-
 def _find_unrestricted(pr: ProjectionResult, target: Target) -> DetectionReport:
     comps = list(target.normalized())
     if not census_admits(target, pr.census):
@@ -510,7 +514,7 @@ def _find_unrestricted(pr: ProjectionResult, target: Target) -> DetectionReport:
 
 
 def _delta_subset_bases(label: TypeLabel, delta_pool: List[Vector],
-                        pr: ProjectionResult
+                        pr: ProjectionResult, certified: dict
                         ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
     """Realizations of a label whose basis is a subset of delta_theta.
 
@@ -518,41 +522,19 @@ def _delta_subset_bases(label: TypeLabel, delta_pool: List[Vector],
     sign-flipped selection formed a simple system, the vectors as given
     would too, because mixed signs inside a connected component would
     contradict the one-signed integral expansion of the projected roots.
+    ``certified`` memoizes ``certify`` per (basis, label) across the
+    searches of one projection.
     """
-    from itertools import combinations
-
-    universe = pr.sigma_theta_set
-    cache = getattr(pr, "_delta_closure_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(pr, "_delta_closure_cache", cache)
-    inner = TypeLabel("A", 1) if label.rank == 1 and label.family in ("A", "B", "BC") \
-        else (TypeLabel("B", label.rank) if label.family == "BC" else label)
-    for subset in combinations(range(len(delta_pool)), inner.rank):
-        basis = tuple(delta_pool[i] for i in subset)
-        key = (basis, label)
-        if key not in cache:
-            result = None
-            decomp = match_type(basis)
-            if decomp is not None and len(decomp) == 1 and decomp[0][0] == inner:
-                orbit = reflection_closure(basis, universe,
-                                           max_size=inner.root_count)
-                if not isinstance(orbit, ClosureFailure) \
-                        and len(orbit) == inner.root_count:
-                    if label.family == "BC":
-                        short_norm = min(norm2(v) for v in orbit)
-                        doubles = [scale(Fraction(2), v) for v in orbit
-                                   if norm2(v) == short_norm]
-                        if all(dv in universe for dv in doubles):
-                            result = frozenset(orbit | set(doubles))
-                    else:
-                        result = orbit
-            cache[key] = result
-        if cache[key] is not None:
-            yield basis, cache[key]
+    for subset in combinations(delta_pool, label.rank):
+        key = (subset, label)
+        if key not in certified:
+            certified[key] = certify(label, subset, pr.sigma_theta_set)
+        if not isinstance(certified[key], ClosureFailure):
+            yield subset, certified[key]
 
 
-def _find_restricted(pr: ProjectionResult, target: Target) -> DetectionReport:
+def _find_restricted(pr: ProjectionResult, target: Target,
+                     certified: dict) -> DetectionReport:
     """Occurrence with the distinguished basis made of projected simple roots.
 
     For an irreducible target, and for every component of an all-classical
@@ -577,7 +559,7 @@ def _find_restricted(pr: ProjectionResult, target: Target) -> DetectionReport:
             return True
         label = ordered[ci]
         pinned = pin_all or label.is_exceptional
-        gen = _delta_subset_bases(label, delta_pool, pr) if pinned \
+        gen = _delta_subset_bases(label, delta_pool, pr, certified) if pinned \
             else _iter_bases(label, pool, pr)
         for basis, roots in gen:
             if ci > 0 and ordered[ci - 1] == label \
@@ -611,7 +593,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
         raise ValueError(
             f"target rank {target.rank} differs from projection rank {pr.d}")
     if restrict_to_delta_theta:
-        return _find_restricted(pr, target)
+        return _find_restricted(pr, target, {})
     return _find_unrestricted(pr, target)
 
 
@@ -626,9 +608,10 @@ def classify_max_rank(pr: ProjectionResult, reducible: bool = False,
     from .catalog import detection_targets
 
     reports = []
+    certified: dict = {}
     for target in detection_targets(pr.d, reducible, require_exceptional):
         if target.is_irreducible:
-            restricted = _find_restricted(pr, target)
+            restricted = _find_restricted(pr, target, certified)
             if restricted.found:
                 reports.append(DetectionReport(
                     target, True, False, True, restricted.certificate))
@@ -637,36 +620,25 @@ def classify_max_rank(pr: ProjectionResult, reducible: bool = False,
             reports.append(DetectionReport(
                 target, unres.found, False, False, unres.certificate))
         else:
-            reports.append(_find_restricted(pr, target))
+            reports.append(_find_restricted(pr, target, certified))
     return reports
 
 
 def revalidate(cert: ClosureCertificate, universe: frozenset) -> bool:
-    """Re-check a certificate from scratch: types, closures, containment."""
-    total = 0
+    """Re-check a certificate from scratch.
+
+    The witness labels must be the target's normalized components, the
+    witness bases pairwise orthogonal, and each witness's roots exactly
+    what ``certify`` makes of its label and basis inside universe.
+    """
+    labels = sorted((w.label for w in cert.components),
+                    key=lambda lab: lab.sort_key)
+    if tuple(labels) != cert.target.normalized():
+        return False
     for wi, witness in enumerate(cert.components):
-        label, basis = witness.label, witness.basis
         for other in cert.components[wi + 1:]:
-            if any(dot(a, b) != 0 for a in basis for b in other.basis):
+            if any(dot(a, b) != 0 for a in witness.basis for b in other.basis):
                 return False
-        reduced = TypeLabel("A", 1) if label.rank == 1 and label.family in ("A", "BC") \
-            else (TypeLabel("B", label.rank) if label.family == "BC" else label)
-        decomp = match_type(basis)
-        if decomp is None or len(decomp) != 1 or decomp[0][0] != reduced:
+        if certify(witness.label, witness.basis, universe) != witness.roots:
             return False
-        orbit = reflection_closure(basis, universe, max_size=reduced.root_count)
-        if isinstance(orbit, ClosureFailure) or len(orbit) != reduced.root_count:
-            return False
-        roots = set(orbit)
-        if label.family == "BC":
-            short_norm = min(norm2(v) for v in orbit)
-            doubles = [scale(Fraction(2), v) for v in orbit if norm2(v) == short_norm]
-            if any(dv not in universe for dv in doubles):
-                return False
-            roots |= set(doubles)
-        if frozenset(roots) != witness.roots:
-            return False
-        if len(roots) != label.root_count:
-            return False
-        total += len(roots)
-    return total == cert.target.root_count
+    return True

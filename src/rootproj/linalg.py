@@ -71,24 +71,10 @@ def norm2(v: Vector) -> Fraction:
     return dot(v, v)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def transpose(m: Matrix) -> Matrix:
     if not m:
         return m
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions disagree")
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def mat_vec(v: Vector, m: Matrix) -> Vector:
@@ -126,8 +112,3 @@ def invert(m: Matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve_right(m: Matrix, v: Vector) -> Vector:
-    """Solve x * m = v for the row vector x."""
-    return mat_vec(v, invert(m))

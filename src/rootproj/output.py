@@ -21,14 +21,6 @@ CSV_COLUMNS = ["sigma", "theta", "d", "target", "restricted", "found",
                "basis_from_delta_theta", "closure_size", "basis"]
 
 
-def frac_str(q: Fraction) -> str:
-    return str(q)
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def vec_strs(v: Vector) -> List[str]:
     return [str(x) for x in v]
 
@@ -119,21 +111,17 @@ def projection_doc(pr: ProjectionResult) -> dict:
     }
 
 
-def csv_rows(sigma: TypeLabel, theta: Sequence[int], d: int,
-             reports: Sequence[DetectionReport]) -> List[List[str]]:
+def csv_rows(doc: dict) -> List[List[str]]:
+    """CSV rows, one per report, of a detection_doc document."""
     rows = []
-    theta_s = ",".join(str(i) for i in theta)
-    for rep in reports:
-        basis = ""
-        if rep.certificate:
-            basis = " ".join("(" + ",".join(vec_strs(v)) + ")"
-                             for v in rep.certificate.basis)
+    theta_s = ",".join(str(i) for i in doc["theta"])
+    for rep in doc["reports"]:
+        basis = " ".join("(" + ",".join(v) + ")" for v in rep["basis"] or ())
         rows.append([
-            str(sigma), theta_s, str(d), str(rep.target),
-            str(rep.restricted).lower(), str(rep.found).lower(),
-            str(rep.basis_from_delta_theta).lower(),
-            str(rep.certificate.size if rep.certificate else 0),
-            basis,
+            doc["sigma"], theta_s, str(doc["d"]), rep["target"],
+            str(rep["restricted"]).lower(), str(rep["found"]).lower(),
+            str(rep["basis_from_delta_theta"]).lower(),
+            str(rep["closure_size"]), basis,
         ])
     return rows
 
@@ -154,18 +142,21 @@ def projection_text(pr: ProjectionResult) -> List[str]:
     return lines
 
 
-def detection_text(sigma: TypeLabel, theta: Sequence[int], d: int,
-                   reports: Sequence[DetectionReport]) -> List[str]:
-    lines = [f"sigma={sigma} theta={','.join(map(str, theta))} d={d}"]
-    for rep in reports:
-        status = "found" if rep.found else "not-found"
-        mode = "restricted" if rep.restricted else "unrestricted"
+def detection_text(doc: dict) -> List[str]:
+    """Text lines of a detection_doc document."""
+    lines = [f"sigma={doc['sigma']} theta={','.join(map(str, doc['theta']))}"
+             f" d={doc['d']}"]
+    for rep in doc["reports"]:
+        status = "found" if rep["found"] else "not-found"
+        mode = "restricted" if rep["restricted"] else "unrestricted"
+        certified = rep["found"] and rep["basis"] is not None
         extra = ""
-        if rep.found and rep.certificate:
-            extra = (f" closure_size={rep.certificate.size}"
-                     f" basis_from_delta_theta={str(rep.basis_from_delta_theta).lower()}")
-        lines.append(f"  target {rep.target}: {status} ({mode}){extra}")
-        if rep.found and rep.certificate:
-            for v in rep.certificate.basis:
-                lines.append("    basis (" + ", ".join(vec_strs(v)) + ")")
+        if certified:
+            extra = (f" closure_size={rep['closure_size']}"
+                     f" basis_from_delta_theta="
+                     f"{str(rep['basis_from_delta_theta']).lower()}")
+        lines.append(f"  target {rep['target']}: {status} ({mode}){extra}")
+        if certified:
+            for v in rep["basis"]:
+                lines.append("    basis (" + ", ".join(v) + ")")
     return lines

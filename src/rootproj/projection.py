@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, cartan_subtype, check_theta
@@ -74,14 +74,15 @@ def project(t: Vector, sys: RealizedRootSystem, theta: Sequence[int],
     return ThetaProjector.create(sys, theta, allow_improper).project(t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionResult:
     """All nonzero projections of the roots, plus those of the simple roots.
 
     sigma_theta is deduplicated and sorted; delta_theta keeps the index
     order of the simple roots outside theta and is not deduplicated.  The
     census maps each squared length to the number of distinct vectors of
-    that length in sigma_theta.
+    that length in sigma_theta.  sigma_theta_set and the search pool are
+    views of sigma_theta, built once by project_all.
     """
 
     system: RealizedRootSystem
@@ -90,20 +91,12 @@ class ProjectionResult:
     sigma_theta: Tuple[Vector, ...]
     delta_theta: Tuple[Vector, ...]
     census: Dict[Fraction, int]
-    delta_theta_collision: bool = False
-    _pool: Optional[Tuple[Vector, ...]] = field(default=None, repr=False)
-
-    @property
-    def sigma_theta_set(self) -> frozenset:
-        return frozenset(self.sigma_theta)
+    delta_theta_collision: bool
+    sigma_theta_set: frozenset = field(repr=False, compare=False)
+    _pool: Tuple[Vector, ...] = field(repr=False, compare=False)
 
     def pool(self) -> Tuple[Vector, ...]:
         """One representative per +-pair, sorted by (squared norm, coords)."""
-        if self._pool is None:
-            reps = {max(v, linalg.neg(v)) for v in self.sigma_theta}
-            object.__setattr__(
-                self, "_pool",
-                tuple(sorted(reps, key=lambda v: (norm2(v), v))))
         return self._pool
 
 
@@ -121,6 +114,7 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
                   for i in range(1, sys.rank + 1) if i not in set(proj.theta))
     collision = len(set(delta)) != len(delta)
     census = dict(Counter(norm2(v) for v in sigma))
+    reps = {max(v, linalg.neg(v)) for v in sigma}
     return ProjectionResult(
         system=sys,
         theta=proj.theta,
@@ -129,6 +123,8 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
         delta_theta=delta,
         census=census,
         delta_theta_collision=collision,
+        sigma_theta_set=frozenset(seen),
+        _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
     )
 
 

@@ -3,11 +3,15 @@
 All assertions are exact; nothing here carries a numeric tolerance.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rootproj import output
 from rootproj.catalog import (Target, build_from_name, parse_label,
                               parse_target, simple_root_expansion)
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
@@ -15,8 +19,9 @@ from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
                                enumerate_records, load_golden_tables,
                                oracle_equivalence, verify_paper)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
-                             ComponentWitness, census_admits, find_subsystem,
-                             reflect, reflection_closure, revalidate)
+                             ComponentWitness, census_admits, certify,
+                             find_subsystem, reflect, reflection_closure,
+                             revalidate)
 from rootproj.linalg import (add, dot, is_zero, neg, norm2, scale, sub, vector,
                              zero)
 from rootproj.projection import (ThetaProjector, expansion_over_delta_theta,
@@ -146,13 +151,10 @@ def _basis_problems(sys, table, theta, target, factors):
                     return [f"{lab}: {coeff} is not a root"]
                 roots.append(r)
         basis = tuple(proj.project(r) for r in roots)
-        orbit = reflection_closure(basis, universe)
-        if isinstance(orbit, ClosureFailure):
-            return [f"{lab}: closure leaves sigma_theta at {orbit.escaping}"]
-        if label.family == "BC":
-            short = min(norm2(v) for v in orbit)
-            orbit |= {scale(Fraction(2), v) for v in orbit if norm2(v) == short}
-        witnesses.append(ComponentWitness(label, basis, frozenset(orbit)))
+        certified = certify(label, basis, universe)
+        if isinstance(certified, ClosureFailure):
+            return [f"{lab}: basis does not certify: {certified}"]
+        witnesses.append(ComponentWitness(label, basis, certified))
     if not revalidate(ClosureCertificate(target, tuple(witnesses)), universe):
         return ["certificate does not revalidate"]
     return []
@@ -469,3 +471,19 @@ def test_criterion_8_certificates(records):
         problems.append("C4 (1,2): G2 must not be found")
     conclude(8, f"certificate soundness over {checked} found reports",
              not problems, "\n".join(problems))
+
+
+def test_enumerate_json_bytes_match_reference(records):
+    """The records serialize to the bytes `enumerate --format json` wrote
+    when perfbench/reference.json was made (one sorted-key document per
+    line), so a change to search or certificates that alters output shows
+    here without running the benchmark."""
+    ref_path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    reference = json.loads(ref_path.read_text(encoding="utf-8"))
+    for name in ("F4", "E7", "E8"):
+        text = "".join(
+            json.dumps(output.detection_doc(rec.sigma, rec.theta, rec.d,
+                                            rec.reports), sort_keys=True) + "\n"
+            for rec in records[name])
+        got = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert got == reference[f"enumerate {name}"]["sha256"], name

@@ -1,12 +1,39 @@
+from fractions import Fraction
+
 import pytest
 
-from rootproj.catalog import (TypeLabel,
-                              build_from_name, cartan_subtype, cyclic_e7_basis,
-                              cyclic_e8_generators, detection_targets,
-                              normalize_components, parse_label, parse_target,
-                              simple_root_expansion)
+from rootproj.catalog import (TypeLabel, build_from_name, cartan_subtype,
+                              detection_targets, normalize_components,
+                              parse_label, parse_target, simple_root_expansion)
 from rootproj.detect import match_type, reflection_closure
 from rootproj.linalg import matrix, vector
+
+# A second realization of type-E roots in R^8, indexed over Z/8, which
+# checks match_type and reflection_closure away from the catalog's own
+# simple systems.
+_HALF = vector([Fraction(s, 2) for s in (1, 1, 1, 1, -1, -1, -1, -1)])
+
+
+def _diff(i, j):
+    """e_i - e_j, indices from 0."""
+    return vector([(k == i) - (k == j) for k in range(8)])
+
+
+def cyclic_e8_generators():
+    """The balanced half-sum vector plus the consecutive coordinate
+    differences, wrapping once around the cycle.  All eight are E8 roots
+    but lie in the sum-zero hyperplane, so they span rank 7 only: their
+    closure inside E8 is the 126-root E7 there."""
+    return (_HALF,) + tuple(_diff(i, i - 1) for i in range(2, 8)) \
+        + (_diff(0, 7),)
+
+
+def cyclic_e7_basis():
+    """The balanced half-sum vector, five consecutive differences and one
+    unbalanced half-sum vector: an E7 simple system inside E8."""
+    beta = vector([Fraction(s, 2) for s in (-1, 1, 1, 1, 1, 1, -1, 1)])
+    return (_HALF,) + tuple(_diff(i, i - 1) for i in range(2, 7)) + (beta,)
+
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "A5", "A6",
               "B2", "B3", "B4", "B5", "B6",

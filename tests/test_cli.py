@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from rootproj import output
+from rootproj import cli, output
 from rootproj.catalog import build_from_name, parse_target
 from rootproj.cli import main
 from rootproj.detect import find_subsystem
@@ -142,3 +142,44 @@ def test_byte_determinism(tmp_path):
         run_cli("enumerate", "--sigma", "B4", "--format", "json", "--out", str(f))
         runs.append(f.read_bytes())
     assert runs[0] == runs[1]
+
+
+def test_detect_text_and_csv_lines(capsys):
+    # both formats are rendered from the JSON document's report dicts
+    argv = ["detect", "--sigma", "F4", "--theta", "1,2", "--target", "G2",
+            "--restricted"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "sigma=F4 theta=1,2 d=2",
+        "  target G2: found (restricted) closure_size=12 "
+        "basis_from_delta_theta=true",
+        "    basis (0, 1/3, 1/3, 1/3)",
+        "    basis (1/2, -1/2, -1/2, -1/2)",
+    ]
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "sigma,theta,d,target,restricted,found,basis_from_delta_theta,"
+        "closure_size,basis\r\n"
+        'F4,"1,2",2,G2,true,true,true,12,'
+        '"(0,1/3,1/3,1/3) (1/2,-1/2,-1/2,-1/2)"\r\n')
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    for argv in (["project", "--sigma", "A3", "--theta", "2"],
+                 ["enumerate", "--sigma", "G2"]):
+        assert main(argv + ["--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
+
+def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(cli, "_one_record", no_work)
+    for jobs in ("0", "-1"):
+        assert main(["enumerate", "--sigma", "G2", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,11 +6,13 @@ import pytest
 
 from rootproj.catalog import (TypeLabel, build_from_name,
                               detection_targets, parse_target)
-from rootproj.detect import (ClosureFailure, census_admits, classify_max_rank,
-                             find_subsystem, match_type, pairing_matrix,
-                             reflect, reflection_closure, revalidate)
+from rootproj.detect import (ClosureCertificate, ClosureFailure,
+                             ComponentWitness, _try_class_union, census_admits,
+                             certify, classify_max_rank, find_subsystem,
+                             match_type, pairing_matrix, reflect,
+                             reflection_closure, revalidate)
 from rootproj.linalg import matrix, neg, norm2, scale, sub, vector
-from rootproj.projection import project_all
+from rootproj.projection import ProjectionResult, project_all
 
 
 def test_pairing_matrix_orthogonal_pair():
@@ -160,29 +163,17 @@ def test_rank_mismatch_raises():
 
 
 def naive_find(pr, target):
-    """Reference detector: try every subset of the pool, no pruning."""
+    """Reference detector: certify every subset of the pool, no pruning."""
     comps = list(target.normalized())
 
     def rec(ci, pool):
         if ci == len(comps):
             return True
         label = comps[ci]
-        reduced = TypeLabel("A", 1) if label.rank == 1 and label.family == "BC" \
-            else (TypeLabel("B", label.rank) if label.family == "BC" else label)
-        for subset in combinations(pool, reduced.rank):
-            decomp = match_type(list(subset))
-            if decomp is None or len(decomp) != 1 or decomp[0][0] != reduced:
+        for subset in combinations(pool, label.rank):
+            if isinstance(certify(label, subset, pr.sigma_theta_set),
+                          ClosureFailure):
                 continue
-            orbit = reflection_closure(list(subset), pr.sigma_theta_set,
-                                       max_size=reduced.root_count)
-            if isinstance(orbit, ClosureFailure) or len(orbit) != reduced.root_count:
-                continue
-            if label.family == "BC":
-                short = min(norm2(v) for v in orbit)
-                doubles = [scale(Fraction(2), v) for v in orbit
-                           if norm2(v) == short]
-                if not all(d in pr.sigma_theta_set for d in doubles):
-                    continue
             rest = [v for v in pool
                     if all(sum(a * b for a, b in zip(v, s)) == 0
                            for s in subset)]
@@ -297,3 +288,71 @@ def test_reflect_basics():
     b = vector([1, 1])
     assert reflect(v, b) == vector([0, -1])
     assert reflect(reflect(v, b), b) == v
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "BC1", "BC2"])
+def test_certify_returns_the_catalog_roots(name):
+    # the catalog builds each system from its own root formulas, so this
+    # checks certify against an independent description of the same set
+    sys = build_from_name(name)
+    universe = frozenset(sys.roots)
+    assert certify(sys.label, sys.simple_roots, universe) == universe
+
+
+def test_certify_type_mismatch_and_escapes():
+    c3 = build_from_name("C3")
+    res = certify(TypeLabel("B", 3), c3.simple_roots, frozenset(c3.roots))
+    assert isinstance(res, ClosureFailure) and res.mistyped
+    # a plain closure escape: one A2 root missing from the universe
+    a2 = build_from_name("A2")
+    missing = max(a2.roots)
+    res = certify(TypeLabel("A", 2), a2.simple_roots,
+                  frozenset(a2.roots) - {missing})
+    assert isinstance(res, ClosureFailure) and res.escaping == missing
+    # BC needs the doubled short roots: the B2 roots alone do not hold them
+    b2 = build_from_name("B2")
+    res = certify(TypeLabel("BC", 2), b2.simple_roots, frozenset(b2.roots))
+    doubles = sorted(scale(Fraction(2), v) for v in b2.roots if norm2(v) == 1)
+    assert isinstance(res, ClosureFailure) and res.escaping == doubles[0]
+
+
+def test_revalidate_compares_labels_with_target():
+    # C3 and B3 both have 18 roots; a C3 copy must not pass as a B3
+    c3 = build_from_name("C3")
+    universe = frozenset(c3.roots)
+    witness = ComponentWitness(TypeLabel("C", 3), c3.simple_roots, universe)
+    assert revalidate(ClosureCertificate(parse_target("C3"), (witness,)),
+                      universe)
+    assert not revalidate(ClosureCertificate(parse_target("B3"), (witness,)),
+                          universe)
+
+
+def _hand_projection(vectors):
+    sigma = tuple(sorted(vectors))
+    reps = {max(v, neg(v)) for v in sigma}
+    return ProjectionResult(
+        system=build_from_name("A2"), theta=(), d=2, sigma_theta=sigma,
+        delta_theta=(), census=dict(Counter(norm2(v) for v in sigma)),
+        delta_theta_collision=False, sigma_theta_set=frozenset(sigma),
+        _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))))
+
+
+def test_class_union_rejects_six_vectors_that_are_no_a2():
+    # one norm-2 class of exactly six vectors, as an A2 would have, but
+    # (7/5, 1/5) makes no 120 degree angle with the other two
+    vecs = [vector(v) for v in
+            [(1, 1), (1, -1), (Fraction(7, 5), Fraction(1, 5))]]
+    pr = _hand_projection(vecs + [neg(v) for v in vecs])
+    assert pr.census == {Fraction(2): 6}
+    assert _try_class_union(TypeLabel("A", 2), Fraction(2), pr,
+                            set(pr.pool())) is None
+    assert not find_subsystem(pr, parse_target("A2")).found
+
+
+def test_class_union_hit_in_e8():
+    pr = project_all(build_from_name("E8"), (2, 5, 7))
+    half = Fraction(1, 2)
+    assert pr.census[half] == 2
+    v = max(u for u in pr.sigma_theta if norm2(u) == half)
+    hit = _try_class_union(TypeLabel("A", 1), half, pr, set(pr.pool()))
+    assert hit == ((v,), frozenset([v, neg(v)]))
