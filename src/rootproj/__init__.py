@@ -1,8 +1,8 @@
 """Exact-arithmetic projections of root systems and subsystem detection."""
 
 from .catalog import (RealizedRootSystem, Target, TypeLabel, build,
-                      build_from_name, cartan_subtype, detection_targets,
-                      parse_label, parse_target)
+                      build_from_name, detection_targets, parse_label,
+                      parse_target)
 from .classify import (ClassicalPrediction, ClassificationRecord,
                        classical_predicate, classify_theta, enumerate_records,
                        oracle_equivalence, verify_paper)
@@ -15,7 +15,7 @@ from .projection import (ProjectionResult, ThetaProjector,
 
 __all__ = [
     "RealizedRootSystem", "Target", "TypeLabel", "build", "build_from_name",
-    "cartan_subtype", "detection_targets", "parse_label", "parse_target",
+    "detection_targets", "parse_label", "parse_target",
     "ClassicalPrediction", "ClassificationRecord", "classical_predicate",
     "classify_theta", "enumerate_records", "oracle_equivalence", "verify_paper",
     "ClosureCertificate", "ClosureFailure", "DetectionReport",

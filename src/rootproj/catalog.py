@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .linalg import Matrix, Vector, dot, matrix, norm2
+from .linalg import Matrix, Vector, dot, expand, norm2
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -375,28 +375,14 @@ def build_from_name(name: str) -> RealizedRootSystem:
     return build(parse_label(name))
 
 
-def cartan_subtype(sys: RealizedRootSystem, theta: Sequence[int]) -> Matrix:
-    """Sub-matrix of the Cartan matrix on the theta rows and columns."""
-    idx = check_theta(sys, theta, allow_improper=True)
-    return matrix([[sys.cartan[i - 1][j - 1] for j in idx] for i in idx])
-
-
 def simple_root_expansion(sys: RealizedRootSystem, v: Vector) -> Tuple[Fraction, ...]:
     """Coefficients of v over the simple roots, solved exactly.
 
     Raises ValueError when v is not in the span of the simple roots.
     For actual roots the coefficients are integers, all of one sign.
     """
-    from .linalg import add, invert, mat_vec, scale, transpose, zero
-
-    basis = sys.simple_roots
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    rhs = tuple(dot(v, a) for a in basis)
-    coeff = mat_vec(rhs, invert(transpose(gram)))
-    recon = zero(sys.ambient_dim)
-    for c, a in zip(coeff, basis):
-        recon = add(recon, scale(c, a))
-    if recon != v:
+    coeff = expand(v, sys.simple_roots)
+    if coeff is None:
         raise ValueError("vector is not in the span of the simple roots")
     return coeff
 

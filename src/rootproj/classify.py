@@ -150,24 +150,19 @@ def proper_subsets(rank: int) -> Iterator[Tuple[int, ...]]:
         yield from combinations(range(1, rank + 1), size)
 
 
-def classify_theta(sys: RealizedRootSystem, theta: Sequence[int],
-                   reducible: bool = True,
-                   require_exceptional: bool = True) -> ClassificationRecord:
+def classify_theta(sys: RealizedRootSystem,
+                   theta: Sequence[int]) -> ClassificationRecord:
     pr = project_all(sys, theta)
-    reports = classify_max_rank(pr, reducible=reducible,
-                                require_exceptional=require_exceptional)
     return ClassificationRecord(
         sigma=sys.label, theta=tuple(pr.theta), d=pr.d,
-        reports=tuple(reports), census=dict(pr.census))
+        reports=tuple(classify_max_rank(pr)), census=dict(pr.census))
 
 
-def enumerate_records(label: TypeLabel, reducible: bool = True,
-                      require_exceptional: bool = True
-                      ) -> Iterator[ClassificationRecord]:
+def enumerate_records(label: TypeLabel) -> Iterator[ClassificationRecord]:
     """One record per proper theta, in deterministic order."""
     sys = build(label)
     for theta in proper_subsets(label.rank):
-        yield classify_theta(sys, theta, reducible, require_exceptional)
+        yield classify_theta(sys, theta)
 
 
 # ---------------------------------------------------------------------------

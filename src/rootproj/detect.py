@@ -5,11 +5,13 @@ candidate basis must have the label's Dynkin type (BC_k read as B_k, BC_1
 as A_1), its reflection closure must stay inside the projected set, and
 for BC the doubles of the shortest roots must be there as well.  The
 search, the class-union shortcut, the restricted search and
-``revalidate`` all go through it.  The search over bases is an
-incremental backtracking over one representative per +-pair, sorted by
-squared norm; partial bases are pruned with the Cartan-integer
-constraints, tree-shape bounds of the target diagram, and the norm
-census of the projection.
+``revalidate`` all go through it.  ``_search`` is the single driver of
+both detection modes: it picks one factor of the target after another,
+the restricted mode taking some of them from delta_theta.  The search
+over one factor's bases is an incremental backtracking over one
+representative per +-pair, sorted by squared norm; partial bases are
+pruned with the Cartan-integer constraints, tree-shape bounds of the
+target diagram, and the norm census of the projection.
 
 Raw subset enumeration would be hopeless at rank 7 over a hundred
 vectors, but the census frequently forces the candidate classes to have
@@ -25,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .catalog import Target, TypeLabel
+from .catalog import Target, TypeLabel, detection_targets
 from .linalg import Matrix, Vector, dot, is_zero, neg, norm2, scale, sub
 from .projection import ProjectionResult
 
@@ -485,34 +487,6 @@ def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult
         yield from dfs(0, [], dict(need), [], [], 0, 0, 0)
 
 
-def _find_unrestricted(pr: ProjectionResult, target: Target) -> DetectionReport:
-    comps = list(target.normalized())
-    if not census_admits(target, pr.census):
-        return DetectionReport(target, False, False, False)
-    witnesses: List[ComponentWitness] = []
-
-    def search(ci: int, pool: List[Vector]) -> bool:
-        if ci == len(comps):
-            return True
-        label = comps[ci]
-        for basis, orbit in _iter_bases(label, pool, pr):
-            if ci > 0 and comps[ci - 1] == label \
-                    and basis <= witnesses[-1].basis:
-                continue  # identical factors: enforce an order, halve the work
-            witnesses.append(ComponentWitness(label, basis, orbit))
-            rest = [v for v in pool if all(dot(v, b) == 0 for b in basis)]
-            if search(ci + 1, rest):
-                return True
-            witnesses.pop()
-        return False
-
-    if search(0, list(pr.pool())):
-        cert = ClosureCertificate(target, tuple(witnesses))
-        basis_in_delta = set(cert.basis) <= set(pr.delta_theta)
-        return DetectionReport(target, True, False, basis_in_delta, cert)
-    return DetectionReport(target, False, False, False)
-
-
 def _delta_subset_bases(label: TypeLabel, delta_pool: List[Vector],
                         pr: ProjectionResult, certified: dict
                         ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
@@ -533,52 +507,69 @@ def _delta_subset_bases(label: TypeLabel, delta_pool: List[Vector],
             yield subset, certified[key]
 
 
-def _find_restricted(pr: ProjectionResult, target: Target,
-                     certified: dict) -> DetectionReport:
-    """Occurrence with the distinguished basis made of projected simple roots.
+def _orthogonal(pool: List[Vector], basis: Sequence[Vector]) -> List[Vector]:
+    return [v for v in pool if all(dot(v, b) == 0 for b in basis)]
 
-    For an irreducible target, and for every component of an all-classical
-    product, the basis vectors must be projections of simple roots.  In a
-    product with exceptional components, the exceptional bases are pinned
-    to delta_theta while the classical factors may sit anywhere in
-    sigma_theta orthogonal to the rest; that is the reading under which
-    the bundled product tables are stated.  Pinning every factor would
-    make the basis all of delta_theta, whose pairing matrix is of no
-    finite type for five listed rows: E7 (1,3,5,6) G2xA1 and E8
-    (1,3,5,6) G2xA1xA1, (1,3,5,6,8) G2xA1, (2,4,5,6,7) G2xA1 and
-    (2,5,7) F4xA1.
+
+def _search(pr: ProjectionResult, target: Target, restricted: bool,
+            certified: dict) -> Optional[ClosureCertificate]:
+    """First certified copy of the target, one factor after another.
+
+    Unrestricted, every factor's basis comes from the pool, i.e. anywhere
+    in sigma_theta up to sign.  Restricted, the pinned factors take their
+    basis from delta_theta: every factor of an irreducible or
+    all-classical target, but only the exceptional factors of a product
+    with an exceptional component, whose classical factors may sit
+    anywhere in sigma_theta orthogonal to the rest.  That is the reading
+    under which the bundled product tables are stated, so on product rows
+    ``basis_from_delta_theta`` vouches for the exceptional factors only.
+    Pinning every factor would make the basis all of delta_theta, whose
+    pairing matrix is of no finite type for five listed rows: E7
+    (1,3,5,6) G2xA1 and E8 (1,3,5,6) G2xA1xA1, (1,3,5,6,8) G2xA1,
+    (2,4,5,6,7) G2xA1 and (2,5,7) F4xA1.  The census condition is
+    necessary in both modes and is checked first.
     """
-    comps = list(target.normalized())
+    if not census_admits(target, pr.census):
+        return None
     pin_all = not target.has_exceptional_component
-    ordered = sorted(
-        comps, key=lambda c: (not (pin_all or c.is_exceptional), c.sort_key))
+
+    def pinned(label: TypeLabel) -> bool:
+        return restricted and (pin_all or label.is_exceptional)
+
+    ordered = sorted(target.normalized(),
+                     key=lambda c: (not pinned(c), c.sort_key))
     witnesses: List[ComponentWitness] = []
 
     def search(ci: int, delta_pool: List[Vector], pool: List[Vector]) -> bool:
         if ci == len(ordered):
             return True
         label = ordered[ci]
-        pinned = pin_all or label.is_exceptional
-        gen = _delta_subset_bases(label, delta_pool, pr, certified) if pinned \
-            else _iter_bases(label, pool, pr)
+        gen = _delta_subset_bases(label, delta_pool, pr, certified) \
+            if pinned(label) else _iter_bases(label, pool, pr)
         for basis, roots in gen:
             if ci > 0 and ordered[ci - 1] == label \
                     and basis <= witnesses[-1].basis:
-                continue
+                continue  # identical factors: enforce an order, halve the work
             witnesses.append(ComponentWitness(label, basis, roots))
-            rest_delta = [v for v in delta_pool
-                          if all(dot(v, b) == 0 for b in basis)]
-            rest_pool = [v for v in pool
-                         if all(dot(v, b) == 0 for b in basis)]
-            if search(ci + 1, rest_delta, rest_pool):
+            if search(ci + 1, _orthogonal(delta_pool, basis),
+                      _orthogonal(pool, basis)):
                 return True
             witnesses.pop()
         return False
 
     if search(0, list(pr.delta_theta), list(pr.pool())):
-        cert = ClosureCertificate(target, tuple(witnesses))
-        return DetectionReport(target, True, True, True, cert)
-    return DetectionReport(target, False, True, False)
+        return ClosureCertificate(target, tuple(witnesses))
+    return None
+
+
+def _report(pr: ProjectionResult, target: Target,
+            cert: Optional[ClosureCertificate], restricted: bool
+            ) -> DetectionReport:
+    """A found restricted report vouches for delta_theta (see ``_search``);
+    any other one says whether its whole basis lies in delta_theta."""
+    found = cert is not None
+    from_delta = found and (restricted or set(cert.basis) <= set(pr.delta_theta))
+    return DetectionReport(target, found, restricted, from_delta, cert)
 
 
 def find_subsystem(pr: ProjectionResult, target: Target,
@@ -586,41 +577,37 @@ def find_subsystem(pr: ProjectionResult, target: Target,
     """Decide whether the target occurs in sigma_theta at maximal rank.
 
     The search is exhaustive over the allowed basis pool (delta_theta
-    when restricted, otherwise all of sigma_theta up to sign), so a
-    not-found answer is a proof of absence within that pool.
+    for the pinned factors when restricted, see ``_search``, otherwise
+    all of sigma_theta up to sign), so a not-found answer is a proof of
+    absence within that pool.
     """
     if target.rank != pr.d:
         raise ValueError(
             f"target rank {target.rank} differs from projection rank {pr.d}")
-    if restrict_to_delta_theta:
-        return _find_restricted(pr, target, {})
-    return _find_unrestricted(pr, target)
+    cert = _search(pr, target, restrict_to_delta_theta, {})
+    return _report(pr, target, cert, restrict_to_delta_theta)
 
 
-def classify_max_rank(pr: ProjectionResult, reducible: bool = False,
-                      require_exceptional: bool = True) -> List[DetectionReport]:
-    """One report per applicable target of rank d.
+def classify_max_rank(pr: ProjectionResult) -> List[DetectionReport]:
+    """One report per rank-d target with an exceptional component.
 
-    Irreducible targets carry the unrestricted answer in ``found`` and
-    the delta_theta-basis answer in ``basis_from_delta_theta``; product
-    targets are checked with bases from delta_theta only.
+    Irreducible targets carry the unrestricted answer in ``found``; a
+    restricted copy is tried first, and when it exists it is the
+    certificate and ``basis_from_delta_theta`` is true.  Product targets
+    are restricted reports, whose ``basis_from_delta_theta`` covers the
+    exceptional factors only (see ``_search``).
     """
-    from .catalog import detection_targets
-
     reports = []
     certified: dict = {}
-    for target in detection_targets(pr.d, reducible, require_exceptional):
+    for target in detection_targets(pr.d, reducible=True,
+                                    require_exceptional_component=True):
         if target.is_irreducible:
-            restricted = _find_restricted(pr, target, certified)
-            if restricted.found:
-                reports.append(DetectionReport(
-                    target, True, False, True, restricted.certificate))
-                continue
-            unres = _find_unrestricted(pr, target)
-            reports.append(DetectionReport(
-                target, unres.found, False, False, unres.certificate))
+            cert = _search(pr, target, True, certified) \
+                or _search(pr, target, False, certified)
+            reports.append(_report(pr, target, cert, False))
         else:
-            reports.append(_find_restricted(pr, target, certified))
+            reports.append(_report(
+                pr, target, _search(pr, target, True, certified), True))
     return reports
 
 

@@ -11,7 +11,7 @@ safe to share across processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -71,12 +71,6 @@ def norm2(v: Vector) -> Fraction:
     return dot(v, v)
 
 
-def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return m
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
-
-
 def mat_vec(v: Vector, m: Matrix) -> Vector:
     """Row vector times matrix."""
     if len(v) != len(m):
@@ -112,3 +106,21 @@ def invert(m: Matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def gram(basis: Sequence[Vector]) -> Matrix:
+    """Matrix of inner products <b_i, b_j>; symmetric."""
+    return tuple(tuple(dot(a, b) for b in basis) for a in basis)
+
+
+def expand(v: Vector, basis: Sequence[Vector]) -> Optional[Vector]:
+    """Coefficients c with sum c_i b_i = v, or None if v is not in the span.
+
+    Solves c G = (<v, b_i>) with the Gram matrix G of the basis, which
+    must be linearly independent, and confirms the reconstruction.
+    """
+    coeff = mat_vec(tuple(dot(v, b) for b in basis), invert(gram(basis)))
+    recon = zero(len(v))
+    for c, b in zip(coeff, basis):
+        recon = add(recon, scale(c, b))
+    return coeff if recon == v else None

@@ -1,17 +1,16 @@
 """Serialization of results: rationals as "p/q" strings, JSON, CSV, text.
 
 Floats never appear in any output format; a fraction renders as "3/2" or
-"2" and parses back exactly, so records round-trip.
+"2", which ``fractions.Fraction`` reads back exactly, so a JSON
+certificate can be rebuilt and revalidated from the document alone.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .catalog import parse_target
-from .detect import ClosureCertificate, ComponentWitness, DetectionReport, TypeLabel
+from .detect import DetectionReport, TypeLabel
 from .linalg import Vector
 from .projection import ProjectionResult
 
@@ -23,10 +22,6 @@ CSV_COLUMNS = ["sigma", "theta", "d", "target", "restricted", "found",
 
 def vec_strs(v: Vector) -> List[str]:
     return [str(x) for x in v]
-
-
-def parse_vec(items: Sequence[str]) -> Vector:
-    return tuple(Fraction(x) for x in items)
 
 
 def census_dict(census: Dict[Fraction, int]) -> Dict[str, int]:
@@ -53,33 +48,6 @@ def report_dict(rep: DetectionReport) -> dict:
     return out
 
 
-def parse_report(data: dict) -> DetectionReport:
-    cert = None
-    if data.get("components") is not None:
-        target = parse_target(data["target"])
-        witnesses = tuple(
-            ComponentWitness(
-                label=_parse_label(w["label"]),
-                basis=tuple(parse_vec(v) for v in w["basis"]),
-                roots=frozenset(parse_vec(v) for v in w["roots"]),
-            )
-            for w in data["components"]
-        )
-        cert = ClosureCertificate(target=target, components=witnesses)
-    return DetectionReport(
-        target=parse_target(data["target"]),
-        found=data["found"],
-        restricted=data["restricted"],
-        basis_from_delta_theta=data["basis_from_delta_theta"],
-        certificate=cert,
-    )
-
-
-def _parse_label(text: str) -> TypeLabel:
-    from .catalog import parse_label
-    return parse_label(text)
-
-
 def detection_doc(sigma: TypeLabel, theta: Sequence[int], d: int,
                   reports: Sequence[DetectionReport]) -> dict:
     return {
@@ -89,14 +57,6 @@ def detection_doc(sigma: TypeLabel, theta: Sequence[int], d: int,
         "d": d,
         "reports": [report_dict(r) for r in reports],
     }
-
-
-def parse_detection_doc(text: str):
-    data = json.loads(text)
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"unknown schema {data.get('schema')!r}")
-    reports = tuple(parse_report(r) for r in data["reports"])
-    return data["sigma"], tuple(data["theta"]), data["d"], reports
 
 
 def projection_doc(pr: ProjectionResult) -> dict:

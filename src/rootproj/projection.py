@@ -7,10 +7,10 @@ solve the exact linear system
 
     sum_j c_j <a_j, a_i> = <t, a_i>      for every i in theta,
 
-which in Cartan-matrix form reads ``C_theta^T  c = v`` with
-``v_i = 2 <t, a_i> / <a_i, a_i>`` and the convention
-``C[i][j] = 2 <a_i, a_j> / <a_j, a_j>``.  Orthogonality of the result is
-an exact identity, asserted by the test suite over every family.
+which reads ``c G = v`` with the Gram matrix ``G[j][i] = <a_j, a_i>`` of
+the theta simple roots and ``v_i = <t, a_i>``, so ``c = v G^-1`` with
+``G^-1`` computed once per (system, theta).  Orthogonality of the result
+is an exact identity, asserted by the test suite over every family.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from . import linalg
-from .catalog import RealizedRootSystem, cartan_subtype, check_theta
-from .linalg import Matrix, Vector, dot, invert, is_zero, mat_vec, norm2, sub, transpose
+from .catalog import RealizedRootSystem, check_theta
+from .linalg import (Matrix, Vector, dot, expand, gram, invert, is_zero,
+                     mat_vec, norm2, sub)
 
 
 class ExpansionConsistencyError(ArithmeticError):
@@ -40,27 +41,21 @@ class ThetaProjector:
     system: RealizedRootSystem
     theta: Tuple[int, ...]
     _alphas: Tuple[Vector, ...]
-    _solve: Matrix  # inverse Cartan subtype, applied on the right of v
+    _gram_inv: Matrix  # inverse Gram matrix of the alphas
 
     @staticmethod
     def create(sys: RealizedRootSystem, theta: Sequence[int],
                allow_improper: bool = False) -> "ThetaProjector":
         idx = check_theta(sys, theta, allow_improper)
         alphas = tuple(sys.simple_root(i) for i in idx)
-        c_theta = cartan_subtype(sys, idx)
-        # orthogonality of t - sum c_j a_j to every a_i reads, row-vector
-        # style, c * C_theta = v under the n_ij = 2<a_i,a_j>/<a_j,a_j>
-        # convention, so c = v * C_theta^{-1}
-        solve = invert(c_theta) if idx else tuple()
-        return ThetaProjector(sys, idx, alphas, solve)
+        return ThetaProjector(sys, idx, alphas, invert(gram(alphas)))
 
     def project(self, t: Vector) -> Vector:
         if len(t) != self.system.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
         if not self.theta:
             return t
-        v = tuple(2 * dot(t, a) / norm2(a) for a in self._alphas)
-        coeff = mat_vec(v, self._solve)
+        coeff = mat_vec(tuple(dot(t, a) for a in self._alphas), self._gram_inv)
         out = t
         for c, a in zip(coeff, self._alphas):
             if c != 0:
@@ -136,17 +131,10 @@ def expansion_over_delta_theta(v: Vector, pr: ProjectionResult) -> Tuple[Fractio
     projection is linear and roots expand that way over the simple roots.
     A violation is reported as ExpansionConsistencyError.
     """
-    basis = pr.delta_theta
-    if not basis:
+    if not pr.delta_theta:
         raise ValueError("delta_theta is empty")
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    rhs = tuple(dot(v, a) for a in basis)
-    coeff = mat_vec(rhs, invert(transpose(gram)))
-    # confirm the solve: v must equal the combination exactly
-    recon = linalg.zero(len(v))
-    for c, a in zip(coeff, basis):
-        recon = linalg.add(recon, linalg.scale(c, a))
-    if recon != v:
+    coeff = expand(v, pr.delta_theta)
+    if coeff is None:
         raise ExpansionConsistencyError(f"{v} is not in the span of delta_theta")
     if any(c.denominator != 1 for c in coeff):
         raise ExpansionConsistencyError(

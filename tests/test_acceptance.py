@@ -408,7 +408,7 @@ def test_criterion_7_weyl_conjugacy_of_singletons(records):
                 reps = recs[(i,)].reports
             else:
                 from rootproj.detect import classify_max_rank
-                reps = classify_max_rank(pr, reducible=True)
+                reps = classify_max_rank(pr)
             found = tuple(sorted(str(r.target) for r in reps
                                  if r.target.is_irreducible and r.found))
             census = tuple(sorted(pr.census.items()))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootproj.catalog import (TypeLabel, build_from_name, cartan_subtype,
+from rootproj.catalog import (TypeLabel, build_from_name, check_theta,
                               detection_targets, normalize_components,
                               parse_label, parse_target, simple_root_expansion)
 from rootproj.detect import match_type, reflection_closure
@@ -151,33 +151,11 @@ def test_cyclic_e7_basis_is_an_e7_inside_e8():
     assert not isinstance(orbit, type(None)) and len(orbit) == 126
 
 
-def test_cartan_subtype_e6_orthogonal_pair():
-    e6 = build_from_name("E6")
-    assert cartan_subtype(e6, (1, 2)) == matrix([[2, 0], [0, 2]])
-
-
-def test_cartan_subtype_single():
-    assert cartan_subtype(build_from_name("A3"), (2,)) == matrix([[2]])
-
-
-def test_cartan_subtype_e8_star():
-    # alpha_2, alpha_3, alpha_5 all pair with alpha_4 only: the rank-4
-    # star, read off the Bourbaki simple roots
-    e8 = build_from_name("E8")
-    got = cartan_subtype(e8, (2, 3, 4, 5))
-    assert got == matrix([
-        [2, 0, -1, 0],
-        [0, 2, -1, 0],
-        [-1, -1, 2, -1],
-        [0, 0, -1, 2],
-    ])
-
-
-def test_cartan_subtype_out_of_range():
+def test_check_theta_out_of_range():
     with pytest.raises(ValueError):
-        cartan_subtype(build_from_name("A3"), (0,))
+        check_theta(build_from_name("A3"), (0,))
     with pytest.raises(ValueError):
-        cartan_subtype(build_from_name("A3"), (4,))
+        check_theta(build_from_name("A3"), (4,))
 
 
 def test_parse_labels():

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from rootproj import cli, output
-from rootproj.catalog import build_from_name, parse_target
+from rootproj.catalog import build_from_name, parse_label, parse_target
 from rootproj.cli import main
-from rootproj.detect import find_subsystem
+from rootproj.detect import (ClosureCertificate, ComponentWitness,
+                             DetectionReport, find_subsystem, revalidate)
 from rootproj.projection import project_all
 
 
@@ -120,14 +122,29 @@ def test_enumerate_csv_columns(tmp_path):
 
 
 def test_round_trip_detection_doc():
+    # the JSON alone is checkable evidence: rebuild the certificate from
+    # it with Fraction and parse_label, then revalidate it
     pr = project_all(build_from_name("E6"), (1, 3, 5, 6))
     rep = find_subsystem(pr, parse_target("G2"), restrict_to_delta_theta=True)
     doc = output.detection_doc(pr.system.label, pr.theta, pr.d, [rep])
-    text = json.dumps(doc)
-    sigma, theta, d, reports = output.parse_detection_doc(text)
-    assert sigma == "E6" and theta == (1, 3, 5, 6) and d == 2
-    back = reports[0]
+    data = json.loads(json.dumps(doc))
+    assert (data["sigma"], tuple(data["theta"]), data["d"]) == \
+        ("E6", (1, 3, 5, 6), 2)
+    (report,) = data["reports"]
+
+    def vec(items):
+        return tuple(Fraction(x) for x in items)
+
+    target = parse_target(report["target"])
+    cert = ClosureCertificate(target, tuple(
+        ComponentWitness(parse_label(w["label"]),
+                         tuple(vec(v) for v in w["basis"]),
+                         frozenset(vec(v) for v in w["roots"]))
+        for w in report["components"]))
+    back = DetectionReport(target, report["found"], report["restricted"],
+                           report["basis_from_delta_theta"], cert)
     assert back == rep
+    assert revalidate(back.certificate, pr.sigma_theta_set)
 
 
 def test_main_direct_exit_codes():
@@ -183,3 +200,14 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
     for jobs in ("0", "-1"):
         assert main(["enumerate", "--sigma", "G2", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    # a stale entry in __all__ breaks ``from rootproj import *``
+    import rootproj
+
+    missing = [name for name in rootproj.__all__ if not hasattr(rootproj, name)]
+    assert not missing
+    namespace = {}
+    exec("from rootproj import *", namespace)
+    assert set(rootproj.__all__) <= set(namespace)

@@ -1,9 +1,12 @@
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from rootproj import detect
 from rootproj.catalog import (TypeLabel, build_from_name,
                               detection_targets, parse_target)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
@@ -236,9 +239,48 @@ def test_census_conditions_for_g2_and_f4():
     assert any(classes.get(2 * n, 0) >= 24 and c >= 24 for n, c in classes.items())
 
 
+def test_find_subsystem_replays_the_f4_sweep_reference():
+    # every |theta| <= 2 query of F4, every irreducible target, both modes,
+    # against the verdicts and closure sizes recorded in the benchmark's
+    # reference, with every certificate revalidated from scratch
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(path.read_text())["sweep F4 theta<=2"]["queries"]
+    assert len(want) == 92
+    f4 = build_from_name("F4")
+    prs = {}
+    for key, expected in want.items():
+        theta_s, target, mode = key.split(";")
+        theta = tuple(int(i) for i in theta_s.split(","))
+        if theta not in prs:
+            prs[theta] = project_all(f4, theta)
+        pr = prs[theta]
+        rep = find_subsystem(pr, parse_target(target),
+                             restrict_to_delta_theta=mode == "restricted")
+        size = rep.certificate.size if rep.certificate else 0
+        assert [rep.found, size] == expected, key
+        if rep.found:
+            assert revalidate(rep.certificate, pr.sigma_theta_set), key
+
+
+def test_restricted_search_screens_the_census_first(monkeypatch):
+    # G2 needs six vectors at some norm and six at three times it; the
+    # census of F4 theta = {1, 3} has no such pair, so the restricted
+    # search must answer without trying any subset of delta_theta
+    pr = project_all(build_from_name("F4"), (1, 3))
+    target = parse_target("G2")
+    assert not census_admits(target, pr.census)
+
+    def no_subsets(*args):
+        raise AssertionError("delta_theta subsets tried after a census reject")
+
+    monkeypatch.setattr(detect, "_delta_subset_bases", no_subsets)
+    rep = find_subsystem(pr, target, restrict_to_delta_theta=True)
+    assert (rep.found, rep.restricted, rep.certificate) == (False, True, None)
+
+
 def test_classify_max_rank_f4_theta12():
     pr = project_all(build_from_name("F4"), (1, 2))
-    reports = classify_max_rank(pr, reducible=False)
+    reports = classify_max_rank(pr)
     by_target = {str(r.target): r for r in reports}
     assert by_target["G2"].found
     assert by_target["G2"].basis_from_delta_theta
@@ -246,7 +288,7 @@ def test_classify_max_rank_f4_theta12():
 
 def test_classify_max_rank_negative_product():
     pr = project_all(build_from_name("E7"), (2, 4, 6, 7))
-    reports = classify_max_rank(pr, reducible=True)
+    reports = classify_max_rank(pr)
     by_target = {str(r.target): r for r in reports}
     assert not by_target["G2xA1"].found
     # the census alone would have let it through
@@ -255,7 +297,7 @@ def test_classify_max_rank_negative_product():
 
 def test_classify_max_rank_finds_f4xa1():
     pr = project_all(build_from_name("E8"), (2, 5, 7))
-    reports = classify_max_rank(pr, reducible=True)
+    reports = classify_max_rank(pr)
     by_target = {str(r.target): r for r in reports}
     assert by_target["F4xA1"].found
     assert revalidate(by_target["F4xA1"].certificate, pr.sigma_theta_set)
@@ -264,8 +306,8 @@ def test_classify_max_rank_finds_f4xa1():
 def test_classify_deterministic():
     pr1 = project_all(build_from_name("E6"), (1, 3, 5, 6))
     pr2 = project_all(build_from_name("E6"), (1, 3, 5, 6))
-    r1 = classify_max_rank(pr1, reducible=True)
-    r2 = classify_max_rank(pr2, reducible=True)
+    r1 = classify_max_rank(pr1)
+    r2 = classify_max_rank(pr2)
     assert [(str(r.target), r.found, r.basis_from_delta_theta) for r in r1] == \
         [(str(r.target), r.found, r.basis_from_delta_theta) for r in r2]
     certs1 = [r.certificate.basis for r in r1 if r.certificate]

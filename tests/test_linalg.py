@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootproj.linalg import (SingularMatrixError, dot, invert, mat_vec,
-                             matrix, transpose, vector)
+                             matrix, vector)
+
+
+def transpose(m):
+    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
 def identity(n):
