@@ -11,7 +11,7 @@ from .detect import (ClosureCertificate, ClosureFailure, DetectionReport,
                      pairing_matrix, reflection_closure, revalidate)
 from .linalg import dot, invert, mat_vec, matrix, vector
 from .projection import (ProjectionResult, ThetaProjector,
-                         expansion_over_delta_theta, project, project_all)
+                         expansion_over_delta_theta, project_all)
 
 __all__ = [
     "RealizedRootSystem", "Target", "TypeLabel", "build", "build_from_name",
@@ -23,7 +23,7 @@ __all__ = [
     "reflection_closure", "revalidate",
     "dot", "invert", "mat_vec", "matrix", "vector",
     "ProjectionResult", "ThetaProjector", "expansion_over_delta_theta",
-    "project", "project_all",
+    "project_all",
 ]
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
 """Concrete realizations of the finite crystallographic root systems.
 
 Families A-D are realized in their usual coordinate ambient spaces, the
-E types inside the 8-dimensional ambient of E8 (E7 orthogonal to one
-vector, E6 to two), F4 in dimension 4 and G2 in dimension 3.  Simple
-roots follow the Bourbaki numbering throughout; Cartan matrices use the
-convention ``cartan[i][j] = 2<a_i, a_j> / <a_j, a_j>``.
+E types inside the 8-dimensional ambient of E8 (E7 and E6 spanned by the
+first seven and six E8 simple roots), F4 in dimension 4 and G2 in
+dimension 3.  Simple roots follow the Bourbaki numbering throughout;
+Cartan matrices use the convention
+``cartan[i][j] = 2<a_i, a_j> / <a_j, a_j>``.  The simple roots are the
+only hand-written root data: every other root is generated from them as
+an integer coefficient vector and then put in ambient coordinates.
 
 BC_n (the non-reduced system B_n plus the doubled short roots) is
 constructible as a detection target universe but is never offered as an
@@ -17,10 +20,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .linalg import Matrix, Vector, dot, expand, norm2
+from .linalg import Matrix, Vector, combine, dot, expand, norm2
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -158,11 +161,16 @@ def parse_target(text: str) -> Target:
 
 @dataclass(frozen=True)
 class RealizedRootSystem:
-    """A root system embedded in coordinates, with its simple roots."""
+    """A root system embedded in coordinates, with its simple roots.
+
+    ``coefficients[k]`` expresses ``roots[k]`` over the simple roots:
+    integers, all of one sign.
+    """
 
     label: TypeLabel
     ambient_dim: int
     roots: Tuple[Vector, ...]
+    coefficients: Tuple[Tuple[int, ...], ...]
     simple_roots: Tuple[Vector, ...]
     cartan: Matrix
 
@@ -191,113 +199,16 @@ def check_theta(sys: RealizedRootSystem, theta: Sequence[int],
     return idx
 
 
-def _q(x) -> Fraction:
-    return Fraction(x)
-
-
-def _basis_vec(dim: int, entries: Dict[int, Fraction]) -> Vector:
+def _basis_vec(dim: int, entries: Dict[int, int]) -> Vector:
     v = [Fraction(0)] * dim
     for i, c in entries.items():
         v[i] = Fraction(c)
     return tuple(v)
 
 
-def _pm_pairs(dim: int, lo: int, hi: int) -> Iterator[Vector]:
-    """All +-e_i +- e_j with lo <= i < j < hi (0-indexed)."""
-    for i in range(lo, hi):
-        for j in range(i + 1, hi):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    yield _basis_vec(dim, {i: _q(si), j: _q(sj)})
-
-
-def _roots_a(n: int) -> List[Vector]:
-    dim = n + 1
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                out.append(_basis_vec(dim, {i: _q(1), j: _q(-1)}))
-    return out
-
-
-def _roots_b(n: int) -> List[Vector]:
-    out = list(_pm_pairs(n, 0, n))
-    for i in range(n):
-        for s in (1, -1):
-            out.append(_basis_vec(n, {i: _q(s)}))
-    return out
-
-
-def _roots_c(n: int) -> List[Vector]:
-    out = list(_pm_pairs(n, 0, n))
-    for i in range(n):
-        for s in (1, -1):
-            out.append(_basis_vec(n, {i: _q(2 * s)}))
-    return out
-
-
-def _roots_d(n: int) -> List[Vector]:
-    return list(_pm_pairs(n, 0, n))
-
-
-def _roots_bc(n: int) -> List[Vector]:
-    return _roots_b(n) + [_basis_vec(n, {i: _q(2 * s)})
-                          for i in range(n) for s in (1, -1)]
-
-
-def _roots_e8() -> List[Vector]:
-    out = list(_pm_pairs(8, 0, 8))
-    for signs in product((1, -1), repeat=8):
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            out.append(tuple(Fraction(s, 2) for s in signs))
-    return out
-
-
-def _e8_simple() -> List[Vector]:
-    a1 = tuple(Fraction(s, 2) for s in (1, -1, -1, -1, -1, -1, -1, 1))
-    a2 = _basis_vec(8, {0: _q(1), 1: _q(1)})
-    rest = [_basis_vec(8, {i - 1: _q(-1), i: _q(1)}) for i in range(1, 7)]
-    return [a1, a2] + rest
-
-
-def _roots_e7() -> List[Vector]:
-    w = _basis_vec(8, {6: _q(1), 7: _q(1)})  # e7 + e8
-    return [r for r in _roots_e8() if dot(r, w) == 0]
-
-
-def _roots_e6() -> List[Vector]:
-    w1 = _basis_vec(8, {6: _q(1), 7: _q(1)})  # e7 + e8
-    w2 = _basis_vec(8, {5: _q(1), 7: _q(1)})  # e6 + e8
-    return [r for r in _roots_e8() if dot(r, w1) == 0 and dot(r, w2) == 0]
-
-
-def _roots_f4() -> List[Vector]:
-    out = list(_pm_pairs(4, 0, 4))
-    for i in range(4):
-        for s in (1, -1):
-            out.append(_basis_vec(4, {i: _q(s)}))
-    for signs in product((1, -1), repeat=4):
-        out.append(tuple(Fraction(s, 2) for s in signs))
-    return out
-
-
-def _roots_g2() -> List[Vector]:
-    out = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                out.append(_basis_vec(3, {i: _q(1), j: _q(-1)}))
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        for s in (1, -1):
-            out.append(_basis_vec(3, {i: _q(2 * s), j: _q(-s), k: _q(-s)}))
-    return out
-
-
 def _simple_chain(dim: int, n: int) -> List[Vector]:
     """a_i = e_i - e_{i+1} for i = 1..n."""
-    return [_basis_vec(dim, {i: _q(1), i + 1: _q(-1)}) for i in range(n)]
+    return [_basis_vec(dim, {i: 1, i + 1: -1}) for i in range(n)]
 
 
 def _simple_roots(label: TypeLabel) -> List[Vector]:
@@ -305,34 +216,37 @@ def _simple_roots(label: TypeLabel) -> List[Vector]:
     if f == "A":
         return _simple_chain(n + 1, n)
     if f in ("B", "BC"):
-        return _simple_chain(n, n - 1) + [_basis_vec(n, {n - 1: _q(1)})]
+        return _simple_chain(n, n - 1) + [_basis_vec(n, {n - 1: 1})]
     if f == "C":
-        return _simple_chain(n, n - 1) + [_basis_vec(n, {n - 1: _q(2)})]
+        return _simple_chain(n, n - 1) + [_basis_vec(n, {n - 1: 2})]
     if f == "D":
-        return _simple_chain(n, n - 1) + [
-            _basis_vec(n, {n - 2: _q(1), n - 1: _q(1)})]
+        return _simple_chain(n, n - 1) + [_basis_vec(n, {n - 2: 1, n - 1: 1})]
     if f == "E":
-        return _e8_simple()[:n]
+        a1 = tuple(Fraction(s, 2) for s in (1, -1, -1, -1, -1, -1, -1, 1))
+        a2 = _basis_vec(8, {0: 1, 1: 1})
+        return [a1, a2] + [_basis_vec(8, {i - 1: -1, i: 1})
+                           for i in range(1, n - 1)]
     if f == "F":
         return [
-            _basis_vec(4, {1: _q(1), 2: _q(-1)}),
-            _basis_vec(4, {2: _q(1), 3: _q(-1)}),
-            _basis_vec(4, {3: _q(1)}),
+            _basis_vec(4, {1: 1, 2: -1}),
+            _basis_vec(4, {2: 1, 3: -1}),
+            _basis_vec(4, {3: 1}),
             tuple(Fraction(s, 2) for s in (1, -1, -1, -1)),
         ]
     # G2
     return [
-        _basis_vec(3, {0: _q(1), 1: _q(-1)}),
-        _basis_vec(3, {0: _q(-2), 1: _q(1), 2: _q(1)}),
+        _basis_vec(3, {0: 1, 1: -1}),
+        _basis_vec(3, {0: -2, 1: 1, 2: 1}),
     ]
 
 
 def cartan_matrix(simple_roots: Sequence[Vector]) -> Matrix:
     rows = []
+    norms = [norm2(b) for b in simple_roots]
     for a in simple_roots:
         row = []
-        for b in simple_roots:
-            c = 2 * dot(a, b) / norm2(b)
+        for b, nb in zip(simple_roots, norms):
+            c = 2 * dot(a, b) / nb
             if c.denominator != 1:
                 raise ValueError("non-integral Cartan pairing; not a simple system")
             row.append(c)
@@ -340,30 +254,53 @@ def cartan_matrix(simple_roots: Sequence[Vector]) -> Matrix:
     return tuple(rows)
 
 
-_ROOT_BUILDERS = {
-    "A": _roots_a, "B": _roots_b, "C": _roots_c, "D": _roots_d, "BC": _roots_bc,
-}
+def _root_coefficients(cartan: Matrix) -> Set[Tuple[int, ...]]:
+    """Every root of a reduced system, as coefficients over the simple roots.
+
+    Every root is W-conjugate to a simple root (Bourbaki, Lie Groups and
+    Lie Algebras VI.1.5), so the orbit of the unit vectors under the
+    simple reflections s_j(c) = c - <c, a_j^vee> e_j is the whole system;
+    the pairing <c, a_j^vee> is sum_i c_i cartan[i][j].
+    """
+    n = len(cartan)
+    columns = [[int(row[j]) for row in cartan] for j in range(n)]
+    found = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    frontier = list(found)
+    while frontier:
+        c = frontier.pop()
+        for j, col in enumerate(columns):
+            pairing = sum(map(mul, c, col))
+            if pairing:
+                image = c[:j] + (c[j] - pairing,) + c[j + 1:]
+                if image not in found:
+                    found.add(image)
+                    frontier.append(image)
+    return found
 
 
 @lru_cache(maxsize=None)
 def build(label: TypeLabel) -> RealizedRootSystem:
-    """Realize a root system with Bourbaki-numbered simple roots."""
-    f, n = label.family, label.rank
-    if f in _ROOT_BUILDERS:
-        roots = _ROOT_BUILDERS[f](n)
-    elif f == "E":
-        roots = {6: _roots_e6, 7: _roots_e7, 8: _roots_e8}[n]()
-    elif f == "F":
-        roots = _roots_f4()
-    else:
-        roots = _roots_g2()
+    """Realize a root system with Bourbaki-numbered simple roots.
+
+    The roots are generated from the simple roots: integer coefficients
+    first, then ambient coordinates in one pass.  BC_n is B_n plus twice
+    its short roots.
+    """
     simple = _simple_roots(label)
+    cartan = cartan_matrix(simple)
+    pairs = combine(_root_coefficients(cartan), simple)
+    if label.family == "BC":
+        short = min(norm2(r) for r, _ in pairs)
+        pairs = combine([c for _, c in pairs] + [
+            tuple(2 * x for x in c) for r, c in pairs if norm2(r) == short],
+            simple)
     sys = RealizedRootSystem(
         label=label,
-        ambient_dim=len(roots[0]),
-        roots=tuple(sorted(roots)),
+        ambient_dim=len(simple[0]),
+        roots=tuple(r for r, _ in pairs),
+        coefficients=tuple(c for _, c in pairs),
         simple_roots=tuple(simple),
-        cartan=cartan_matrix(simple),
+        cartan=cartan,
     )
     if len(sys.roots) != label.root_count:
         raise AssertionError(

@@ -131,7 +131,7 @@ def classical_predicate(label: TypeLabel, theta: Sequence[int]) -> ClassicalPred
     return none
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationRecord:
     """Findings for one (sigma, theta) pair."""
 

@@ -11,7 +11,6 @@ import argparse
 import csv as csv_mod
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import List, Optional
 
@@ -19,6 +18,7 @@ from . import output
 from .catalog import (build, check_theta, parse_label, parse_target)
 from .classify import (classify_theta, proper_subsets, verify_paper)
 from .detect import find_subsystem
+from .linalg import norm2
 from .projection import project_all
 
 EXIT_OK = 0
@@ -64,10 +64,10 @@ def cmd_project(args) -> int:
             writer.writerow(["kind", "coords", "norm"])
             for v in pr.sigma_theta:
                 writer.writerow(["sigma_theta", " ".join(output.vec_strs(v)),
-                                 str(sum(x * x for x in v))])
+                                 str(norm2(v))])
             for v in pr.delta_theta:
                 writer.writerow(["delta_theta", " ".join(output.vec_strs(v)),
-                                 str(sum(x * x for x in v))])
+                                 str(norm2(v))])
             for norm in sorted(pr.census):
                 writer.writerow(["census", str(norm), str(pr.census[norm])])
         else:
@@ -114,6 +114,8 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)
         if args.jobs > 1:
+            # imported here so that serial commands do not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 docs = pool.map(_one_record, tasks, chunksize=4)
                 for doc in docs:

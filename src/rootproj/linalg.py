@@ -11,7 +11,9 @@ safe to share across processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from math import lcm
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -111,6 +113,22 @@ def invert(m: Matrix) -> Matrix:
 def gram(basis: Sequence[Vector]) -> Matrix:
     """Matrix of inner products <b_i, b_j>; symmetric."""
     return tuple(tuple(dot(a, b) for b in basis) for a in basis)
+
+
+def combine(coeffs: Iterable[Sequence[int]], basis: Sequence[Vector]
+            ) -> List[Tuple[Vector, Sequence[int]]]:
+    """(sum_i c_i b_i, c) for every integer coefficient row c, sorted.
+
+    The basis is scaled once to a common denominator, so the sums and the
+    sort (by the vector, then by c) are int work; each coordinate becomes
+    a Fraction only at the end.
+    """
+    den = lcm(*(x.denominator for b in basis for x in b))
+    cols = tuple(zip(*([int(x * den) for x in b] for b in basis)))
+    scaled = sorted((tuple(sum(map(mul, c, col)) for col in cols), c)
+                    for c in coeffs)
+    fracs = {x: Fraction(x, den) for x in {x for v, _ in scaled for x in v}}
+    return [(tuple(fracs[x] for x in v), c) for v, c in scaled]
 
 
 def expand(v: Vector, basis: Sequence[Vector]) -> Optional[Vector]:

@@ -1,8 +1,8 @@
 """Orthogonal projection of roots onto the complement of a chosen simple-root subset.
 
 Given a system with simple roots a_1..a_n and a subset theta of indices,
-``project`` sends any vector t to its component orthogonal to
-span(a_i : i in theta).  The coefficients of the subtracted combination
+``ThetaProjector.project`` sends any vector t to its component orthogonal
+to span(a_i : i in theta).  The coefficients of the subtracted combination
 solve the exact linear system
 
     sum_j c_j <a_j, a_i> = <t, a_i>      for every i in theta,
@@ -11,6 +11,10 @@ which reads ``c G = v`` with the Gram matrix ``G[j][i] = <a_j, a_i>`` of
 the theta simple roots and ``v_i = <t, a_i>``, so ``c = v G^-1`` with
 ``G^-1`` computed once per (system, theta).  Orthogonality of the result
 is an exact identity, asserted by the test suite over every family.
+
+``project_all`` solves only for the simple roots outside theta
+(delta_theta); every other projection is a combination of those, read
+off the integer coefficients of the roots.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, check_theta
-from .linalg import (Matrix, Vector, dot, expand, gram, invert, is_zero,
+from .linalg import (Matrix, Vector, combine, dot, expand, gram, invert,
                      mat_vec, norm2, sub)
 
 
@@ -63,12 +67,6 @@ class ThetaProjector:
         return out
 
 
-def project(t: Vector, sys: RealizedRootSystem, theta: Sequence[int],
-            allow_improper: bool = False) -> Vector:
-    """Project t orthogonally to the simple roots indexed by theta."""
-    return ThetaProjector.create(sys, theta, allow_improper).project(t)
-
-
 @dataclass(frozen=True)
 class ProjectionResult:
     """All nonzero projections of the roots, plus those of the simple roots.
@@ -97,16 +95,20 @@ class ProjectionResult:
 
 def project_all(sys: RealizedRootSystem, theta: Sequence[int],
                 allow_improper: bool = False) -> ProjectionResult:
-    """Project every root, drop zeros, deduplicate, and take the census."""
+    """Project the simple roots outside theta, read sigma_theta off the
+    root coefficients, and take the census.
+
+    Projection is linear and kills the theta coordinates, and delta_theta
+    is linearly independent, so the nonzero projections of the roots are
+    exactly sum c_i delta_i over the distinct nonzero restrictions c of
+    the root coefficient vectors to the indices outside theta.
+    """
     proj = ThetaProjector.create(sys, theta, allow_improper)
-    seen = set()
-    for r in sys.roots:
-        p = proj.project(r)
-        if not is_zero(p):
-            seen.add(p)
-    sigma = tuple(sorted(seen))
-    delta = tuple(proj.project(sys.simple_root(i))
-                  for i in range(1, sys.rank + 1) if i not in set(proj.theta))
+    outside = [i for i in range(sys.rank) if i + 1 not in proj.theta]
+    delta = tuple(proj.project(sys.simple_roots[i]) for i in outside)
+    restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
+    restrictions.discard((0,) * len(outside))
+    sigma = tuple(v for v, _ in combine(restrictions, delta))
     collision = len(set(delta)) != len(delta)
     census = dict(Counter(norm2(v) for v in sigma))
     reps = {max(v, linalg.neg(v)) for v in sigma}
@@ -118,7 +120,7 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
         delta_theta=delta,
         census=census,
         delta_theta_collision=collision,
-        sigma_theta_set=frozenset(seen),
+        sigma_theta_set=frozenset(sigma),
         _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
     )
 

@@ -6,7 +6,7 @@ from rootproj.catalog import (TypeLabel, build_from_name, check_theta,
                               detection_targets, normalize_components,
                               parse_label, parse_target, simple_root_expansion)
 from rootproj.detect import match_type, reflection_closure
-from rootproj.linalg import matrix, vector
+from rootproj.linalg import add, matrix, scale, vector, zero
 
 # A second realization of type-E roots in R^8, indexed over Z/8, which
 # checks match_type and reflection_closure away from the catalog's own
@@ -102,10 +102,16 @@ def test_standard_cartan_matrices():
 @pytest.mark.parametrize("name", ALL_LABELS)
 def test_every_root_has_one_signed_integral_expansion(name):
     sys = build_from_name(name)
-    for r in sys.roots:
+    assert len(sys.coefficients) == len(sys.roots)
+    for r, stored in zip(sys.roots, sys.coefficients):
         coeff = simple_root_expansion(sys, r)
         assert all(c.denominator == 1 for c in coeff)
         assert all(c >= 0 for c in coeff) or all(c <= 0 for c in coeff)
+        assert stored == coeff
+        rebuilt = zero(sys.ambient_dim)
+        for c, alpha in zip(stored, sys.simple_roots):
+            rebuilt = add(rebuilt, scale(Fraction(c), alpha))
+        assert rebuilt == r
 
 
 def test_bc_contains_b_and_c_at_full_rank():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -195,11 +196,21 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(cli, "_one_record", no_work)
     for jobs in ("0", "-1"):
         assert main(["enumerate", "--sigma", "G2", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_serial_enumerate_does_not_load_multiprocessing():
+    code = ("import sys; from rootproj.cli import main; "
+            "main(['enumerate', '--sigma', 'G2', '--format', 'json']); "
+            "sys.exit('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 2
 
 
 def test_public_names_resolve():

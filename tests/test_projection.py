@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from rootproj.catalog import build_from_name, simple_root_expansion
-from rootproj.linalg import add, dot, is_zero, neg, norm2, scale, sub, vector
+from rootproj.classify import proper_subsets
+from rootproj.linalg import (add, dot, is_zero, neg, norm2, scale, sub, vector,
+                             zero)
 from rootproj.projection import (ExpansionConsistencyError, ThetaProjector,
-                                 expansion_over_delta_theta, project,
-                                 project_all)
+                                 expansion_over_delta_theta, project_all)
 
 
 def gram_schmidt_project(t, alphas):
@@ -27,20 +29,21 @@ def gram_schmidt_project(t, alphas):
 
 A3 = build_from_name("A3")
 HALF = Fraction(1, 2)
+A3_THETA_2 = ThetaProjector.create(A3, (2,))
 
 
 def test_project_a3_basis_vector():
     # e_2 projected orthogonally to alpha_2 averages the glued pair
-    got = project(vector([0, 1, 0, 0]), A3, (2,))
+    got = A3_THETA_2.project(vector([0, 1, 0, 0]))
     assert got == vector([0, HALF, HALF, 0])
 
 
 def test_project_kills_span_theta():
-    assert is_zero(project(A3.simple_root(2), A3, (2,)))
+    assert is_zero(A3_THETA_2.project(A3.simple_root(2)))
 
 
 def test_project_a3_root():
-    got = project(vector([1, -1, 0, 0]), A3, (2,))
+    got = A3_THETA_2.project(vector([1, -1, 0, 0]))
     assert got == vector([1, -HALF, -HALF, 0])
 
 
@@ -55,6 +58,28 @@ def test_project_matches_gram_schmidt_everywhere():
         proj = ThetaProjector.create(sys, theta)
         for r in rng.sample(sys.roots, min(25, len(sys.roots))):
             assert proj.project(r) == gram_schmidt_project(r, alphas)
+
+
+def _oracle_thetas():
+    rng = random.Random(11)
+    for name in ("F4", "E6", "E7", "E8"):
+        sys = build_from_name(name)
+        thetas = list(proper_subsets(sys.rank))
+        if sys.rank > 6:
+            thetas = rng.sample(thetas, 6)
+        for theta in thetas:
+            yield sys, theta
+
+
+def test_project_all_matches_projecting_every_root():
+    # project_all reads sigma_theta off the root coefficients; the
+    # Euclidean projector applied to every root is the oracle
+    for sys, theta in _oracle_thetas():
+        proj = ThetaProjector.create(sys, theta)
+        expect = {proj.project(r) for r in sys.roots} - {zero(sys.ambient_dim)}
+        pr = project_all(sys, theta)
+        assert pr.sigma_theta_set == expect, (sys.label, theta)
+        assert pr.census == dict(Counter(norm2(v) for v in expect))
 
 
 def test_project_all_a3():
