@@ -353,8 +353,15 @@ def detection_targets(d: int, reducible: bool = False,
     With ``reducible`` the result is every multiset of irreducible labels
     whose ranks sum to d (the single-label ones included); the
     exceptional flag keeps only targets with at least one component among
-    E, F, G.
+    E, F, G.  The list is built once per arguments; each call gets a
+    fresh copy.
     """
+    return list(_detection_targets(d, reducible, require_exceptional_component))
+
+
+@lru_cache(maxsize=None)
+def _detection_targets(d: int, reducible: bool,
+                       require_exceptional_component: bool) -> Tuple[Target, ...]:
     if d < 1:
         raise ValueError("rank must be positive")
     if not reducible:
@@ -378,4 +385,4 @@ def detection_targets(d: int, reducible: bool = False,
     if require_exceptional_component:
         targets = [t for t in targets if t.has_exceptional_component]
     targets.sort(key=lambda t: t.sort_key)
-    return targets
+    return tuple(targets)

@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# enumerate refuses more proper theta subsets than this (rank above 12)
+# unless --force is given
+MAX_ENUMERATE_THETAS = 2 ** 12 - 2
+
 
 class UsageError(Exception):
     pass
@@ -108,8 +112,12 @@ def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     label = parse_label(args.sigma)
-    thetas = list(proper_subsets(label.rank))
-    tasks = [(args.sigma, t) for t in thetas]
+    count = 2 ** label.rank - 2
+    if count > MAX_ENUMERATE_THETAS and not args.force:
+        raise UsageError(
+            f"{label} has {count} proper theta subsets, more than "
+            f"{MAX_ENUMERATE_THETAS}; pass --force to enumerate them anyway")
+    tasks = ((args.sigma, t) for t in proper_subsets(label.rank))
     with _output(args.out) as out:
         if args.format == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)
@@ -193,6 +201,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify every proper theta, one record per line")
     common(p, theta=False)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--force", action="store_true",
+                   help=f"enumerate even more than {MAX_ENUMERATE_THETAS} "
+                        "theta subsets (rank above 12)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-paper",

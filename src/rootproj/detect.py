@@ -18,17 +18,32 @@ vectors, but the census frequently forces the candidate classes to have
 exactly the cardinality of the target system, in which case the only
 possible copy is the class union itself and certifying its simple roots
 decides the question without any search.
+
+Exact rationals at the edge, integers inside, never floats.  Every test
+of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
+inside a finite set), so ``find_subsystem`` and ``classify_max_rank``
+run it on the projection times its common denominator (``_Scaled``,
+int tuples) and map each certificate back onto the Fraction vectors of
+sigma_theta when its report is built.  Positive scaling keeps the
+(norm, coordinates) order of the pool and of every closure frontier, so
+the first certificate is the one the Fraction search would find.  The
+functions here stay generic: ``certify``, ``match_type`` and
+``reflection_closure`` take int or Fraction vectors alike, and a
+pairing is a Cartan integer exactly when ``divmod`` leaves no
+remainder.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .catalog import Target, TypeLabel, detection_targets
-from .linalg import Matrix, Vector, dot, is_zero, neg, norm2, scale, sub
+from .linalg import (IntVector, Matrix, Vector, dot, is_zero, neg, norm2,
+                     scale, sub)
 from .projection import ProjectionResult
 
 _VALID_OFFDIAG = {0, -1, -2, -3}
@@ -37,23 +52,18 @@ _VALID_OFFDIAG = {0, -1, -2, -3}
 def pairing_matrix(basis: Sequence[Vector]) -> Matrix:
     """Cartan pairings n_ij = 2 <b_i, b_j> / <b_j, b_j> of a candidate basis.
 
-    Entries are exact and carry no integrality requirement at this stage;
-    callers filter on them.
+    Entries are exact Fractions, for int and Fraction vectors alike, and
+    carry no integrality requirement at this stage; callers filter on
+    them.
     """
     for b in basis:
         if is_zero(b):
             raise ValueError("zero vector in candidate basis")
     norms = [norm2(b) for b in basis]
     return tuple(
-        tuple(2 * dot(a, b) / nb for b, nb in zip(basis, norms))
+        tuple(Fraction(2 * dot(a, b), nb) for b, nb in zip(basis, norms))
         for a in basis
     )
-
-
-def reflect(v: Vector, b: Vector) -> Vector:
-    """Image of v under the reflection through the hyperplane normal to b."""
-    c = 2 * dot(v, b) / norm2(b)
-    return sub(v, scale(c, b)) if c != 0 else v
 
 
 def _classify_component(comp: List[int], n: Matrix) -> Optional[TypeLabel]:
@@ -192,7 +202,9 @@ def reflection_closure(basis: Sequence[Vector], universe: frozenset,
     is reached.  Returns the orbit as a frozenset, or a ClosureFailure
     naming the first generated vector that leaves the universe (processed
     in sorted order, so the failure is deterministic) or flagging an
-    orbit larger than max_size.
+    orbit larger than max_size.  A reflection coefficient is an integer
+    for every basis of finite type; any other one is taken as an exact
+    Fraction.
     """
     for b in basis:
         if b not in universe:
@@ -204,8 +216,11 @@ def reflection_closure(basis: Sequence[Vector], universe: frozenset,
         new: List[Vector] = []
         for v in frontier:
             for b, nb in refl:
-                c = 2 * dot(v, b) / nb
-                if c == 0:
+                p = 2 * dot(v, b)
+                c, r = divmod(p, nb)
+                if r:
+                    c = Fraction(p, nb)
+                elif c == 0:
                     continue
                 w = sub(v, scale(c, b))
                 if w in orbit:
@@ -245,7 +260,7 @@ def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
     if isinstance(orbit, ClosureFailure) or label.family != "BC":
         return orbit
     short = min(norm2(v) for v in orbit)
-    doubles = sorted(scale(Fraction(2), v) for v in orbit if norm2(v) == short)
+    doubles = sorted(scale(2, v) for v in orbit if norm2(v) == short)
     for dv in doubles:
         if dv not in universe:
             return ClosureFailure(escaping=dv)
@@ -324,7 +339,7 @@ def _bc_root_profile(k: int) -> Dict[int, int]:
     return prof
 
 
-def census_scales(label: TypeLabel, census: Dict[Fraction, int]) -> List[Fraction]:
+def census_scales(label: TypeLabel, census: dict) -> list:
     """Base scales at which the census could host a copy of the label.
 
     For every relative length class of the label there must be a census
@@ -341,7 +356,7 @@ def census_scales(label: TypeLabel, census: Dict[Fraction, int]) -> List[Fractio
     return out
 
 
-def census_admits(target: Target, census: Dict[Fraction, int]) -> bool:
+def census_admits(target: Target, census: dict) -> bool:
     """Necessary census condition, checked per component."""
     return all(census_scales(lab, census) for lab in target.normalized())
 
@@ -350,12 +365,39 @@ def census_admits(target: Target, census: Dict[Fraction, int]) -> bool:
 # basis search
 
 
+class _Scaled:
+    """A projection times its common denominator, as int tuples.
+
+    Carries the fields of ProjectionResult that the search reads, under
+    the same names, so the search runs on either; ``find_subsystem`` and
+    ``classify_max_rank`` hand it this one.  Squared norms scale by the
+    square of the denominator, so census keys and scales are ints too.
+    """
+
+    __slots__ = ("sigma_theta", "delta_theta", "census", "sigma_theta_set",
+                 "_pool")
+
+    def __init__(self, pr: ProjectionResult):
+        sigma = pr.sigma_scaled
+        norms = {v: norm2(v) for v in sigma}
+        reps = {max(v, neg(v)) for v in sigma}
+        self.sigma_theta = sigma
+        self.delta_theta = pr.delta_scaled
+        self.census = dict(Counter(norms.values()))
+        self.sigma_theta_set = frozenset(sigma)
+        self._pool = tuple(sorted(reps, key=lambda v: (norms[v], v)))
+
+    def pool(self) -> Tuple[IntVector, ...]:
+        """One representative per +-pair, sorted by (squared norm, coords)."""
+        return self._pool
+
+
 _MAX_DEGREE = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3, "F": 2, "G": 1}
 _MAX_EDGE_WEIGHT = {"A": 1, "B": 2, "C": 2, "D": 1, "E": 1, "F": 2, "G": 3}
 
 
-def _try_class_union(label: TypeLabel, base: Fraction,
-                     pr: ProjectionResult, pool_set: Set[Vector]):
+def _try_class_union(label: TypeLabel, base: int, pr: _Scaled,
+                     pool_set: Set[IntVector]):
     """Decide occurrence when census classes exactly match the copy's sizes.
 
     If each needed class has exactly as many vectors as the copy would
@@ -383,8 +425,8 @@ def _try_class_union(label: TypeLabel, base: Fraction,
     return tuple(sorted(simples)), roots
 
 
-def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult
-                ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
+def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
+                ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Yield (basis, roots) realizations of an irreducible label.
 
     Exhaustive over the pool in deterministic order.  The pool must hold
@@ -416,7 +458,7 @@ def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult
         sub_pool = [v for v in pool if norm2(v) in need]
         norms = [norm2(v) for v in sub_pool]
 
-        def dfs(start: int, chosen: List[Vector], remaining: Dict[Fraction, int],
+        def dfs(start: int, chosen: List[IntVector], remaining: Dict[int, int],
                 deg: List[int], comp_id: List[int], ncomp: int,
                 branches: int, heavies: int):
             if len(chosen) == k:
@@ -437,14 +479,15 @@ def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult
                 links = []  # (position in chosen, edge weight)
                 ok = True
                 for pos, u in enumerate(chosen):
-                    a = 2 * dot(u, v) / nv
-                    if a.denominator != 1 or int(a) not in _VALID_OFFDIAG:
+                    p = 2 * dot(u, v)
+                    a, r = divmod(p, nv)
+                    if r or a not in _VALID_OFFDIAG:
                         ok = False
                         break
-                    if a != 0:
-                        b = 2 * dot(v, u) / norm2(u)
-                        w = int(a * b)
-                        if w < 1 or w > maxw:
+                    if a:
+                        b, r = divmod(p, norm2(u))
+                        w = a * b
+                        if r or w < 1 or w > maxw:
                             ok = False
                             break
                         links.append((pos, w))
@@ -487,9 +530,9 @@ def _iter_bases(label: TypeLabel, pool: List[Vector], pr: ProjectionResult
         yield from dfs(0, [], dict(need), [], [], 0, 0, 0)
 
 
-def _delta_subset_bases(label: TypeLabel, delta_pool: List[Vector],
-                        pr: ProjectionResult, certified: dict
-                        ) -> Iterator[Tuple[Tuple[Vector, ...], frozenset]]:
+def _delta_subset_bases(label: TypeLabel, delta_pool: List[IntVector],
+                        pr: _Scaled, certified: dict
+                        ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Realizations of a label whose basis is a subset of delta_theta.
 
     The projected simple roots are taken exactly as they come: if some
@@ -507,11 +550,12 @@ def _delta_subset_bases(label: TypeLabel, delta_pool: List[Vector],
             yield subset, certified[key]
 
 
-def _orthogonal(pool: List[Vector], basis: Sequence[Vector]) -> List[Vector]:
+def _orthogonal(pool: List[IntVector], basis: Sequence[IntVector]
+                ) -> List[IntVector]:
     return [v for v in pool if all(dot(v, b) == 0 for b in basis)]
 
 
-def _search(pr: ProjectionResult, target: Target, restricted: bool,
+def _search(pr: _Scaled, target: Target, restricted: bool,
             certified: dict) -> Optional[ClosureCertificate]:
     """First certified copy of the target, one factor after another.
 
@@ -540,7 +584,8 @@ def _search(pr: ProjectionResult, target: Target, restricted: bool,
                      key=lambda c: (not pinned(c), c.sort_key))
     witnesses: List[ComponentWitness] = []
 
-    def search(ci: int, delta_pool: List[Vector], pool: List[Vector]) -> bool:
+    def search(ci: int, delta_pool: List[IntVector],
+               pool: List[IntVector]) -> bool:
         if ci == len(ordered):
             return True
         label = ordered[ci]
@@ -562,12 +607,26 @@ def _search(pr: ProjectionResult, target: Target, restricted: bool,
     return None
 
 
+def _unscaled(cert: ClosureCertificate, pr: ProjectionResult
+              ) -> ClosureCertificate:
+    """A certificate over pr's scaled vectors, read over pr.sigma_theta."""
+    frac = dict(zip(pr.sigma_scaled, pr.sigma_theta))
+    return ClosureCertificate(cert.target, tuple(
+        ComponentWitness(w.label, tuple(frac[v] for v in w.basis),
+                         frozenset(frac[v] for v in w.roots))
+        for w in cert.components))
+
+
 def _report(pr: ProjectionResult, target: Target,
             cert: Optional[ClosureCertificate], restricted: bool
             ) -> DetectionReport:
-    """A found restricted report vouches for delta_theta (see ``_search``);
+    """The report of a search on pr's scaled vectors, over sigma_theta.
+
+    A found restricted report vouches for delta_theta (see ``_search``);
     any other one says whether its whole basis lies in delta_theta."""
     found = cert is not None
+    if found:
+        cert = _unscaled(cert, pr)
     from_delta = found and (restricted or set(cert.basis) <= set(pr.delta_theta))
     return DetectionReport(target, found, restricted, from_delta, cert)
 
@@ -584,7 +643,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
     if target.rank != pr.d:
         raise ValueError(
             f"target rank {target.rank} differs from projection rank {pr.d}")
-    cert = _search(pr, target, restrict_to_delta_theta, {})
+    cert = _search(_Scaled(pr), target, restrict_to_delta_theta, {})
     return _report(pr, target, cert, restrict_to_delta_theta)
 
 
@@ -599,15 +658,16 @@ def classify_max_rank(pr: ProjectionResult) -> List[DetectionReport]:
     """
     reports = []
     certified: dict = {}
+    scaled = _Scaled(pr)
     for target in detection_targets(pr.d, reducible=True,
                                     require_exceptional_component=True):
         if target.is_irreducible:
-            cert = _search(pr, target, True, certified) \
-                or _search(pr, target, False, certified)
+            cert = _search(scaled, target, True, certified) \
+                or _search(scaled, target, False, certified)
             reports.append(_report(pr, target, cert, False))
         else:
             reports.append(_report(
-                pr, target, _search(pr, target, True, certified), True))
+                pr, target, _search(scaled, target, True, certified), True))
     return reports
 
 

@@ -1,11 +1,14 @@
 """Exact rational vectors and matrices.
 
-Every scalar in this package is a ``fractions.Fraction``: the geometric
-discriminations downstream (squared lengths 2/3 vs 4/3 vs 2, Cartan
-pairings in {0, -1, -2, -3}) are exact-ratio tests, so no floating point
-is allowed anywhere.  Vectors are plain tuples of Fractions and matrices
-are tuples of row tuples; everything here is immutable and pure, hence
-safe to share across processes.
+Every scalar at the package's public edge is a ``fractions.Fraction``:
+the geometric discriminations downstream (squared lengths 2/3 vs 4/3 vs
+2, Cartan pairings in {0, -1, -2, -3}) are exact-ratio tests, so no
+floating point is allowed anywhere.  Inside ``detect`` the same vectors
+run as int tuples, scaled by one common denominator (``to_ints``); every
+ratio test is unchanged by that scaling, and the vector helpers here
+(``dot``, ``sub``, ``scale``, ...) work on either kind.  Vectors are
+plain tuples and matrices are tuples of row tuples; everything here is
+immutable and pure, hence safe to share across processes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
+IntVector = Tuple[int, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 
@@ -45,7 +49,7 @@ def is_zero(v: Vector) -> bool:
 def dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} != {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
 def add(u: Vector, v: Vector) -> Vector:
@@ -115,6 +119,30 @@ def gram(basis: Sequence[Vector]) -> Matrix:
     return tuple(tuple(dot(a, b) for b in basis) for a in basis)
 
 
+def to_ints(vectors: Sequence[Vector]) -> Tuple[int, Tuple[IntVector, ...]]:
+    """(D, the vectors times D as int tuples), D the least common
+    denominator of all their coordinates."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in v)
+                      for v in vectors)
+
+
+def from_ints(vectors: Iterable[IntVector], den: int) -> Tuple[Vector, ...]:
+    """The vectors divided by den, with one Fraction per distinct int."""
+    vectors = tuple(vectors)
+    fracs = {x: Fraction(x, den) for x in {x for v in vectors for x in v}}
+    return tuple(tuple(fracs[x] for x in v) for v in vectors)
+
+
+def int_combine(coeffs: Iterable[Sequence[int]], basis: Sequence[IntVector]
+                ) -> List[Tuple[IntVector, Sequence[int]]]:
+    """(sum_i c_i b_i, c) for every integer coefficient row c over an int
+    basis, sorted by the vector, then by c."""
+    cols = tuple(zip(*basis))
+    return sorted((tuple(sum(map(mul, c, col)) for col in cols), c)
+                  for c in coeffs)
+
+
 def combine(coeffs: Iterable[Sequence[int]], basis: Sequence[Vector]
             ) -> List[Tuple[Vector, Sequence[int]]]:
     """(sum_i c_i b_i, c) for every integer coefficient row c, sorted.
@@ -123,12 +151,10 @@ def combine(coeffs: Iterable[Sequence[int]], basis: Sequence[Vector]
     sort (by the vector, then by c) are int work; each coordinate becomes
     a Fraction only at the end.
     """
-    den = lcm(*(x.denominator for b in basis for x in b))
-    cols = tuple(zip(*([int(x * den) for x in b] for b in basis)))
-    scaled = sorted((tuple(sum(map(mul, c, col)) for col in cols), c)
-                    for c in coeffs)
-    fracs = {x: Fraction(x, den) for x in {x for v, _ in scaled for x in v}}
-    return [(tuple(fracs[x] for x in v), c) for v, c in scaled]
+    den, ints = to_ints(basis)
+    pairs = int_combine(coeffs, ints)
+    return list(zip(from_ints((v for v, _ in pairs), den),
+                    (c for _, c in pairs)))
 
 
 def expand(v: Vector, basis: Sequence[Vector]) -> Optional[Vector]:

@@ -14,7 +14,9 @@ is an exact identity, asserted by the test suite over every family.
 
 ``project_all`` solves only for the simple roots outside theta
 (delta_theta); every other projection is a combination of those, read
-off the integer coefficients of the roots.
+off the integer coefficients of the roots.  That combination runs on
+delta_theta times its common denominator, and the result keeps those
+int tuples next to the Fractions: they are what ``detect`` searches.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, check_theta
-from .linalg import (Matrix, Vector, combine, dot, expand, gram, invert,
-                     mat_vec, norm2, sub)
+from .linalg import (IntVector, Matrix, Vector, dot, expand, from_ints, gram,
+                     int_combine, invert, mat_vec, norm2, sub, to_ints)
 
 
 class ExpansionConsistencyError(ArithmeticError):
@@ -75,7 +77,10 @@ class ProjectionResult:
     order of the simple roots outside theta and is not deduplicated.  The
     census maps each squared length to the number of distinct vectors of
     that length in sigma_theta.  sigma_theta_set and the search pool are
-    views of sigma_theta, built once by project_all.
+    views of sigma_theta, built once by project_all.  sigma_scaled and
+    delta_scaled are sigma_theta and delta_theta times ``denominator``,
+    a common denominator of their coordinates, as int tuples in the same
+    order.
     """
 
     system: RealizedRootSystem
@@ -87,6 +92,9 @@ class ProjectionResult:
     delta_theta_collision: bool
     sigma_theta_set: frozenset = field(repr=False, compare=False)
     _pool: Tuple[Vector, ...] = field(repr=False, compare=False)
+    denominator: int = field(repr=False, compare=False)
+    sigma_scaled: Tuple[IntVector, ...] = field(repr=False, compare=False)
+    delta_scaled: Tuple[IntVector, ...] = field(repr=False, compare=False)
 
     def pool(self) -> Tuple[Vector, ...]:
         """One representative per +-pair, sorted by (squared norm, coords)."""
@@ -108,7 +116,9 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
     delta = tuple(proj.project(sys.simple_roots[i]) for i in outside)
     restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
     restrictions.discard((0,) * len(outside))
-    sigma = tuple(v for v, _ in combine(restrictions, delta))
+    den, delta_scaled = to_ints(delta)
+    sigma_scaled = tuple(v for v, _ in int_combine(restrictions, delta_scaled))
+    sigma = from_ints(sigma_scaled, den)
     collision = len(set(delta)) != len(delta)
     census = dict(Counter(norm2(v) for v in sigma))
     reps = {max(v, linalg.neg(v)) for v in sigma}
@@ -122,6 +132,9 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
         delta_theta_collision=collision,
         sigma_theta_set=frozenset(sigma),
         _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
+        denominator=den,
+        sigma_scaled=sigma_scaled,
+        delta_scaled=delta_scaled,
     )
 
 

@@ -20,7 +20,7 @@ from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
                                oracle_equivalence, verify_paper)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
-                             find_subsystem, reflect, reflection_closure,
+                             find_subsystem, reflection_closure,
                              revalidate)
 from rootproj.linalg import (add, dot, is_zero, neg, norm2, scale, sub, vector,
                              zero)
@@ -111,6 +111,12 @@ PROVEN_ADDITIONS = {
         ("basis", (("E6", (1, 2, 3, 4, 5, 6)),
                    ("A1", ((2, 3, 4, 6, 5, 4, 3, 1),)))),
 }
+
+
+def reflect(v, b):
+    """Image of v under the reflection through the hyperplane normal to b."""
+    c = 2 * dot(v, b) / norm2(b)
+    return sub(v, scale(c, b)) if c != 0 else v
 
 
 def _conjugation_problems(sys, theta, listed, word):

@@ -203,6 +203,29 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+def test_enumerate_refuses_an_oversized_system(monkeypatch, capsys):
+    # A40 has 2^40 - 2 proper theta: refused from the rank alone, before
+    # any subset is listed or classified
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "classify_theta", no_work)
+    monkeypatch.setattr(cli, "proper_subsets", no_work)
+    assert main(["enumerate", "--sigma", "A40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--force" in err and str(2 ** 40 - 2) in err
+
+
+def test_enumerate_force_lifts_the_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ENUMERATE_THETAS", 1)
+    assert main(["enumerate", "--sigma", "A2", "--format", "json"]) == 2
+    assert "--force" in capsys.readouterr().err
+    assert main(["enumerate", "--sigma", "A2", "--format", "json",
+                 "--force"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
 def test_serial_enumerate_does_not_load_multiprocessing():
     code = ("import sys; from rootproj.cli import main; "
             "main(['enumerate', '--sigma', 'G2', '--format', 'json']); "

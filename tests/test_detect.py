@@ -5,16 +5,20 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootproj import detect
-from rootproj.catalog import (TypeLabel, build_from_name,
-                              detection_targets, parse_target)
+from rootproj.catalog import (TypeLabel, build_from_name, detection_targets,
+                              irreducible_labels, parse_target)
+from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, _try_class_union, census_admits,
                              certify, classify_max_rank, find_subsystem,
-                             match_type, pairing_matrix, reflect,
-                             reflection_closure, revalidate)
-from rootproj.linalg import matrix, neg, norm2, scale, sub, vector
+                             match_type, pairing_matrix, reflection_closure,
+                             revalidate)
+from rootproj.linalg import (dot, matrix, neg, norm2, scale, sub, to_ints,
+                             vector)
 from rootproj.projection import ProjectionResult, project_all
 
 
@@ -325,6 +329,12 @@ def test_bc_detection_in_b4():
     assert find_subsystem(pr, parse_target("B2")).found
 
 
+def reflect(v, b):
+    """Image of v under the reflection through the hyperplane normal to b."""
+    c = 2 * dot(v, b) / norm2(b)
+    return sub(v, scale(c, b)) if c != 0 else v
+
+
 def test_reflect_basics():
     v = vector([1, 0])
     b = vector([1, 1])
@@ -372,11 +382,13 @@ def test_revalidate_compares_labels_with_target():
 def _hand_projection(vectors):
     sigma = tuple(sorted(vectors))
     reps = {max(v, neg(v)) for v in sigma}
+    den, sigma_scaled = to_ints(sigma)
     return ProjectionResult(
         system=build_from_name("A2"), theta=(), d=2, sigma_theta=sigma,
         delta_theta=(), census=dict(Counter(norm2(v) for v in sigma)),
         delta_theta_collision=False, sigma_theta_set=frozenset(sigma),
-        _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))))
+        _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
+        denominator=den, sigma_scaled=sigma_scaled, delta_scaled=())
 
 
 def test_class_union_rejects_six_vectors_that_are_no_a2():
@@ -398,3 +410,125 @@ def test_class_union_hit_in_e8():
     v = max(u for u in pr.sigma_theta if norm2(u) == half)
     hit = _try_class_union(TypeLabel("A", 1), half, pr, set(pr.pool()))
     assert hit == ((v,), frozenset([v, neg(v)]))
+
+
+# ---------------------------------------------------------------------------
+# the int core: the search runs on sigma_theta times its common denominator
+
+
+def _image(result, den):
+    """A closure or certify result scaled by den, in a form that compares
+    int and Fraction coordinates by value."""
+    if isinstance(result, ClosureFailure):
+        esc = result.escaping
+        return (None if esc is None else scale(den, esc),
+                result.oversize, result.mistyped)
+    return frozenset(scale(den, v) for v in result)
+
+
+def _check_int_core(pr, basis, label):
+    """On the int copy, match_type, reflection_closure and certify give
+    the image of their Fraction results under scaling by the denominator."""
+    den = pr.denominator
+    ints = [tuple(int(x) for x in scale(den, v)) for v in basis]
+    assert set(ints) <= set(pr.sigma_scaled)
+    universe = frozenset(pr.sigma_scaled)
+    assert match_type(ints) == match_type(basis)
+    for max_size in (None, label.root_count):
+        want = reflection_closure(basis, pr.sigma_theta_set, max_size)
+        assert _image(reflection_closure(ints, universe, max_size), 1) == \
+            _image(want, den)
+        # and the Fraction result is right by the test's own reflect
+        if not isinstance(want, ClosureFailure):
+            assert all(reflect(v, b) in want for v in want for b in basis)
+        elif want.escaping is not None:
+            assert want.escaping not in pr.sigma_theta_set
+            assert any(reflect(v, b) == want.escaping
+                       for v in pr.sigma_theta for b in basis)
+    got = certify(label, ints, universe)
+    assert _image(got, 1) == \
+        _image(certify(label, basis, pr.sigma_theta_set), den)
+    if not isinstance(got, ClosureFailure):
+        assert all(type(x) is int for v in got for x in v)
+
+
+SMALL_SYSTEMS = ["A3", "B3", "C3", "G2", "A4", "B4", "C4", "D4", "F4", "BC3"]
+
+
+@st.composite
+def pool_bases(draw):
+    """(projection, basis drawn from its pool with signs, label of its rank)."""
+    sys = build_from_name(draw(st.sampled_from(SMALL_SYSTEMS)))
+    theta = draw(st.lists(st.integers(1, sys.rank), min_size=1,
+                          max_size=sys.rank - 1, unique=True))
+    pr = project_all(sys, sorted(theta))
+    picks = draw(st.lists(st.sampled_from(pr.pool()), min_size=1,
+                          max_size=min(3, len(pr.pool())), unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(picks),
+                          max_size=len(picks)))
+    basis = [neg(v) if f else v for v, f in zip(picks, flips)]
+    return pr, basis, draw(st.sampled_from(irreducible_labels(len(basis))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pool_bases())
+def test_int_core_is_the_scaled_fraction_core(case):
+    _check_int_core(*case)
+
+
+def test_int_core_with_a_non_integral_pairing():
+    # B3 theta={2}: pairings -2/3 and -2, so the reflection coefficient of
+    # one basis vector along the other leaves a remainder
+    pr = project_all(build_from_name("B3"), (2,))
+    basis = [pr.pool()[0], pr.pool()[2]]
+    assert sorted(x for row in pairing_matrix(basis) for x in row) == \
+        [-2, Fraction(-2, 3), 2, 2]
+    for label in irreducible_labels(2):
+        _check_int_core(pr, basis, label)
+    _check_int_core(pr, basis[:1], TypeLabel("A", 1))
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_certificates_hold_the_fraction_vectors_of_sigma_theta(name):
+    # an int leaking out of the search would print the same bytes, so
+    # only the coordinate types tell
+    sys = build_from_name(name)
+    seen = 0
+    for theta in proper_subsets(sys.rank):
+        pr = project_all(sys, theta)
+        reports = classify_max_rank(pr)
+        for target in detection_targets(pr.d):
+            for restricted in (False, True):
+                reports.append(find_subsystem(pr, target, restricted))
+        for rep in reports:
+            if rep.certificate is None:
+                continue
+            for w in rep.certificate.components:
+                for v in (*w.basis, *w.roots):
+                    seen += 1
+                    assert all(type(x) is Fraction for x in v)
+                    assert v in pr.sigma_theta_set
+    assert seen > 0
+
+
+def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
+    # the DFS prunes every pair whose Cartan pairing leaves a remainder,
+    # so each basis it completes has an integral pairing matrix
+    leaves = []
+
+    def record(label, basis, universe):
+        leaves.append(tuple(basis))
+        return ClosureFailure(mistyped=True)
+
+    monkeypatch.setattr(detect, "certify", record)
+    monkeypatch.setattr(detect, "_try_class_union", lambda *args: None)
+    e7 = build_from_name("E7")
+    for theta in [(2, 5, 7), (1, 2, 5), (2, 3, 7), (1, 3, 5, 6), (2, 4, 6, 7)]:
+        pr = project_all(e7, theta)
+        scaled = detect._Scaled(pr)
+        for label in irreducible_labels(pr.d):
+            list(detect._iter_bases(label, list(scaled.pool()), scaled))
+    assert leaves
+    for basis in leaves:
+        assert all(x.denominator == 1
+                   for row in pairing_matrix(basis) for x in row), basis
