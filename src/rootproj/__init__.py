@@ -10,8 +10,7 @@ from .detect import (ClosureCertificate, ClosureFailure, DetectionReport,
                      classify_max_rank, find_subsystem, match_type,
                      pairing_matrix, reflection_closure, revalidate)
 from .linalg import dot, invert, mat_vec, matrix, vector
-from .projection import (ProjectionResult, ThetaProjector,
-                         expansion_over_delta_theta, project_all)
+from .projection import ProjectionResult, ThetaProjector, project_all
 
 __all__ = [
     "RealizedRootSystem", "Target", "TypeLabel", "build", "build_from_name",
@@ -22,8 +21,7 @@ __all__ = [
     "classify_max_rank", "find_subsystem", "match_type", "pairing_matrix",
     "reflection_closure", "revalidate",
     "dot", "invert", "mat_vec", "matrix", "vector",
-    "ProjectionResult", "ThetaProjector", "expansion_over_delta_theta",
-    "project_all",
+    "ProjectionResult", "ThetaProjector", "project_all",
 ]
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .linalg import Matrix, Vector, combine, dot, expand, norm2
+from .linalg import Matrix, Vector, combine, dot, norm2
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -185,8 +185,8 @@ class RealizedRootSystem:
         return self.simple_roots[i - 1]
 
 
-def check_theta(sys: RealizedRootSystem, theta: Sequence[int],
-                allow_improper: bool = False) -> Tuple[int, ...]:
+def check_theta(sys: RealizedRootSystem, theta: Sequence[int]
+                ) -> Tuple[int, ...]:
     """Validate a subset of simple-root indices; returns it sorted."""
     idx = tuple(sorted(theta))
     if len(set(idx)) != len(idx):
@@ -194,7 +194,7 @@ def check_theta(sys: RealizedRootSystem, theta: Sequence[int],
     for i in idx:
         if not 1 <= i <= sys.rank:
             raise ValueError(f"theta index {i} out of range 1..{sys.rank}")
-    if not allow_improper and (len(idx) == 0 or len(idx) == sys.rank):
+    if len(idx) == 0 or len(idx) == sys.rank:
         raise ValueError("theta must be a proper nonempty subset of the simple roots")
     return idx
 
@@ -310,18 +310,6 @@ def build(label: TypeLabel) -> RealizedRootSystem:
 
 def build_from_name(name: str) -> RealizedRootSystem:
     return build(parse_label(name))
-
-
-def simple_root_expansion(sys: RealizedRootSystem, v: Vector) -> Tuple[Fraction, ...]:
-    """Coefficients of v over the simple roots, solved exactly.
-
-    Raises ValueError when v is not in the span of the simple roots.
-    For actual roots the coefficients are integers, all of one sign.
-    """
-    coeff = expand(v, sys.simple_roots)
-    if coeff is None:
-        raise ValueError("vector is not in the span of the simple roots")
-    return coeff
 
 
 def irreducible_labels(rank: int) -> List[TypeLabel]:

@@ -139,7 +139,6 @@ class ClassificationRecord:
     theta: Tuple[int, ...]
     d: int
     reports: Tuple[DetectionReport, ...]
-    census: Dict
 
 
 def proper_subsets(rank: int) -> Iterator[Tuple[int, ...]]:
@@ -155,7 +154,7 @@ def classify_theta(sys: RealizedRootSystem,
     pr = project_all(sys, theta)
     return ClassificationRecord(
         sigma=sys.label, theta=tuple(pr.theta), d=pr.d,
-        reports=tuple(classify_max_rank(pr)), census=dict(pr.census))
+        reports=tuple(classify_max_rank(pr)))
 
 
 def enumerate_records(label: TypeLabel) -> Iterator[ClassificationRecord]:

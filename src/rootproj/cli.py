@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from . import output
-from .catalog import (build, check_theta, parse_label, parse_target)
+from .catalog import build, parse_label, parse_target
 from .classify import (classify_theta, proper_subsets, verify_paper)
 from .detect import find_subsystem
 from .linalg import norm2
@@ -53,12 +53,7 @@ def _output(path: Optional[str]):
 
 def cmd_project(args) -> int:
     sys_ = build(parse_label(args.sigma))
-    theta = _parse_theta(args.theta)
-    try:
-        check_theta(sys_, theta, allow_improper=args.allow_improper_theta)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    pr = project_all(sys_, theta, allow_improper=args.allow_improper_theta)
+    pr = project_all(sys_, _parse_theta(args.theta))
     with _output(args.out) as out:
         if args.format == "json":
             json.dump(output.projection_doc(pr), out, sort_keys=True)
@@ -81,13 +76,9 @@ def cmd_project(args) -> int:
 
 def cmd_detect(args) -> int:
     sys_ = build(parse_label(args.sigma))
-    theta = _parse_theta(args.theta)
-    try:
-        check_theta(sys_, theta)
-        target = parse_target(args.target)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    pr = project_all(sys_, theta)
+    # a bad theta is reported before a bad target
+    pr = project_all(sys_, _parse_theta(args.theta))
+    target = parse_target(args.target)
     if target.rank != pr.d:
         raise UsageError(
             f"target rank {target.rank} does not match d={pr.d}")
@@ -148,6 +139,8 @@ def cmd_verify_paper(args) -> int:
     label = parse_label(args.sigma)
     if not (label.is_exceptional and label.family != "G"):
         raise UsageError("verify-paper runs on E6, E7, E8 or F4")
+    if args.format == "csv":
+        raise UsageError("verify-paper writes text or json, not csv")
     report = verify_paper(label)
     with _output(args.out) as out:
         if args.format == "json":
@@ -188,8 +181,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project all roots orthogonally to theta")
     common(p)
-    p.add_argument("--allow-improper-theta", action="store_true",
-                   help="accept empty or full theta (testing only)")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("detect", help="search for one target system in the projection")

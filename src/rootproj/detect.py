@@ -288,15 +288,9 @@ class ClosureCertificate:
         return tuple(v for w in self.components for v in w.basis)
 
     @property
-    def generated_roots(self) -> frozenset:
-        out: Set[Vector] = set()
-        for w in self.components:
-            out |= w.roots
-        return frozenset(out)
-
-    @property
     def size(self) -> int:
-        return len(self.generated_roots)
+        """Number of distinct roots the certificate generates."""
+        return len(frozenset().union(*(w.roots for w in self.components)))
 
 
 @dataclass(frozen=True)
@@ -312,14 +306,21 @@ class DetectionReport:
 # norm profiles and census conditions
 
 
-def _component_profiles(label: TypeLabel):
+def _profiles(label: TypeLabel) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Relative squared-norm multisets (shortest root = 1).
 
     Returns (basis_profile, root_profile): how many simple roots and how
-    many roots the standard copy has at each relative squared length.
+    many roots the label has at each squared length relative to its
+    shortest root (Bourbaki, planches); BC_k is B_k plus its 2k doubled
+    short roots.  The tests check every entry against the catalog.  Read
+    off ``build`` here instead, the profiles would cost each fresh
+    ``enumerate --jobs`` worker some 40 ms of catalog builds.
     """
     f, k = label.family, label.rank
-    if f in ("A", "D", "E") or (f in ("B", "C") and k == 1):
+    if f == "BC":
+        basis, roots = _profiles(TypeLabel("B", k))
+        return basis, {**roots, 4: 2 * k}
+    if f in ("A", "D", "E") or k == 1:
         return {1: k}, {1: label.root_count}
     if f == "B":
         return {1: 1, 2: k - 1}, {1: 2 * k, 2: 2 * k * (k - 1)}
@@ -327,16 +328,7 @@ def _component_profiles(label: TypeLabel):
         return {1: k - 1, 2: 1}, {1: 2 * k * (k - 1), 2: 2 * k}
     if f == "F":
         return {1: 2, 2: 2}, {1: 24, 2: 24}
-    if f == "G":
-        return {1: 1, 3: 1}, {1: 6, 3: 6}
-    raise ValueError(f"no reduced profile for {label}")
-
-
-def _bc_root_profile(k: int) -> Dict[int, int]:
-    prof = {1: 2 * k, 4: 2 * k}
-    if k >= 2:
-        prof[2] = 2 * k * (k - 1)
-    return prof
+    return {1: 1, 3: 1}, {1: 6, 3: 6}  # G2
 
 
 def census_scales(label: TypeLabel, census: dict) -> list:
@@ -347,8 +339,7 @@ def census_scales(label: TypeLabel, census: dict) -> list:
     the projection can exist only at these scales.  This is the pruning
     that eliminates most candidates before any search runs.
     """
-    prof = _bc_root_profile(label.rank) if label.family == "BC" \
-        else _component_profiles(label)[1]
+    prof = _profiles(label)[1]
     out = []
     for base in sorted(census):
         if all(census.get(base * rel, 0) >= need for rel, need in prof.items()):
@@ -407,7 +398,7 @@ def _try_class_union(label: TypeLabel, base: int, pr: _Scaled,
     exactly as many vectors at the class norms as the union does, so the
     union is that copy.  This is sound and complete at this scale.
     """
-    root_prof = _component_profiles(_reduced(label))[1]
+    root_prof = _profiles(_reduced(label))[1]
     class_norms = {base * rel for rel in root_prof}
     union = [v for v in pr.sigma_theta if norm2(v) in class_norms]
     for v in union:
@@ -437,7 +428,7 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
     doubled short roots; ``certify`` checks the doubles.
     """
     inner = _reduced(label)
-    basis_prof, root_prof = _component_profiles(inner)
+    basis_prof, root_prof = _profiles(inner)
     universe = pr.sigma_theta_set
     pool_set = set(pool)
     maxdeg = _MAX_DEGREE[inner.family]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
@@ -38,10 +38,6 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
-def zero(dim: int) -> Vector:
-    return (Fraction(0),) * dim
-
-
 def is_zero(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
@@ -50,12 +46,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} != {len(v)}")
     return sum(map(mul, u, v))
-
-
-def add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} != {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def sub(u: Vector, v: Vector) -> Vector:
@@ -155,16 +145,3 @@ def combine(coeffs: Iterable[Sequence[int]], basis: Sequence[Vector]
     pairs = int_combine(coeffs, ints)
     return list(zip(from_ints((v for v, _ in pairs), den),
                     (c for _, c in pairs)))
-
-
-def expand(v: Vector, basis: Sequence[Vector]) -> Optional[Vector]:
-    """Coefficients c with sum c_i b_i = v, or None if v is not in the span.
-
-    Solves c G = (<v, b_i>) with the Gram matrix G of the basis, which
-    must be linearly independent, and confirms the reconstruction.
-    """
-    coeff = mat_vec(tuple(dot(v, b) for b in basis), invert(gram(basis)))
-    recon = zero(len(v))
-    for c, b in zip(coeff, basis):
-        recon = add(recon, scale(c, b))
-    return coeff if recon == v else None

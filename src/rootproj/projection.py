@@ -28,16 +28,8 @@ from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, check_theta
-from .linalg import (IntVector, Matrix, Vector, dot, expand, from_ints, gram,
+from .linalg import (IntVector, Matrix, Vector, dot, from_ints, gram,
                      int_combine, invert, mat_vec, norm2, sub, to_ints)
-
-
-class ExpansionConsistencyError(ArithmeticError):
-    """An expansion that must be integral and one-signed was not.
-
-    Raising this means an internal invariant of the lattice geometry was
-    violated; it signals a bug, never bad user input.
-    """
 
 
 @dataclass(frozen=True)
@@ -50,17 +42,15 @@ class ThetaProjector:
     _gram_inv: Matrix  # inverse Gram matrix of the alphas
 
     @staticmethod
-    def create(sys: RealizedRootSystem, theta: Sequence[int],
-               allow_improper: bool = False) -> "ThetaProjector":
-        idx = check_theta(sys, theta, allow_improper)
+    def create(sys: RealizedRootSystem, theta: Sequence[int]
+               ) -> "ThetaProjector":
+        idx = check_theta(sys, theta)
         alphas = tuple(sys.simple_root(i) for i in idx)
         return ThetaProjector(sys, idx, alphas, invert(gram(alphas)))
 
     def project(self, t: Vector) -> Vector:
         if len(t) != self.system.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        if not self.theta:
-            return t
         coeff = mat_vec(tuple(dot(t, a) for a in self._alphas), self._gram_inv)
         out = t
         for c, a in zip(coeff, self._alphas):
@@ -101,8 +91,8 @@ class ProjectionResult:
         return self._pool
 
 
-def project_all(sys: RealizedRootSystem, theta: Sequence[int],
-                allow_improper: bool = False) -> ProjectionResult:
+def project_all(sys: RealizedRootSystem, theta: Sequence[int]
+                ) -> ProjectionResult:
     """Project the simple roots outside theta, read sigma_theta off the
     root coefficients, and take the census.
 
@@ -111,7 +101,7 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
     exactly sum c_i delta_i over the distinct nonzero restrictions c of
     the root coefficient vectors to the indices outside theta.
     """
-    proj = ThetaProjector.create(sys, theta, allow_improper)
+    proj = ThetaProjector.create(sys, theta)
     outside = [i for i in range(sys.rank) if i + 1 not in proj.theta]
     delta = tuple(proj.project(sys.simple_roots[i]) for i in outside)
     restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
@@ -136,25 +126,3 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int],
         sigma_scaled=sigma_scaled,
         delta_scaled=delta_scaled,
     )
-
-
-def expansion_over_delta_theta(v: Vector, pr: ProjectionResult) -> Tuple[Fraction, ...]:
-    """Coefficients of v over delta_theta; integral and one-signed.
-
-    Every element of sigma_theta is an integer combination of the
-    projected simple roots with all coefficients of one sign, because
-    projection is linear and roots expand that way over the simple roots.
-    A violation is reported as ExpansionConsistencyError.
-    """
-    if not pr.delta_theta:
-        raise ValueError("delta_theta is empty")
-    coeff = expand(v, pr.delta_theta)
-    if coeff is None:
-        raise ExpansionConsistencyError(f"{v} is not in the span of delta_theta")
-    if any(c.denominator != 1 for c in coeff):
-        raise ExpansionConsistencyError(
-            f"non-integral expansion {coeff} for {v}")
-    if any(c > 0 for c in coeff) and any(c < 0 for c in coeff):
-        raise ExpansionConsistencyError(
-            f"mixed-sign expansion {coeff} for {v}")
-    return coeff

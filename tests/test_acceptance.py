@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import (add, expansion_over_delta_theta, simple_root_expansion,
+                     zero)
 from rootproj import output
-from rootproj.catalog import (Target, build_from_name, parse_label,
-                              parse_target, simple_root_expansion)
+from rootproj.catalog import Target, build_from_name, parse_label, parse_target
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
                                TABLE_PRODUCT_RESTRICTED, classical_predicate,
                                enumerate_records, load_golden_tables,
@@ -22,10 +23,8 @@ from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
                              find_subsystem, reflection_closure,
                              revalidate)
-from rootproj.linalg import (add, dot, is_zero, neg, norm2, scale, sub, vector,
-                             zero)
-from rootproj.projection import (ThetaProjector, expansion_over_delta_theta,
-                                 project_all)
+from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub, vector
+from rootproj.projection import ThetaProjector, project_all
 
 EXCEPTIONAL = ("F4", "E6", "E7", "E8")
 

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import add, simple_root_expansion, zero
 from rootproj.catalog import (TypeLabel, build_from_name, check_theta,
                               detection_targets, normalize_components,
-                              parse_label, parse_target, simple_root_expansion)
+                              parse_label, parse_target)
 from rootproj.detect import match_type, reflection_closure
-from rootproj.linalg import add, matrix, scale, vector, zero
+from rootproj.linalg import matrix, scale, vector
 
 # A second realization of type-E roots in R^8, indexed over Z/8, which
 # checks match_type and reflection_closure away from the catalog's own

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import subprocess
 import sys
@@ -34,13 +35,6 @@ def test_project_improper_theta_usage_error():
     code, _, err = run_cli("project", "--sigma", "A3", "--theta", "1,2,3")
     assert code == 2
     assert "proper" in err
-
-
-def test_project_improper_allowed_with_flag():
-    code, out, _ = run_cli("project", "--sigma", "A3", "--theta", "1,2,3",
-                           "--allow-improper-theta")
-    assert code == 0
-    assert "sigma_theta: 0 vectors" in out
 
 
 def test_detect_found_and_json_schema(tmp_path):
@@ -90,6 +84,18 @@ def test_verify_paper_f4_exit_zero():
 def test_verify_paper_classical_usage_error():
     code, _, _ = run_cli("verify-paper", "--sigma", "A5")
     assert code == 2
+
+
+def test_verify_paper_refuses_csv(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr(cli, "verify_paper", no_work)
+    for sigma in ("F4", "E8"):
+        assert main(["verify-paper", "--sigma", sigma, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify-paper writes text or json, not csv\n"
 
 
 def test_enumerate_g2_stream(tmp_path):
@@ -245,3 +251,58 @@ def test_public_names_resolve():
     namespace = {}
     exec("from rootproj import *", namespace)
     assert set(rootproj.__all__) <= set(namespace)
+
+
+# sha256 of stdout, recorded from the commands before the projection and
+# detection paths were last edited; a refactor must leave them unchanged
+PINNED_BYTES = {
+    "project --sigma E8 --theta 8 --format text":
+        "5178b20ba2de4a82b655f85c6202f539eb96df1cde772b34b632507870302fd4",
+    "project --sigma E8 --theta 8 --format json":
+        "c652a3ae18037a3cc81fb6474695484a13e664f37dd0737b5f7a48837711b2b9",
+    "project --sigma E8 --theta 8 --format csv":
+        "79fa07e5fdc733a611134ec2488687807f5c94fbc59bebab831de4ba3952ea02",
+    "project --sigma F4 --theta 2 --format text":
+        "dfc61dfc8195c0aa355911466a67fab5f7885eafda0d5e4a694bdd3cb0868933",
+    "project --sigma F4 --theta 2 --format json":
+        "6747e719abbeaafb6a3b00e51dcf3e93987e007805c79bd8c005b2b3d0ffb7d1",
+    "project --sigma F4 --theta 2 --format csv":
+        "5b2ff5074653e9978120c88fb8db9d5d739b2295a9336773a0da92da15ad8a3a",
+    "detect --sigma E8 --theta 2,3,4,5 --target F4 --restricted --format text":
+        "b3773c8ac1688c03e07956d51ca957fccd6f165c8a9791ce0d9cdd50b1a1bd9a",
+    "detect --sigma E8 --theta 2,3,4,5 --target F4 --restricted --format json":
+        "d6286a12f2a8b17ca478d55ff89975da41fbf8493d55a2df4126232a832d74bb",
+    "detect --sigma E8 --theta 2,3,4,5 --target F4 --restricted --format csv":
+        "37b2b4ce282312c76ec28d4ae66cfa352aad7e09a501834dfe43760b1e9a0e7a",
+    "verify-paper --sigma F4 --format text":
+        "f74d99559438888b22a5ae2fce9669a88a2b4159b5918303b245cb9cd0ce90f4",
+    "verify-paper --sigma F4 --format json":
+        "899cbc5834492710435c8f231fa2ee9e8c31560add5f6f164bdf639215bdf7fe",
+}
+
+PINNED_ERRORS = {
+    "project --sigma E8 --theta 9":
+        "error: theta index 9 out of range 1..8\n",
+    "project --sigma A3 --theta 1,2,3":
+        "error: theta must be a proper nonempty subset of the simple roots\n",
+    "detect --sigma E8 --theta 2,2 --target F4":
+        "error: theta indices must be distinct\n",
+    "detect --sigma A3 --theta 0 --target A2":
+        "error: theta index 0 out of range 1..3\n",
+    # a bad theta is reported before a bad target
+    "detect --sigma A3 --theta 1,2,3 --target Q1":
+        "error: theta must be a proper nonempty subset of the simple roots\n",
+}
+
+
+def test_command_bytes_are_pinned(capsys):
+    for command, digest in PINNED_BYTES.items():
+        assert main(command.split()) == 0, command
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert got == digest, command
+    for command, err in PINNED_ERRORS.items():
+        assert main(command.split()) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), command

@@ -230,6 +230,37 @@ def test_census_pruning_is_consistent():
                 assert census_admits(target, pr.census)
 
 
+@pytest.mark.parametrize("name, basis, roots", [
+    # (simple roots, roots) per squared length relative to the shortest
+    # root, from the Bourbaki planches; BC_k adds 2k doubled short roots
+    ("A1", {1: 1}, {1: 2}),
+    ("B3", {1: 1, 2: 2}, {1: 6, 2: 12}),
+    ("C3", {1: 2, 2: 1}, {1: 12, 2: 6}),
+    ("F4", {1: 2, 2: 2}, {1: 24, 2: 24}),
+    ("G2", {1: 1, 3: 1}, {1: 6, 3: 6}),
+    ("BC1", {1: 1}, {1: 2, 4: 2}),
+    ("BC3", {1: 1, 2: 2}, {1: 6, 2: 12, 4: 6}),
+])
+def test_norm_profiles_match_bourbaki(name, basis, roots):
+    assert detect._profiles(build_from_name(name).label) == (basis, roots)
+
+
+def test_norm_profiles_match_the_catalog():
+    # the search reads the profiles from a table; count them off the
+    # catalog's simple roots and roots for every label up to rank 8
+    for family in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rank in range(1, 9):
+            try:
+                label = TypeLabel(family, rank)
+            except ValueError:
+                continue
+            sys = build_from_name(str(label))
+            short = min(norm2(r) for r in sys.roots)
+            counted = tuple(dict(Counter(norm2(v) / short for v in vectors))
+                            for vectors in (sys.simple_roots, sys.roots))
+            assert detect._profiles(label) == counted, label
+
+
 def test_census_conditions_for_g2_and_f4():
     # G2 needs two classes at ratio 3 with >= 6 vectors each; F4 needs
     # ratio 2 with >= 24 each

@@ -101,7 +101,7 @@ def test_fractions_canonical():
             assert gcd(abs(q.numerator), q.denominator) == 1
 
 
-fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+fracs = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 20))
 
 
 @settings(max_examples=150, deadline=None)

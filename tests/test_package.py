@@ -1,0 +1,45 @@
+"""The package ships only what its commands and public API use."""
+
+import ast
+from pathlib import Path
+
+import rootproj
+
+SRC = Path(rootproj.__file__).resolve().parent
+
+
+def _defined_names(stmt):
+    """Names a top-level statement defines: functions, classes, constants."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(stmt):
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_no_library_code_only_tests_call():
+    # every top-level function, class and constant of the package is
+    # either public (listed in rootproj.__all__) or used by another
+    # top-level statement of the package; a name used only by the test
+    # suite belongs in the tests
+    statements = [(path.stem, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    refs = [(stmt, _referenced_names(stmt)) for _, stmt in statements]
+    unused = [
+        f"{module}.{name}" for module, stmt in statements
+        for name in _defined_names(stmt)
+        if name not in rootproj.__all__
+        and not (name.startswith("__") and name.endswith("__"))
+        and not any(other is not stmt and name in names
+                    for other, names in refs)]
+    assert not unused, f"referenced by no other package code: {unused}"

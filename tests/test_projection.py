@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rootproj.catalog import build_from_name, simple_root_expansion
+from oracles import (ExpansionConsistencyError, add,
+                     expansion_over_delta_theta, simple_root_expansion, zero)
+from rootproj.catalog import build_from_name
 from rootproj.classify import proper_subsets
-from rootproj.linalg import (add, dot, is_zero, neg, norm2, scale, sub, vector,
-                             zero)
-from rootproj.projection import (ExpansionConsistencyError, ThetaProjector,
-                                 expansion_over_delta_theta, project_all)
+from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub, vector
+from rootproj.projection import ThetaProjector, project_all
 
 
 def gram_schmidt_project(t, alphas):
@@ -113,10 +113,6 @@ def test_improper_theta_rejected():
         project_all(A3, ())
     with pytest.raises(ValueError):
         project_all(A3, (1, 2, 3))
-    pr = project_all(A3, (1, 2, 3), allow_improper=True)
-    assert pr.sigma_theta == ()
-    pr = project_all(A3, (), allow_improper=True)
-    assert len(pr.sigma_theta) == 12
 
 
 def test_expansion_of_delta_theta_entry():
