@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .linalg import Matrix, Vector, combine, dot, norm2
+from .linalg import Matrix, Vector, combine, gram, norm2, to_ints
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -241,17 +241,12 @@ def _simple_roots(label: TypeLabel) -> List[Vector]:
 
 
 def cartan_matrix(simple_roots: Sequence[Vector]) -> Matrix:
-    rows = []
-    norms = [norm2(b) for b in simple_roots]
-    for a in simple_roots:
-        row = []
-        for b, nb in zip(simple_roots, norms):
-            c = 2 * dot(a, b) / nb
-            if c.denominator != 1:
-                raise ValueError("non-integral Cartan pairing; not a simple system")
-            row.append(c)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Read off the int Gram matrix of the simple roots, scaled by to_ints."""
+    g = gram(to_ints(simple_roots)[1])
+    pairs = [[divmod(2 * gij, g[j][j]) for j, gij in enumerate(gi)] for gi in g]
+    if any(rem for row in pairs for _, rem in row):
+        raise ValueError("non-integral Cartan pairing; not a simple system")
+    return tuple(tuple(Fraction(c) for c, _ in row) for row in pairs)
 
 
 def _root_coefficients(cartan: Matrix) -> Set[Tuple[int, ...]]:

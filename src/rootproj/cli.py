@@ -78,11 +78,8 @@ def cmd_detect(args) -> int:
     sys_ = build(parse_label(args.sigma))
     # a bad theta is reported before a bad target
     pr = project_all(sys_, _parse_theta(args.theta))
-    target = parse_target(args.target)
-    if target.rank != pr.d:
-        raise UsageError(
-            f"target rank {target.rank} does not match d={pr.d}")
-    report = find_subsystem(pr, target, restrict_to_delta_theta=args.restricted)
+    report = find_subsystem(pr, parse_target(args.target),
+                            restrict_to_delta_theta=args.restricted)
     doc = output.detection_doc(sys_.label, pr.theta, pr.d, [report])
     with _output(args.out) as out:
         if args.format == "csv":

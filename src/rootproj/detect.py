@@ -633,7 +633,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
     """
     if target.rank != pr.d:
         raise ValueError(
-            f"target rank {target.rank} differs from projection rank {pr.d}")
+            f"target rank {target.rank} does not match d={pr.d}")
     cert = _search(_Scaled(pr), target, restrict_to_delta_theta, {})
     return _report(pr, target, cert, restrict_to_delta_theta)
 

@@ -104,6 +104,30 @@ def invert(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def bareiss_solve(g: Sequence[IntVector], rhs: Sequence[IntVector]
+                  ) -> Tuple[int, Tuple[IntVector, ...]]:
+    """(det g, det g * g^-1 rhs) for an int matrix g with nonzero leading
+    principal minors (a positive definite Gram matrix, say) and int rows
+    rhs, by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+    Every division is exact: det g * g^-1 is integral by Cramer's rule."""
+    n = len(g)
+    rows = [list(a) + list(b) for a, b in zip(g, rhs)]
+    prev = 1
+    for k in range(n - 1):
+        pivot = rows[k]
+        for i in range(k + 1, n):
+            p, f = pivot[k], rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
+        prev = pivot[k]
+    det, sol = rows[-1][n - 1], [()] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        sol[i] = tuple(
+            (det * b - sum(row[j] * sol[j][c] for j in range(i + 1, n)))
+            // row[i] for c, b in enumerate(row[n:]))
+    return det, tuple(sol)
+
+
 def gram(basis: Sequence[Vector]) -> Matrix:
     """Matrix of inner products <b_i, b_j>; symmetric."""
     return tuple(tuple(dot(a, b) for b in basis) for a in basis)

@@ -13,10 +13,15 @@ the theta simple roots and ``v_i = <t, a_i>``, so ``c = v G^-1`` with
 is an exact identity, asserted by the test suite over every family.
 
 ``project_all`` solves only for the simple roots outside theta
-(delta_theta); every other projection is a combination of those, read
-off the integer coefficients of the roots.  That combination runs on
-delta_theta times its common denominator, and the result keeps those
-int tuples next to the Fractions: they are what ``detect`` searches.
+(delta_theta), in ints.  With the simple roots scaled to int vectors
+s*a_i, Bareiss elimination on the theta block of their int Gram matrix
+(s^2 G, positive definite) gives det and x_i = det * G^-1 v_i for each
+outside root a_i at once; s*det*delta_i = det*(s*a_i) - sum_j x_ij (s*a_j)
+is integral, and dividing it and s*det by their gcd gives exactly
+``to_ints`` of delta_theta.  Every other projection is an integer
+combination of delta_theta, read off the root coefficients; the result
+keeps those ints next to the Fractions, and ``detect`` searches them.
+``ThetaProjector`` stays the single-vector Fraction projector.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, check_theta
-from .linalg import (IntVector, Matrix, Vector, dot, from_ints, gram,
-                     int_combine, invert, mat_vec, norm2, sub, to_ints)
+from .linalg import (IntVector, Matrix, Vector, bareiss_solve, dot,
+                     from_ints, gram, int_combine, invert, mat_vec, norm2,
+                     sub, to_ints)
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,6 @@ class ProjectionResult:
     sigma_theta: Tuple[Vector, ...]
     delta_theta: Tuple[Vector, ...]
     census: Dict[Fraction, int]
-    delta_theta_collision: bool
     sigma_theta_set: frozenset = field(repr=False, compare=False)
     _pool: Tuple[Vector, ...] = field(repr=False, compare=False)
     denominator: int = field(repr=False, compare=False)
@@ -101,28 +107,36 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     exactly sum c_i delta_i over the distinct nonzero restrictions c of
     the root coefficient vectors to the indices outside theta.
     """
-    proj = ThetaProjector.create(sys, theta)
-    outside = [i for i in range(sys.rank) if i + 1 not in proj.theta]
-    delta = tuple(proj.project(sys.simple_roots[i]) for i in outside)
+    idx = check_theta(sys, theta)
+    outside = [i for i in range(sys.rank) if i + 1 not in idx]
+    # delta_theta in ints, solved as the module docstring says
+    s, a = to_ints(sys.simple_roots)
+    inner = [a[i - 1] for i in idx]
+    det, x = bareiss_solve(
+        gram(inner), [[dot(u, a[o]) for o in outside] for u in inner])
+    rows = [tuple(det * y - dot(xs, col) for y, col in zip(a[o], zip(*inner)))
+            for o, xs in zip(outside, zip(*x))]
+    g = gcd(s * det, *(y for row in rows for y in row))
+    den = s * det // g
+    delta_scaled = tuple(tuple(y // g for y in row) for row in rows)
+    delta = from_ints(delta_scaled, den)
     restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
     restrictions.discard((0,) * len(outside))
-    den, delta_scaled = to_ints(delta)
     sigma_scaled = tuple(v for v, _ in int_combine(restrictions, delta_scaled))
     sigma = from_ints(sigma_scaled, den)
-    collision = len(set(delta)) != len(delta)
     census = dict(Counter(norm2(v) for v in sigma))
     reps = {max(v, linalg.neg(v)) for v in sigma}
     return ProjectionResult(
         system=sys,
-        theta=proj.theta,
-        d=sys.rank - len(proj.theta),
+        theta=idx,
+        d=len(outside),
         sigma_theta=sigma,
         delta_theta=delta,
         census=census,
-        delta_theta_collision=collision,
         sigma_theta_set=frozenset(sigma),
         _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
         denominator=den,
         sigma_scaled=sigma_scaled,
         delta_scaled=delta_scaled,
     )
+

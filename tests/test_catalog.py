@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import add, simple_root_expansion, zero
-from rootproj.catalog import (TypeLabel, build_from_name, check_theta,
-                              detection_targets, normalize_components,
-                              parse_label, parse_target)
+from rootproj.catalog import (TypeLabel, build_from_name, cartan_matrix,
+                              check_theta, detection_targets,
+                              normalize_components, parse_label, parse_target)
 from rootproj.detect import match_type, reflection_closure
 from rootproj.linalg import matrix, scale, vector
 
@@ -98,6 +98,17 @@ def test_standard_cartan_matrices():
             expect = -1 if (i, j) in edges else 0
             assert e8[i - 1][j - 1] == expect
             assert e8[j - 1][i - 1] == expect
+
+
+def test_cartan_matrix_rejects_a_non_integral_pairing():
+    # 2<a, b>/<b, b> = 2/5 for a = (1, 0), b = (1, 2); the B2 pair below
+    # has a half-integral root and still pairs integrally
+    with pytest.raises(ValueError, match="non-integral Cartan pairing"):
+        cartan_matrix([vector([1, 0]), vector([1, 2])])
+    half = Fraction(1, 2)
+    m = cartan_matrix([vector([1, 0]), vector([-half, half])])
+    assert m == matrix([[2, -2], [-1, 2]])
+    assert all(type(c) is Fraction for row in m for c in row)
 
 
 @pytest.mark.parametrize("name", ALL_LABELS)

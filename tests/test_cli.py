@@ -69,6 +69,15 @@ def test_detect_rank_mismatch_usage_error():
     assert "rank" in err
 
 
+def test_detect_rank_mismatch_message(capsys):
+    # one check, in find_subsystem, words it for the command line
+    assert main(["detect", "--sigma", "E8", "--theta", "2,3,4,5",
+                 "--target", "G2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target rank 2 does not match d=4\n"
+
+
 def test_detect_bad_label_usage_error():
     code, _, _ = run_cli("detect", "--sigma", "Q3", "--theta", "1",
                          "--target", "A1")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootproj.linalg import (SingularMatrixError, dot, invert, mat_vec,
-                             matrix, vector)
+from rootproj.linalg import (SingularMatrixError, bareiss_solve, dot, gram,
+                             invert, mat_vec, matrix, vector)
 
 
 def transpose(m):
@@ -87,6 +87,46 @@ def test_invert_roundtrip_random_integer_matrices():
             continue
         assert mat_mul(m, inv) == identity(n)
         assert mat_mul(inv, m) == identity(n)
+        done += 1
+
+
+def fraction_det(m):
+    """Reference determinant by Fraction elimination with row swaps."""
+    rows = [list(map(Fraction, row)) for row in m]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        p = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in range(k + 1, len(rows)):
+            f = rows[r][k] / rows[k][k]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    return det
+
+
+def test_bareiss_solve_random_gram_matrices():
+    # Gram matrices of independent int vectors are positive definite;
+    # bareiss_solve must return their exact determinant and the int
+    # solution of g x = det * rhs
+    rng = random.Random(20261018)
+    done = 0
+    while done < 200:
+        n = rng.randint(1, 7)
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(n)]
+        g = gram(vecs)
+        det = fraction_det(g)
+        if det == 0:
+            continue
+        rhs = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(n)]
+        got_det, sol = bareiss_solve(g, rhs)
+        assert got_det == det
+        assert all(type(x) is int for row in sol for x in row)
+        assert mat_mul(g, sol) == tuple(tuple(det * x for x in row)
+                                        for row in rhs)
         done += 1
 
 

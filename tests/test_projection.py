@@ -6,9 +6,11 @@ import pytest
 
 from oracles import (ExpansionConsistencyError, add,
                      expansion_over_delta_theta, simple_root_expansion, zero)
+from rootproj import projection
 from rootproj.catalog import build_from_name
 from rootproj.classify import proper_subsets
-from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub, vector
+from rootproj.linalg import (dot, is_zero, neg, norm2, scale, sub, to_ints,
+                             vector)
 from rootproj.projection import ThetaProjector, project_all
 
 
@@ -82,13 +84,47 @@ def test_project_all_matches_projecting_every_root():
         assert pr.census == dict(Counter(norm2(v) for v in expect))
 
 
+KERNEL_EVERY_THETA = ["A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+                      "B6", "C3", "C4", "C5", "C6", "D4", "D5", "D6", "G2",
+                      "F4", "E6"]
+KERNEL_SAMPLED = ["A8", "B8", "C8", "D8", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", KERNEL_EVERY_THETA + KERNEL_SAMPLED)
+def test_delta_theta_kernel_matches_the_fraction_projector(name):
+    # project_all solves delta_theta by integer elimination; the Fraction
+    # Gram inverse of ThetaProjector is the oracle, down to the scaling
+    sys = build_from_name(name)
+    thetas = list(proper_subsets(sys.rank))
+    if name in KERNEL_SAMPLED:
+        thetas = random.Random(name).sample(thetas, 16)
+    for theta in thetas:
+        proj = ThetaProjector.create(sys, theta)
+        delta = tuple(proj.project(sys.simple_root(i))
+                      for i in range(1, sys.rank + 1) if i not in theta)
+        pr = project_all(sys, theta)
+        assert (pr.denominator, pr.delta_scaled) == to_ints(delta), theta
+        assert pr.delta_theta == delta, theta
+
+
+def test_project_all_leaves_the_fraction_solve_out(monkeypatch):
+    e6 = build_from_name("E6")
+
+    def no_fraction_solve(*args):
+        raise AssertionError("Fraction Gram inverse in project_all")
+
+    monkeypatch.setattr(ThetaProjector, "create", no_fraction_solve)
+    monkeypatch.setattr(projection, "invert", no_fraction_solve)
+    for theta in proper_subsets(e6.rank):
+        assert project_all(e6, theta).d == e6.rank - len(theta)
+
+
 def test_project_all_a3():
     pr = project_all(A3, (2,))
     assert len(pr.sigma_theta) == 6
     assert pr.census == {Fraction(2): 2, Fraction(3, 2): 4}
     assert pr.d == 2
-    assert len(pr.delta_theta) == 2
-    assert not pr.delta_theta_collision
+    assert len(set(pr.delta_theta)) == 2
 
 
 def test_project_all_e8_singleton_census():
@@ -181,8 +217,7 @@ def test_delta_theta_never_collides_and_lies_in_sigma_theta():
         for _ in range(4):
             theta = _random_theta(rng, sys.rank)
             pr = project_all(sys, theta)
-            assert not pr.delta_theta_collision
-            assert len(pr.delta_theta) == pr.d
+            assert len(set(pr.delta_theta)) == pr.d
             assert set(pr.delta_theta) <= set(pr.sigma_theta)
 
 
