@@ -9,8 +9,8 @@ from .classify import (ClassicalPrediction, ClassificationRecord,
 from .detect import (ClosureCertificate, ClosureFailure, DetectionReport,
                      classify_max_rank, find_subsystem, match_type,
                      pairing_matrix, reflection_closure, revalidate)
-from .linalg import dot, invert, mat_vec, matrix, vector
-from .projection import ProjectionResult, ThetaProjector, project_all
+from .linalg import dot
+from .projection import ProjectionResult, project_all
 
 __all__ = [
     "RealizedRootSystem", "Target", "TypeLabel", "build", "build_from_name",
@@ -20,8 +20,7 @@ __all__ = [
     "ClosureCertificate", "ClosureFailure", "DetectionReport",
     "classify_max_rank", "find_subsystem", "match_type", "pairing_matrix",
     "reflection_closure", "revalidate",
-    "dot", "invert", "mat_vec", "matrix", "vector",
-    "ProjectionResult", "ThetaProjector", "project_all",
+    "dot", "ProjectionResult", "project_all",
 ]
 
 __version__ = "0.1.0"

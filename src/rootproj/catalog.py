@@ -153,8 +153,8 @@ class Target:
 
 
 def parse_target(text: str) -> Target:
-    parts = [p for p in text.strip().split("x") if p]
-    if not parts:
+    parts = text.strip().split("x")
+    if not all(parts):
         raise ValueError(f"cannot parse target {text!r}")
     return Target(tuple(parse_label(p) for p in parts))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv as csv_mod
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -106,13 +107,15 @@ def cmd_enumerate(args) -> int:
             f"{label} has {count} proper theta subsets, more than "
             f"{MAX_ENUMERATE_THETAS}; pass --force to enumerate them anyway")
     tasks = ((args.sigma, t) for t in proper_subsets(label.rank))
+    # the pool forks all its workers at the first task: no more than CPUs
+    workers = min(args.jobs, os.cpu_count() or 1)
     with _output(args.out) as out:
         if args.format == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)
-        if args.jobs > 1:
+        if workers > 1:
             # imported here so that serial commands do not load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 docs = pool.map(_one_record, tasks, chunksize=4)
                 for doc in docs:
                     _write_record(out, doc, args.format)
@@ -188,7 +191,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="classify every proper theta, one record per line")
     common(p, theta=False)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers, at most the CPU count")
     p.add_argument("--force", action="store_true",
                    help=f"enumerate even more than {MAX_ENUMERATE_THETAS} "
                         "theta subsets (rank above 12)")

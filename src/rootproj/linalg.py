@@ -1,4 +1,4 @@
-"""Exact rational vectors and matrices.
+"""Exact vector arithmetic, over Fractions and over scaled ints.
 
 Every scalar at the package's public edge is a ``fractions.Fraction``:
 the geometric discriminations downstream (squared lengths 2/3 vs 4/3 vs
@@ -6,9 +6,11 @@ the geometric discriminations downstream (squared lengths 2/3 vs 4/3 vs
 floating point is allowed anywhere.  Inside ``detect`` the same vectors
 run as int tuples, scaled by one common denominator (``to_ints``); every
 ratio test is unchanged by that scaling, and the vector helpers here
-(``dot``, ``sub``, ``scale``, ...) work on either kind.  Vectors are
-plain tuples and matrices are tuples of row tuples; everything here is
-immutable and pure, hence safe to share across processes.
+(``dot``, ``sub``, ``scale``, ...) work on either kind.  The one linear
+solve, ``bareiss_solve``, is fraction-free int elimination.  Vectors are
+plain tuples and matrices (Gram and Cartan) are tuples of row tuples;
+everything here is immutable and pure, hence safe to share across
+processes.
 """
 
 from __future__ import annotations
@@ -21,21 +23,6 @@ from typing import Iterable, List, Sequence, Tuple
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
-
-
-class SingularMatrixError(ValueError):
-    """Inversion was asked of a rank-deficient matrix."""
-
-
-def vector(coords: Iterable) -> Vector:
-    return tuple(Fraction(c) for c in coords)
-
-
-def matrix(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("matrix rows must all have the same length")
-    return out
 
 
 def is_zero(v: Vector) -> bool:
@@ -65,43 +52,6 @@ def neg(v: Vector) -> Vector:
 def norm2(v: Vector) -> Fraction:
     """Squared Euclidean length."""
     return dot(v, v)
-
-
-def mat_vec(v: Vector, m: Matrix) -> Vector:
-    """Row vector times matrix."""
-    if len(v) != len(m):
-        raise ValueError("inner dimensions disagree")
-    return tuple(
-        sum((v[i] * m[i][j] for i in range(len(v))), Fraction(0))
-        for j in range(len(m[0]))
-    )
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination.
-
-    Pivoting takes the first nonzero entry in the column; over Q there is
-    no magnitude heuristic to apply.  Raises SingularMatrixError when no
-    pivot exists, which for Cartan subtype matrices signals a caller bug.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("only square matrices can be inverted")
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is not invertible")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def bareiss_solve(g: Sequence[IntVector], rhs: Sequence[IntVector]

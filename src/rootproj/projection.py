@@ -1,18 +1,15 @@
 """Orthogonal projection of roots onto the complement of a chosen simple-root subset.
 
 Given a system with simple roots a_1..a_n and a subset theta of indices,
-``ThetaProjector.project`` sends any vector t to its component orthogonal
-to span(a_i : i in theta).  The coefficients of the subtracted combination
-solve the exact linear system
+the component of a vector t orthogonal to span(a_i : i in theta) is
+t - sum_j c_j a_j, where the coefficients solve the exact linear system
 
     sum_j c_j <a_j, a_i> = <t, a_i>      for every i in theta,
 
-which reads ``c G = v`` with the Gram matrix ``G[j][i] = <a_j, a_i>`` of
-the theta simple roots and ``v_i = <t, a_i>``, so ``c = v G^-1`` with
-``G^-1`` computed once per (system, theta).  Orthogonality of the result
-is an exact identity, asserted by the test suite over every family.
+that is ``c G = v`` with the Gram matrix ``G[j][i] = <a_j, a_i>`` of the
+theta simple roots and ``v_i = <t, a_i>``.
 
-``project_all`` solves only for the simple roots outside theta
+``project_all`` solves it only for the simple roots outside theta
 (delta_theta), in ints.  With the simple roots scaled to int vectors
 s*a_i, Bareiss elimination on the theta block of their int Gram matrix
 (s^2 G, positive definite) gives det and x_i = det * G^-1 v_i for each
@@ -21,7 +18,6 @@ is integral, and dividing it and s*det by their gcd gives exactly
 ``to_ints`` of delta_theta.  Every other projection is an integer
 combination of delta_theta, read off the root coefficients; the result
 keeps those ints next to the Fractions, and ``detect`` searches them.
-``ThetaProjector`` stays the single-vector Fraction projector.
 """
 
 from __future__ import annotations
@@ -34,36 +30,8 @@ from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, check_theta
-from .linalg import (IntVector, Matrix, Vector, bareiss_solve, dot,
-                     from_ints, gram, int_combine, invert, mat_vec, norm2,
-                     sub, to_ints)
-
-
-@dataclass(frozen=True)
-class ThetaProjector:
-    """Reusable projector for one (system, theta) pair."""
-
-    system: RealizedRootSystem
-    theta: Tuple[int, ...]
-    _alphas: Tuple[Vector, ...]
-    _gram_inv: Matrix  # inverse Gram matrix of the alphas
-
-    @staticmethod
-    def create(sys: RealizedRootSystem, theta: Sequence[int]
-               ) -> "ThetaProjector":
-        idx = check_theta(sys, theta)
-        alphas = tuple(sys.simple_root(i) for i in idx)
-        return ThetaProjector(sys, idx, alphas, invert(gram(alphas)))
-
-    def project(self, t: Vector) -> Vector:
-        if len(t) != self.system.ambient_dim:
-            raise ValueError("vector does not live in the ambient space")
-        coeff = mat_vec(tuple(dot(t, a) for a in self._alphas), self._gram_inv)
-        out = t
-        for c, a in zip(coeff, self._alphas):
-            if c != 0:
-                out = sub(out, linalg.scale(c, a))
-        return out
+from .linalg import (IntVector, Vector, bareiss_solve, dot, from_ints, gram,
+                     int_combine, norm2, to_ints)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (add, expansion_over_delta_theta, simple_root_expansion,
-                     zero)
+from oracles import (add, expansion_over_delta_theta, project_vector, reflect,
+                     simple_root_expansion, vector, zero)
 from rootproj import output
 from rootproj.catalog import Target, build_from_name, parse_label, parse_target
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
@@ -23,8 +23,8 @@ from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
                              find_subsystem, reflection_closure,
                              revalidate)
-from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub, vector
-from rootproj.projection import ThetaProjector, project_all
+from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub
+from rootproj.projection import project_all
 
 EXCEPTIONAL = ("F4", "E6", "E7", "E8")
 
@@ -112,12 +112,6 @@ PROVEN_ADDITIONS = {
 }
 
 
-def reflect(v, b):
-    """Image of v under the reflection through the hyperplane normal to b."""
-    c = 2 * dot(v, b) / norm2(b)
-    return sub(v, scale(c, b)) if c != 0 else v
-
-
 def _conjugation_problems(sys, theta, listed, word):
     """The word must carry the simple roots of theta onto those of listed."""
     image = {sys.simple_root(j) for j in theta}
@@ -133,7 +127,7 @@ def _basis_problems(sys, table, theta, target, factors):
     labels = sorted(parse_label(lab).sort_key for lab, _ in factors)
     if labels != sorted(lab.sort_key for lab in target.normalized()):
         return [f"factors {[lab for lab, _ in factors]} do not make {target}"]
-    proj = ThetaProjector.create(sys, theta)
+    alphas = [sys.simple_root(j) for j in theta]
     universe = project_all(sys, theta).sigma_theta_set
     witnesses = []
     for lab, spec in factors:
@@ -155,7 +149,7 @@ def _basis_problems(sys, table, theta, target, factors):
                 if r not in sys.roots:
                     return [f"{lab}: {coeff} is not a root"]
                 roots.append(r)
-        basis = tuple(proj.project(r) for r in roots)
+        basis = tuple(project_vector(alphas, r) for r in roots)
         certified = certify(label, basis, universe)
         if isinstance(certified, ClosureFailure):
             return [f"{lab}: basis does not certify: {certified}"]
@@ -372,7 +366,6 @@ def test_criterion_6_invariant_suite():
     while sum(min(22, len(s.roots)) for s, _ in pairs) < 1000:
         pairs.append(pairs[rng.randrange(len(pairs))])
     for sys, theta in pairs:
-        proj = ThetaProjector.create(sys, theta)
         alphas = [sys.simple_root(i) for i in theta]
         pr = project_all(sys, theta)
         sset = set(pr.sigma_theta)
@@ -380,8 +373,8 @@ def test_criterion_6_invariant_suite():
             problems.append(f"{sys.label} {theta}: negation closure fails")
         for r in rng.sample(sys.roots, min(22, len(sys.roots))):
             triples += 1
-            p = proj.project(r)
-            if proj.project(p) != p:
+            p = project_vector(alphas, r)
+            if project_vector(alphas, p) != p:
                 problems.append(f"{sys.label} {theta} {r}: not idempotent")
             if any(dot(p, a) != 0 for a in alphas):
                 problems.append(f"{sys.label} {theta} {r}: not orthogonal")

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import add, simple_root_expansion, zero
+from oracles import add, matrix, simple_root_expansion, vector, zero
 from rootproj.catalog import (TypeLabel, build_from_name, cartan_matrix,
                               check_theta, detection_targets,
                               normalize_components, parse_label, parse_target)
 from rootproj.detect import match_type, reflection_closure
-from rootproj.linalg import matrix, scale, vector
+from rootproj.linalg import scale
 
 # A second realization of type-E roots in R^8, indexed over Z/8, which
 # checks match_type and reflection_closure away from the catalog's own
@@ -194,6 +194,12 @@ def test_parse_target_products():
     assert t.rank == 3
     assert t.root_count == 14
     assert parse_target("A1xG2") == t
+
+
+def test_parse_target_rejects_empty_components():
+    for text in ("E7x", "xE7", "E6xxA1", "x", ""):
+        with pytest.raises(ValueError, match="cannot parse target"):
+            parse_target(text)
 
 
 def test_normalization():

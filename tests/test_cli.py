@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -218,6 +219,41 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
+    # the pool forks every worker it is given at the first task, so
+    # --jobs asks for no more than the CPUs; this fake starts none
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    argv = ["enumerate", "--sigma", "B3", "--format", "json"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("2", "100000"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        assert capsys.readouterr().out == serial
+    assert started == [2, 2]
+    # one CPU (or an unknown count) takes the serial path
+    for count in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert main(argv + ["--jobs", "4"]) == 0
+        assert capsys.readouterr().out == serial
+    assert started == [2, 2]
+
+
 def test_enumerate_refuses_an_oversized_system(monkeypatch, capsys):
     # A40 has 2^40 - 2 proper theta: refused from the rank alone, before
     # any subset is listed or classified
@@ -301,6 +337,8 @@ PINNED_ERRORS = {
     # a bad theta is reported before a bad target
     "detect --sigma A3 --theta 1,2,3 --target Q1":
         "error: theta must be a proper nonempty subset of the simple roots\n",
+    "detect --sigma E8 --theta 8 --target E6xxA1":
+        "error: cannot parse target 'E6xxA1'\n",
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix, reflect, vector
 from rootproj import detect
 from rootproj.catalog import (TypeLabel, build_from_name, detection_targets,
                               irreducible_labels, parse_target)
@@ -17,8 +18,7 @@ from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              certify, classify_max_rank, find_subsystem,
                              match_type, pairing_matrix, reflection_closure,
                              revalidate)
-from rootproj.linalg import (dot, matrix, neg, norm2, scale, sub, to_ints,
-                             vector)
+from rootproj.linalg import neg, norm2, scale, sub, to_ints
 from rootproj.projection import ProjectionResult, project_all
 
 
@@ -360,12 +360,6 @@ def test_bc_detection_in_b4():
     assert find_subsystem(pr, parse_target("B2")).found
 
 
-def reflect(v, b):
-    """Image of v under the reflection through the hyperplane normal to b."""
-    c = 2 * dot(v, b) / norm2(b)
-    return sub(v, scale(c, b)) if c != 0 else v
-
-
 def test_reflect_basics():
     v = vector([1, 0])
     b = vector([1, 1])
@@ -469,7 +463,7 @@ def _check_int_core(pr, basis, label):
         want = reflection_closure(basis, pr.sigma_theta_set, max_size)
         assert _image(reflection_closure(ints, universe, max_size), 1) == \
             _image(want, den)
-        # and the Fraction result is right by the test's own reflect
+        # and the Fraction result is right by the oracle's reflect
         if not isinstance(want, ClosureFailure):
             assert all(reflect(v, b) in want for v in want for b in basis)
         elif want.escaping is not None:

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import (ExpansionConsistencyError, add,
-                     expansion_over_delta_theta, simple_root_expansion, zero)
-from rootproj import projection
+                     expansion_over_delta_theta, project_vector,
+                     simple_root_expansion, vector, zero)
 from rootproj.catalog import build_from_name
 from rootproj.classify import proper_subsets
-from rootproj.linalg import (dot, is_zero, neg, norm2, scale, sub, to_ints,
-                             vector)
-from rootproj.projection import ThetaProjector, project_all
+from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub, to_ints
+from rootproj.projection import project_all
 
 
 def gram_schmidt_project(t, alphas):
@@ -31,21 +30,21 @@ def gram_schmidt_project(t, alphas):
 
 A3 = build_from_name("A3")
 HALF = Fraction(1, 2)
-A3_THETA_2 = ThetaProjector.create(A3, (2,))
+A3_THETA_2 = (A3.simple_root(2),)
 
 
 def test_project_a3_basis_vector():
     # e_2 projected orthogonally to alpha_2 averages the glued pair
-    got = A3_THETA_2.project(vector([0, 1, 0, 0]))
+    got = project_vector(A3_THETA_2, vector([0, 1, 0, 0]))
     assert got == vector([0, HALF, HALF, 0])
 
 
 def test_project_kills_span_theta():
-    assert is_zero(A3_THETA_2.project(A3.simple_root(2)))
+    assert is_zero(project_vector(A3_THETA_2, A3.simple_root(2)))
 
 
 def test_project_a3_root():
-    got = A3_THETA_2.project(vector([1, -1, 0, 0]))
+    got = project_vector(A3_THETA_2, vector([1, -1, 0, 0]))
     assert got == vector([1, -HALF, -HALF, 0])
 
 
@@ -57,9 +56,8 @@ def test_project_matches_gram_schmidt_everywhere():
     for name, theta in cases:
         sys = build_from_name(name)
         alphas = [sys.simple_root(i) for i in theta]
-        proj = ThetaProjector.create(sys, theta)
         for r in rng.sample(sys.roots, min(25, len(sys.roots))):
-            assert proj.project(r) == gram_schmidt_project(r, alphas)
+            assert project_vector(alphas, r) == gram_schmidt_project(r, alphas)
 
 
 def _oracle_thetas():
@@ -77,8 +75,9 @@ def test_project_all_matches_projecting_every_root():
     # project_all reads sigma_theta off the root coefficients; the
     # Euclidean projector applied to every root is the oracle
     for sys, theta in _oracle_thetas():
-        proj = ThetaProjector.create(sys, theta)
-        expect = {proj.project(r) for r in sys.roots} - {zero(sys.ambient_dim)}
+        alphas = [sys.simple_root(i) for i in theta]
+        expect = {project_vector(alphas, r)
+                  for r in sys.roots} - {zero(sys.ambient_dim)}
         pr = project_all(sys, theta)
         assert pr.sigma_theta_set == expect, (sys.label, theta)
         assert pr.census == dict(Counter(norm2(v) for v in expect))
@@ -93,14 +92,14 @@ KERNEL_SAMPLED = ["A8", "B8", "C8", "D8", "E7", "E8"]
 @pytest.mark.parametrize("name", KERNEL_EVERY_THETA + KERNEL_SAMPLED)
 def test_delta_theta_kernel_matches_the_fraction_projector(name):
     # project_all solves delta_theta by integer elimination; the Fraction
-    # Gram inverse of ThetaProjector is the oracle, down to the scaling
+    # Gram inverse of the oracle projector decides, down to the scaling
     sys = build_from_name(name)
     thetas = list(proper_subsets(sys.rank))
     if name in KERNEL_SAMPLED:
         thetas = random.Random(name).sample(thetas, 16)
     for theta in thetas:
-        proj = ThetaProjector.create(sys, theta)
-        delta = tuple(proj.project(sys.simple_root(i))
+        alphas = [sys.simple_root(i) for i in theta]
+        delta = tuple(project_vector(alphas, sys.simple_root(i))
                       for i in range(1, sys.rank + 1) if i not in theta)
         pr = project_all(sys, theta)
         assert (pr.denominator, pr.delta_scaled) == to_ints(delta), theta
@@ -108,13 +107,14 @@ def test_delta_theta_kernel_matches_the_fraction_projector(name):
 
 
 def test_project_all_leaves_the_fraction_solve_out(monkeypatch):
+    # the int kernel divides no Fraction; any Fraction solve would
     e6 = build_from_name("E6")
 
-    def no_fraction_solve(*args):
-        raise AssertionError("Fraction Gram inverse in project_all")
+    def no_fraction_division(*args):
+        raise AssertionError("Fraction division in project_all")
 
-    monkeypatch.setattr(ThetaProjector, "create", no_fraction_solve)
-    monkeypatch.setattr(projection, "invert", no_fraction_solve)
+    monkeypatch.setattr(Fraction, "__truediv__", no_fraction_division)
+    monkeypatch.setattr(Fraction, "__rtruediv__", no_fraction_division)
     for theta in proper_subsets(e6.rank):
         assert project_all(e6, theta).d == e6.rank - len(theta)
 
@@ -185,16 +185,15 @@ def test_projection_invariants_randomized():
         sys = build_from_name(name)
         for _ in range(3):
             theta = _random_theta(rng, sys.rank)
-            proj = ThetaProjector.create(sys, theta)
             alphas = [sys.simple_root(i) for i in theta]
             pr = project_all(sys, theta)
             # negation closure
             sources = set(pr.sigma_theta)
             assert all(neg(v) in sources for v in sources)
             for r in rng.sample(sys.roots, min(12, len(sys.roots))):
-                p = proj.project(r)
+                p = project_vector(alphas, r)
                 # idempotence and exact orthogonality
-                assert proj.project(p) == p
+                assert project_vector(alphas, p) == p
                 assert all(dot(p, a) == 0 for a in alphas)
                 # kernel characterization via the simple-root expansion
                 coeff = simple_root_expansion(sys, r)
@@ -206,8 +205,9 @@ def test_projection_invariants_randomized():
             a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             combo = add(scale(a, u), scale(b, w))
-            assert proj.project(combo) == add(scale(a, proj.project(u)),
-                                              scale(b, proj.project(w)))
+            assert project_vector(alphas, combo) == add(
+                scale(a, project_vector(alphas, u)),
+                scale(b, project_vector(alphas, w)))
 
 
 def test_delta_theta_never_collides_and_lies_in_sigma_theta():
