@@ -9,19 +9,19 @@ Cartan matrices use the convention
 only hand-written root data: every other root is generated from them as
 an integer coefficient vector and then put in ambient coordinates.
 
-BC_n (the non-reduced system B_n plus the doubled short roots) is
-constructible as a detection target universe but is never offered as an
-ambient source.
+BC_n (the non-reduced system B_n plus the doubled short roots) is built
+the same way, from the simple roots of B_n; it serves as a detection
+target and, like every other label, as the ambient system of ``project``,
+``detect`` and ``enumerate``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .linalg import Matrix, Vector, combine, gram, norm2, to_ints
 
@@ -33,26 +33,32 @@ _FAMILY_ORDER = {f: i for i, f in enumerate(FAMILIES)}
 _LABEL_RE = re.compile(r"^(BC|[A-G])\s*(\d+)$", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class TypeLabel:
-    """An irreducible type such as A5, E8 or BC3."""
-
+# A NamedTuple class may not define __new__, so the two validating types
+# below subclass a plain NamedTuple base.
+class _TypeLabel(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+
+class TypeLabel(_TypeLabel):
+    """An irreducible type such as A5, E8 or BC3."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.family == "E" and self.rank not in (6, 7, 8):
+        if family == "E" and rank not in (6, 7, 8):
             raise ValueError("E exists only in ranks 6, 7, 8")
-        if self.family == "F" and self.rank != 4:
+        if family == "F" and rank != 4:
             raise ValueError("F exists only in rank 4")
-        if self.family == "G" and self.rank != 2:
+        if family == "G" and rank != 2:
             raise ValueError("G exists only in rank 2")
-        if self.family == "D" and self.rank < 2:
+        if family == "D" and rank < 2:
             raise ValueError("D needs rank >= 2")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -111,18 +117,20 @@ def normalize_components(labels: Sequence[TypeLabel]) -> Tuple[TypeLabel, ...]:
     return tuple(sorted(out, key=lambda l: l.sort_key))
 
 
-@dataclass(frozen=True)
-class Target:
-    """A detection target: one irreducible label or a product of them."""
-
+class _Target(NamedTuple):
     components: Tuple[TypeLabel, ...]
 
-    def __post_init__(self):
-        if not self.components:
+
+class Target(_Target):
+    """A detection target: one irreducible label or a product of them."""
+
+    __slots__ = ()
+
+    def __new__(cls, components: Sequence[TypeLabel]):
+        if not components:
             raise ValueError("target needs at least one component")
-        object.__setattr__(
-            self, "components",
-            tuple(sorted(self.components, key=lambda l: l.sort_key)))
+        return tuple.__new__(
+            cls, (tuple(sorted(components, key=lambda l: l.sort_key)),))
 
     def __str__(self) -> str:
         return "x".join(str(c) for c in self.components)
@@ -159,8 +167,7 @@ def parse_target(text: str) -> Target:
     return Target(tuple(parse_label(p) for p in parts))
 
 
-@dataclass(frozen=True)
-class RealizedRootSystem:
+class RealizedRootSystem(NamedTuple):
     """A root system embedded in coordinates, with its simple roots.
 
     ``coefficients[k]`` expresses ``roots[k]`` over the simple roots:

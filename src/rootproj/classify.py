@@ -15,9 +15,8 @@ reports the exact symmetric difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .catalog import (RealizedRootSystem, Target, TypeLabel, build,
                       check_theta, parse_target)
@@ -25,8 +24,7 @@ from .detect import DetectionReport, classify_max_rank, find_subsystem
 from .projection import project_all
 
 
-@dataclass(frozen=True)
-class ClassicalPrediction:
+class ClassicalPrediction(NamedTuple):
     """Outcome of the block-arithmetic rules for one (system, theta)."""
 
     predicted: Optional[TypeLabel]
@@ -131,8 +129,7 @@ def classical_predicate(label: TypeLabel, theta: Sequence[int]) -> ClassicalPred
     return none
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """Findings for one (sigma, theta) pair."""
 
     sigma: TypeLabel
@@ -174,8 +171,7 @@ TABLE_PRODUCT_RESTRICTED = "product-restricted"
 Row = Tuple[Tuple[int, ...], str]  # (theta, target)
 
 
-@dataclass
-class GoldenTable:
+class GoldenTable(NamedTuple):
     found: Dict[str, Set[Row]]
     not_found: Dict[str, Set[Row]]
 
@@ -188,9 +184,12 @@ def _table_of(target: Target, restricted: bool) -> str:
 
 def load_golden_tables() -> Dict[str, GoldenTable]:
     """Parse the bundled reference rows, keyed by the source system."""
+    # imported here, as only verify-paper reads the tables
+    from importlib import resources
+
     text = resources.files("rootproj").joinpath("data/golden_tables.txt") \
         .read_text(encoding="utf-8")
-    out: Dict[str, GoldenTable] = {}
+    sides: Dict[str, Tuple[dict, dict]] = {}  # sigma: (found, not_found)
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -200,19 +199,18 @@ def load_golden_tables() -> Dict[str, GoldenTable]:
         target = parse_target(target_s)
         restricted = restricted_s.lower() == "true"
         table = _table_of(target, restricted)
-        entry = out.setdefault(sigma_s, GoldenTable(found={}, not_found={}))
-        side = entry.found if expected == "found" else entry.not_found
+        found, not_found = sides.setdefault(sigma_s, ({}, {}))
+        side = found if expected == "found" else not_found
         side.setdefault(table, set()).add((theta, str(target)))
-    return out
+    return {sigma: GoldenTable(*pair) for sigma, pair in sides.items()}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     sigma: TypeLabel
-    missing: Dict[str, List[Row]] = field(default_factory=dict)
-    unexpected: Dict[str, List[Row]] = field(default_factory=dict)
-    negatives_violated: List[Tuple[str, Row]] = field(default_factory=list)
-    records_checked: int = 0
+    missing: Dict[str, List[Row]]
+    unexpected: Dict[str, List[Row]]
+    negatives_violated: List[Tuple[str, Row]]
+    records_checked: int
 
     @property
     def ok(self) -> bool:
@@ -255,9 +253,9 @@ def verify_paper(label: TypeLabel,
         TABLE_IRREDUCIBLE_RESTRICTED: set(),
         TABLE_PRODUCT_RESTRICTED: set(),
     }
-    report = VerificationReport(sigma=label)
+    records_checked = 0
     for record in (records if records is not None else enumerate_records(label)):
-        report.records_checked += 1
+        records_checked += 1
         for rep in record.reports:
             row = (record.theta, str(rep.target))
             if rep.target.is_irreducible:
@@ -267,33 +265,35 @@ def verify_paper(label: TypeLabel,
                     findings[TABLE_IRREDUCIBLE_RESTRICTED].add(row)
             elif rep.found:
                 findings[TABLE_PRODUCT_RESTRICTED].add(row)
+    missing: Dict[str, List[Row]] = {}
+    unexpected: Dict[str, List[Row]] = {}
+    negatives_violated: List[Tuple[str, Row]] = []
     for table, found in findings.items():
         gold = golden.found.get(table, set())
-        report.missing[table] = sorted(gold - found)
-        report.unexpected[table] = sorted(found - gold)
-        for row in sorted(golden.not_found.get(table, set())):
-            if row in found:
-                report.negatives_violated.append((table, row))
-    return report
+        missing[table] = sorted(gold - found)
+        unexpected[table] = sorted(found - gold)
+        negatives_violated.extend(
+            (table, row) for row in sorted(golden.not_found.get(table, set()))
+            if row in found)
+    return VerificationReport(label, missing, unexpected, negatives_violated,
+                              records_checked)
 
 
 # ---------------------------------------------------------------------------
 # classical oracle equivalence
 
 
-@dataclass
-class OracleEntry:
+class OracleEntry(NamedTuple):
     theta: Tuple[int, ...]
     prediction: Optional[str]
     trace: str
     confirmed: Optional[bool]          # None when there was nothing to confirm
-    exceptional_found: List[str] = field(default_factory=list)
+    exceptional_found: Tuple[str, ...]
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     sigma: TypeLabel
-    entries: List[OracleEntry] = field(default_factory=list)
+    entries: Tuple[OracleEntry, ...]
 
     @property
     def disagreements(self) -> List[OracleEntry]:
@@ -312,7 +312,7 @@ def oracle_equivalence(label: TypeLabel) -> OracleReport:
     is ever detected in a classical projection.
     """
     sys = build(label)
-    report = OracleReport(sigma=label)
+    entries = []
     for theta in proper_subsets(label.rank):
         pred = classical_predicate(label, theta)
         pr = project_all(sys, theta)
@@ -326,11 +326,11 @@ def oracle_equivalence(label: TypeLabel) -> OracleReport:
         if pr.d == 4:
             if find_subsystem(pr, Target((TypeLabel("F", 4),))).found:
                 exceptional.append("F4")
-        report.entries.append(OracleEntry(
+        entries.append(OracleEntry(
             theta=theta,
             prediction=str(pred.predicted) if pred.predicted else None,
             trace=pred.condition_trace,
             confirmed=confirmed,
-            exceptional_found=exceptional,
+            exceptional_found=tuple(exceptional),
         ))
-    return report
+    return OracleReport(label, tuple(entries))

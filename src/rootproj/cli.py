@@ -30,6 +30,10 @@ EXIT_USAGE = 2
 # unless --force is given
 MAX_ENUMERATE_THETAS = 2 ** 12 - 2
 
+# project, detect and enumerate refuse a system of higher rank before
+# building its roots; a rank-40 system builds and projects in seconds
+MAX_RANK = 40
+
 
 class UsageError(Exception):
     pass
@@ -40,6 +44,14 @@ def _parse_theta(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"bad theta {text!r}: expected comma-separated indices")
+
+
+def _parse_sigma(text: str):
+    label = parse_label(text)
+    if label.rank > MAX_RANK:
+        raise UsageError(f"{label} has rank {label.rank}; the highest rank "
+                         f"supported is {MAX_RANK}")
+    return label
 
 
 @contextmanager
@@ -53,7 +65,7 @@ def _output(path: Optional[str]):
 
 
 def cmd_project(args) -> int:
-    sys_ = build(parse_label(args.sigma))
+    sys_ = build(_parse_sigma(args.sigma))
     pr = project_all(sys_, _parse_theta(args.theta))
     with _output(args.out) as out:
         if args.format == "json":
@@ -76,7 +88,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    sys_ = build(parse_label(args.sigma))
+    sys_ = build(_parse_sigma(args.sigma))
     # a bad theta is reported before a bad target
     pr = project_all(sys_, _parse_theta(args.theta))
     report = find_subsystem(pr, parse_target(args.target),
@@ -100,7 +112,7 @@ def _one_record(task):
 def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    label = parse_label(args.sigma)
+    label = _parse_sigma(args.sigma)
     count = 2 ** label.rank - 2
     if count > MAX_ENUMERATE_THETAS and not args.force:
         raise UsageError(
@@ -169,7 +181,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, theta=True, target=False):
-        p.add_argument("--sigma", required=True, help="system label, e.g. E8 or A5")
+        p.add_argument("--sigma", required=True,
+                       help=f"system label, e.g. E8 or A5; rank at most {MAX_RANK}")
         if theta:
             p.add_argument("--theta", required=True,
                            help="comma-separated simple-root indices, e.g. 2,3,4,5")

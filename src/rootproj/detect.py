@@ -36,10 +36,10 @@ remainder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .catalog import Target, TypeLabel, detection_targets
 from .linalg import (IntVector, Matrix, Vector, dot, is_zero, neg, norm2,
@@ -177,8 +177,7 @@ def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[
     return out
 
 
-@dataclass(frozen=True)
-class ClosureFailure:
+class ClosureFailure(NamedTuple):
     """Why a candidate basis did not certify a root system.
 
     ``escaping`` names a generated vector outside the universe,
@@ -267,8 +266,7 @@ def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
     return orbit | frozenset(doubles)
 
 
-@dataclass(frozen=True)
-class ComponentWitness:
+class ComponentWitness(NamedTuple):
     """One irreducible factor of a certified subsystem."""
 
     label: TypeLabel
@@ -276,8 +274,7 @@ class ComponentWitness:
     roots: frozenset
 
 
-@dataclass(frozen=True)
-class ClosureCertificate:
+class ClosureCertificate(NamedTuple):
     """A verifiable witness that the target occurs inside sigma_theta."""
 
     target: Target
@@ -293,8 +290,7 @@ class ClosureCertificate:
         return len(frozenset().union(*(w.roots for w in self.components)))
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     target: Target
     found: bool
     restricted: bool
@@ -366,7 +362,7 @@ class _Scaled:
     """
 
     __slots__ = ("sigma_theta", "delta_theta", "census", "sigma_theta_set",
-                 "_pool")
+                 "pair_reps")
 
     def __init__(self, pr: ProjectionResult):
         sigma = pr.sigma_scaled
@@ -376,11 +372,11 @@ class _Scaled:
         self.delta_theta = pr.delta_scaled
         self.census = dict(Counter(norms.values()))
         self.sigma_theta_set = frozenset(sigma)
-        self._pool = tuple(sorted(reps, key=lambda v: (norms[v], v)))
+        self.pair_reps = tuple(sorted(reps, key=lambda v: (norms[v], v)))
 
     def pool(self) -> Tuple[IntVector, ...]:
         """One representative per +-pair, sorted by (squared norm, coords)."""
-        return self._pool
+        return self.pair_reps
 
 
 _MAX_DEGREE = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3, "F": 2, "G": 1}

@@ -23,10 +23,9 @@ keeps those ints next to the Fractions, and ``detect`` searches them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .catalog import RealizedRootSystem, check_theta
@@ -34,18 +33,18 @@ from .linalg import (IntVector, Vector, bareiss_solve, dot, from_ints, gram,
                      int_combine, norm2, to_ints)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """All nonzero projections of the roots, plus those of the simple roots.
 
     sigma_theta is deduplicated and sorted; delta_theta keeps the index
     order of the simple roots outside theta and is not deduplicated.  The
     census maps each squared length to the number of distinct vectors of
-    that length in sigma_theta.  sigma_theta_set and the search pool are
-    views of sigma_theta, built once by project_all.  sigma_scaled and
+    that length in sigma_theta.  sigma_theta_set and pair_reps are views
+    of sigma_theta, built once by project_all.  sigma_scaled and
     delta_scaled are sigma_theta and delta_theta times ``denominator``,
     a common denominator of their coordinates, as int tuples in the same
-    order.
+    order.  The fields from sigma_theta_set on are functions of the ones
+    before them.
     """
 
     system: RealizedRootSystem
@@ -54,15 +53,15 @@ class ProjectionResult:
     sigma_theta: Tuple[Vector, ...]
     delta_theta: Tuple[Vector, ...]
     census: Dict[Fraction, int]
-    sigma_theta_set: frozenset = field(repr=False, compare=False)
-    _pool: Tuple[Vector, ...] = field(repr=False, compare=False)
-    denominator: int = field(repr=False, compare=False)
-    sigma_scaled: Tuple[IntVector, ...] = field(repr=False, compare=False)
-    delta_scaled: Tuple[IntVector, ...] = field(repr=False, compare=False)
+    sigma_theta_set: frozenset
+    pair_reps: Tuple[Vector, ...]
+    denominator: int
+    sigma_scaled: Tuple[IntVector, ...]
+    delta_scaled: Tuple[IntVector, ...]
 
     def pool(self) -> Tuple[Vector, ...]:
         """One representative per +-pair, sorted by (squared norm, coords)."""
-        return self._pool
+        return self.pair_reps
 
 
 def project_all(sys: RealizedRootSystem, theta: Sequence[int]
@@ -102,7 +101,7 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
         delta_theta=delta,
         census=census,
         sigma_theta_set=frozenset(sigma),
-        _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
+        pair_reps=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
         denominator=den,
         sigma_scaled=sigma_scaled,
         delta_scaled=delta_scaled,

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from rootproj import cli, output
 from rootproj.catalog import build_from_name, parse_label, parse_target
 from rootproj.cli import main
@@ -266,6 +268,26 @@ def test_enumerate_refuses_an_oversized_system(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--force" in err and str(2 ** 40 - 2) in err
+
+
+def test_oversized_rank_is_refused_before_build(monkeypatch, capsys):
+    # building the roots of A99999999 would not end: refused from the label
+    def no_build(*args):
+        raise AssertionError("build started")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    for argv in (["project", "--sigma", "A99999999", "--theta", "1"],
+                 ["detect", "--sigma", "A99999999", "--theta", "1",
+                  "--target", "A1"],
+                 ["enumerate", "--sigma", "A99999999", "--force"],
+                 ["project", "--sigma", f"D{cli.MAX_RANK + 1}", "--theta", "1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"the highest rank supported is {cli.MAX_RANK}" in err, argv
+    with pytest.raises(SystemExit):
+        main(["project", "--help"])
+    assert f"rank at most {cli.MAX_RANK}" in capsys.readouterr().out
 
 
 def test_enumerate_force_lifts_the_limit(monkeypatch, capsys):

@@ -412,7 +412,7 @@ def _hand_projection(vectors):
         system=build_from_name("A2"), theta=(), d=2, sigma_theta=sigma,
         delta_theta=(), census=dict(Counter(norm2(v) for v in sigma)),
         sigma_theta_set=frozenset(sigma),
-        _pool=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
+        pair_reps=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
         denominator=den, sigma_scaled=sigma_scaled, delta_scaled=())
 
 
