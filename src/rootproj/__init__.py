@@ -1,25 +1,25 @@
 """Exact-arithmetic projections of root systems and subsystem detection."""
 
 from .catalog import (RealizedRootSystem, Target, TypeLabel, build,
-                      build_from_name, detection_targets, parse_label,
-                      parse_target)
+                      build_from_name, cartan_matrix, detection_targets,
+                      parse_label, parse_target)
 from .classify import (ClassicalPrediction, ClassificationRecord,
                        classical_predicate, classify_theta, enumerate_records,
                        oracle_equivalence, verify_paper)
 from .detect import (ClosureCertificate, ClosureFailure, DetectionReport,
                      classify_max_rank, find_subsystem, match_type,
-                     pairing_matrix, reflection_closure, revalidate)
+                     reflection_closure, revalidate)
 from .linalg import dot
 from .projection import ProjectionResult, project_all
 
 __all__ = [
     "RealizedRootSystem", "Target", "TypeLabel", "build", "build_from_name",
-    "detection_targets", "parse_label", "parse_target",
+    "cartan_matrix", "detection_targets", "parse_label", "parse_target",
     "ClassicalPrediction", "ClassificationRecord", "classical_predicate",
     "classify_theta", "enumerate_records", "oracle_equivalence", "verify_paper",
     "ClosureCertificate", "ClosureFailure", "DetectionReport",
-    "classify_max_rank", "find_subsystem", "match_type", "pairing_matrix",
-    "reflection_closure", "revalidate",
+    "classify_max_rank", "find_subsystem", "match_type", "reflection_closure",
+    "revalidate",
     "dot", "ProjectionResult", "project_all",
 ]
 

@@ -3,11 +3,14 @@
 Families A-D are realized in their usual coordinate ambient spaces, the
 E types inside the 8-dimensional ambient of E8 (E7 and E6 spanned by the
 first seven and six E8 simple roots), F4 in dimension 4 and G2 in
-dimension 3.  Simple roots follow the Bourbaki numbering throughout;
-Cartan matrices use the convention
-``cartan[i][j] = 2<a_i, a_j> / <a_j, a_j>``.  The simple roots are the
-only hand-written root data: every other root is generated from them as
-an integer coefficient vector and then put in ambient coordinates.
+dimension 3.  Simple roots follow the Bourbaki numbering throughout.
+``cartan_matrix`` is the one definition of the Cartan integers
+``n_ij = 2<b_i, b_j> / <b_j, b_j>`` of a basis, as ints.  Their
+determinants are A_n: n + 1; B_n, C_n: 2; D_n: 4; E6: 3; E7: 2; E8, F4,
+G2: 1 (Bourbaki, Lie Groups and Lie Algebras VI, planches I-IX).  The
+simple roots are the only hand-written root data: every other root is
+generated from them as an integer coefficient vector and then put in
+ambient coordinates.
 
 BC_n (the non-reduced system B_n plus the doubled short roots) is built
 the same way, from the simple roots of B_n; it serves as a detection
@@ -21,9 +24,10 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .linalg import Matrix, Vector, combine, gram, norm2, to_ints
+from .linalg import (IntVector, Vector, combine, gram, is_zero, norm2,
+                     to_ints)
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -171,7 +175,8 @@ class RealizedRootSystem(NamedTuple):
     """A root system embedded in coordinates, with its simple roots.
 
     ``coefficients[k]`` expresses ``roots[k]`` over the simple roots:
-    integers, all of one sign.
+    integers, all of one sign.  ``cartan`` is the int Cartan matrix of
+    the simple roots (``cartan_matrix``).
     """
 
     label: TypeLabel
@@ -179,7 +184,7 @@ class RealizedRootSystem(NamedTuple):
     roots: Tuple[Vector, ...]
     coefficients: Tuple[Tuple[int, ...], ...]
     simple_roots: Tuple[Vector, ...]
-    cartan: Matrix
+    cartan: Tuple[IntVector, ...]
 
     @property
     def rank(self) -> int:
@@ -247,16 +252,22 @@ def _simple_roots(label: TypeLabel) -> List[Vector]:
     ]
 
 
-def cartan_matrix(simple_roots: Sequence[Vector]) -> Matrix:
-    """Read off the int Gram matrix of the simple roots, scaled by to_ints."""
-    g = gram(to_ints(simple_roots)[1])
+def cartan_matrix(basis: Sequence[Vector]) -> Optional[Tuple[IntVector, ...]]:
+    """Cartan integers n_ij = 2<b_i, b_j> / <b_j, b_j> of a basis, as ints.
+
+    Int and Fraction vectors alike (``divmod`` of two Fractions has an
+    int quotient); None when some pairing is not an integer.
+    """
+    if any(is_zero(b) for b in basis):
+        raise ValueError("zero vector in basis")
+    g = gram(basis)
     pairs = [[divmod(2 * gij, g[j][j]) for j, gij in enumerate(gi)] for gi in g]
     if any(rem for row in pairs for _, rem in row):
-        raise ValueError("non-integral Cartan pairing; not a simple system")
-    return tuple(tuple(Fraction(c) for c, _ in row) for row in pairs)
+        return None
+    return tuple(tuple(c for c, _ in row) for row in pairs)
 
 
-def _root_coefficients(cartan: Matrix) -> Set[Tuple[int, ...]]:
+def _root_coefficients(cartan: Sequence[IntVector]) -> Set[Tuple[int, ...]]:
     """Every root of a reduced system, as coefficients over the simple roots.
 
     Every root is W-conjugate to a simple root (Bourbaki, Lie Groups and
@@ -265,7 +276,7 @@ def _root_coefficients(cartan: Matrix) -> Set[Tuple[int, ...]]:
     the pairing <c, a_j^vee> is sum_i c_i cartan[i][j].
     """
     n = len(cartan)
-    columns = [[int(row[j]) for row in cartan] for j in range(n)]
+    columns = list(zip(*cartan))
     found = {tuple(int(i == j) for i in range(n)) for j in range(n)}
     frontier = list(found)
     while frontier:
@@ -289,7 +300,9 @@ def build(label: TypeLabel) -> RealizedRootSystem:
     its short roots.
     """
     simple = _simple_roots(label)
-    cartan = cartan_matrix(simple)
+    cartan = cartan_matrix(to_ints(simple)[1])  # same ratios, int work
+    if cartan is None:
+        raise ValueError(f"{label}: non-integral Cartan pairing")
     pairs = combine(_root_coefficients(cartan), simple)
     if label.family == "BC":
         short = min(norm2(r) for r, _ in pairs)

@@ -128,9 +128,13 @@ def cmd_enumerate(args) -> int:
             # imported here so that serial commands do not load multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                docs = pool.map(_one_record, tasks, chunksize=4)
-                for doc in docs:
-                    _write_record(out, doc, args.format)
+                try:
+                    for doc in pool.map(_one_record, tasks, chunksize=4):
+                        _write_record(out, doc, args.format)
+                except BaseException:
+                    # leaving the block waits for every queued theta
+                    pool.shutdown(cancel_futures=True)
+                    raise
         else:
             for task in tasks:
                 _write_record(out, _one_record(task), args.format)

@@ -31,6 +31,20 @@ functions here stay generic: ``certify``, ``match_type`` and
 ``reflection_closure`` take int or Fraction vectors alike, and a
 pairing is a Cartan integer exactly when ``divmod`` leaves no
 remainder.
+
+``match_type`` applies the finite-type criterion (Bourbaki, Lie Groups
+and Lie Algebras VI, par. 4; Kac, Infinite-dimensional Lie Algebras,
+Thm 4.3): a connected basis whose Cartan integers
+(``catalog.cartan_matrix``) are integers, none positive off the
+diagonal, is a simple system exactly when its Cartan matrix C is
+positive definite.  C = 2 G N^-1 for the Gram matrix G and the diagonal
+N of squared norms, so every Bareiss pivot of C is positive exactly when
+G is positive definite (Sylvester), i.e. when the basis is linearly
+independent: no collinear pair, cycle or affine diagram.  Then the rank
+k, det C (the last pivot) and the norms fix the type.  Simply laced,
+det C is k + 1 for A_k, 4 for D_k and 9 - k for E_k (Bourbaki, planches
+I-VII); a long to short ratio of 3 is G2; at ratio 2, one short simple
+root is B_k, k - 1 of them C_k, and two at k = 4 F4.
 """
 
 from __future__ import annotations
@@ -41,118 +55,50 @@ from itertools import combinations
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
-from .catalog import Target, TypeLabel, detection_targets
-from .linalg import (IntVector, Matrix, Vector, dot, is_zero, neg, norm2,
-                     scale, sub)
+from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
+from .linalg import (IntVector, Vector, bareiss_minors, dot, neg, norm2, scale,
+                     sub)
 from .projection import ProjectionResult
 
 _VALID_OFFDIAG = {0, -1, -2, -3}
 
 
-def pairing_matrix(basis: Sequence[Vector]) -> Matrix:
-    """Cartan pairings n_ij = 2 <b_i, b_j> / <b_j, b_j> of a candidate basis.
-
-    Entries are exact Fractions, for int and Fraction vectors alike, and
-    carry no integrality requirement at this stage; callers filter on
-    them.
-    """
-    for b in basis:
-        if is_zero(b):
-            raise ValueError("zero vector in candidate basis")
-    norms = [norm2(b) for b in basis]
-    return tuple(
-        tuple(Fraction(2 * dot(a, b), nb) for b, nb in zip(basis, norms))
-        for a in basis
-    )
-
-
-def _classify_component(comp: List[int], n: Matrix) -> Optional[TypeLabel]:
-    """Type of one connected component of an integral pairing matrix."""
-    k = len(comp)
-    if k == 1:
-        return TypeLabel("A", 1)
-    edges = []
-    adj: Dict[int, List[int]] = {i: [] for i in comp}
-    for ai, i in enumerate(comp):
-        for j in comp[ai + 1:]:
-            w = int(n[i][j] * n[j][i])
-            if w:
-                edges.append((i, j, w))
-                adj[i].append(j)
-                adj[j].append(i)
-    if len(edges) != k - 1:
-        return None  # a cycle: no finite type
-    deg = {i: len(adj[i]) for i in comp}
-    triple = [e for e in edges if e[2] == 3]
-    double = [e for e in edges if e[2] == 2]
-    if triple:
-        if k == 2 and len(triple) == 1 and not double:
-            return TypeLabel("G", 2)
+def _finite_type(cartan: List[List[int]], norms: List) -> Optional[TypeLabel]:
+    """Type of a connected component from its Cartan matrix and squared
+    norms, or None unless the matrix is positive definite (see above)."""
+    k = len(cartan)
+    det = bareiss_minors(cartan, k)[-1]
+    if det <= 0:
         return None
-    if double:
-        if len(double) > 1 or any(deg[i] > 2 for i in comp):
-            return None
-        if k == 2:
-            return TypeLabel("B", 2)
-        u, v, _ = double[0]
-        if deg[u] == 1 or deg[v] == 1:
-            end, inner = (u, v) if deg[u] == 1 else (v, u)
-            # |n[inner][end]| = 2 exactly when the end node is the short one
-            if n[inner][end] == -2:
-                return TypeLabel("B", k)
-            return TypeLabel("C", k)
-        # interior double edge: only the rank-4 path qualifies
-        if k == 4 and deg[u] == 2 and deg[v] == 2:
-            return TypeLabel("F", 4)
-        return None
-    # simply laced component
-    branch = [i for i in comp if deg[i] >= 3]
-    if any(deg[i] > 3 for i in comp) or len(branch) > 1:
-        return None
-    if not branch:
-        return TypeLabel("A", k)
-    center = branch[0]
-    arms = []
-    for start in adj[center]:
-        length, prev, cur = 1, center, start
-        while deg[cur] == 2:
-            nxt = next(x for x in adj[cur] if x != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return TypeLabel("D", arms[2] + 3)
-    if arms == [1, 2, 2]:
-        return TypeLabel("E", 6)
-    if arms == [1, 2, 3]:
-        return TypeLabel("E", 7)
-    if arms == [1, 2, 4]:
-        return TypeLabel("E", 8)
-    return None
+    short, long_ = min(norms), max(norms)
+    if long_ == short:
+        if det == k + 1:
+            return TypeLabel("A", k)
+        return TypeLabel("D", k) if det == 4 else TypeLabel("E", k)
+    if long_ == 3 * short:
+        return TypeLabel("G", 2)
+    nshort = norms.count(short)
+    if nshort == 1:
+        return TypeLabel("B", k)
+    return TypeLabel("C", k) if nshort == k - 1 else TypeLabel("F", 4)
 
 
 def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[int, ...]]]]:
     """Decompose a candidate basis into typed Dynkin components.
 
     Returns one (label, indices) pair per connected component, ordered by
-    smallest index, or None when the pairing matrix is not the Cartan
-    matrix of any finite type (non-integral or positive pairings, cycles,
-    unrecognized diagram shapes).
+    smallest index, or None when the basis is not a simple system of
+    finite type: a pairing is not an integer or is positive, or some
+    component's Cartan matrix is not positive definite.
     """
     if not basis:
         raise ValueError("empty basis")
-    n = pairing_matrix(basis)
+    n = cartan_matrix(basis)
     k = len(basis)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            x = n[i][j]
-            if x.denominator != 1 or int(x) not in _VALID_OFFDIAG:
-                return None
-            if int(n[i][j] * n[j][i]) not in (0, 1, 2, 3):
-                return None
+    if n is None or any(n[i][j] > 0 for i in range(k) for j in range(k)
+                        if i != j):
+        return None
+    norms = [norm2(b) for b in basis]
     seen: Set[int] = set()
     out = []
     for start in range(k):
@@ -169,11 +115,11 @@ def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[
                     comp.append(j)
                     queue.append(j)
         comp.sort()
-        label = _classify_component(comp, n)
+        label = _finite_type([[n[i][j] for j in comp] for i in comp],
+                             [norms[i] for i in comp])
         if label is None:
             return None
         out.append((label, tuple(comp)))
-    out.sort(key=lambda item: item[1][0])
     return out
 
 

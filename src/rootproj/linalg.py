@@ -1,16 +1,20 @@
 """Exact vector arithmetic, over Fractions and over scaled ints.
 
-Every scalar at the package's public edge is a ``fractions.Fraction``:
-the geometric discriminations downstream (squared lengths 2/3 vs 4/3 vs
-2, Cartan pairings in {0, -1, -2, -3}) are exact-ratio tests, so no
-floating point is allowed anywhere.  Inside ``detect`` the same vectors
-run as int tuples, scaled by one common denominator (``to_ints``); every
-ratio test is unchanged by that scaling, and the vector helpers here
-(``dot``, ``sub``, ``scale``, ...) work on either kind.  The one linear
-solve, ``bareiss_solve``, is fraction-free int elimination.  Vectors are
-plain tuples and matrices (Gram and Cartan) are tuples of row tuples;
-everything here is immutable and pure, hence safe to share across
-processes.
+Every scalar at the package's public edge but the Cartan integers is a
+``fractions.Fraction``: the geometric discriminations downstream
+(squared lengths 2/3 vs 4/3 vs 2, Cartan pairings in {0, -1, -2, -3})
+are exact-ratio tests, so no floating point is allowed anywhere.  Inside
+``detect`` the same vectors run as int tuples, scaled by one common
+denominator (``to_ints``); every ratio test is unchanged by that
+scaling, and the vector helpers here (``dot``, ``sub``, ``scale``, ...)
+work on either kind.  One fraction-free elimination, ``bareiss_minors``,
+gives the leading principal minors of an int matrix: ``bareiss_solve``
+solves with it, and ``detect`` tests a Cartan matrix for finite type
+with it (every minor positive; Kac, Infinite-dimensional Lie Algebras,
+Thm 4.3), the last minor being the Cartan determinant of ``catalog``'s
+table.  Vectors are plain tuples and matrices (Gram and Cartan) are
+tuples of row tuples; everything here is immutable and pure, hence safe
+to share across processes.
 """
 
 from __future__ import annotations
@@ -54,22 +58,38 @@ def norm2(v: Vector) -> Fraction:
     return dot(v, v)
 
 
+def bareiss_minors(rows: List[List[int]], n: int) -> List[int]:
+    """Leading principal minors of the left n x n block of int rows, up to
+    the first that is not positive: the pivots of Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968), which clears the rows below each
+    pivot in place with exact divisions.  All n come back positive
+    exactly when a symmetric block is positive definite (Sylvester)."""
+    minors, prev = [], 1
+    for k in range(n):
+        pivot = rows[k]
+        p = pivot[k]
+        minors.append(p)
+        if p <= 0:
+            break
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
+        prev = p
+    return minors
+
+
 def bareiss_solve(g: Sequence[IntVector], rhs: Sequence[IntVector]
                   ) -> Tuple[int, Tuple[IntVector, ...]]:
-    """(det g, det g * g^-1 rhs) for an int matrix g with nonzero leading
-    principal minors (a positive definite Gram matrix, say) and int rows
-    rhs, by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
-    Every division is exact: det g * g^-1 is integral by Cramer's rule."""
+    """(det g, det g * g^-1 rhs) for a positive definite int matrix g (the
+    Gram matrix of independent int vectors, say) and int rows rhs, by
+    ``bareiss_minors``.  Every division is exact: det g * g^-1 is
+    integral by Cramer's rule."""
     n = len(g)
     rows = [list(a) + list(b) for a, b in zip(g, rhs)]
-    prev = 1
-    for k in range(n - 1):
-        pivot = rows[k]
-        for i in range(k + 1, n):
-            p, f = pivot[k], rows[i][k]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
-        prev = pivot[k]
-    det, sol = rows[-1][n - 1], [()] * n
+    det = bareiss_minors(rows, n)[-1]
+    if det <= 0:
+        raise ValueError("matrix is not positive definite")
+    sol = [()] * n
     for i in reversed(range(n)):
         row = rows[i]
         sol[i] = tuple(

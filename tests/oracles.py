@@ -5,15 +5,19 @@ the catalog, solves delta_theta by integer elimination and reads every
 other projection off delta_theta.  Here the same quantities are solved
 from scratch by a Fraction Gauss-Jordan inverse of the Gram matrix, so
 the tests can confirm the projections, and that roots and projected
-roots expand integrally and with one sign.
+roots expand integrally and with one sign.  ``shape_match_type`` types a
+candidate basis the way the package did before it used the finite-type
+criterion: from Fraction pairings, by walking the shape of the Dynkin
+diagram.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from rootproj.catalog import RealizedRootSystem
-from rootproj.linalg import Matrix, Vector, dot, gram, norm2, scale, sub
+from rootproj.catalog import RealizedRootSystem, TypeLabel
+from rootproj.linalg import (Matrix, Vector, dot, gram, is_zero, norm2, scale,
+                             sub)
 from rootproj.projection import ProjectionResult
 
 
@@ -155,3 +159,124 @@ def expansion_over_delta_theta(v: Vector, pr: ProjectionResult
         raise ExpansionConsistencyError(
             f"mixed-sign expansion {coeff} for {v}")
     return coeff
+
+
+def pairing_matrix(basis: Sequence[Vector]) -> Matrix:
+    """Pairings 2 <b_i, b_j> / <b_j, b_j> of a basis as exact Fractions,
+    integral or not."""
+    for b in basis:
+        if is_zero(b):
+            raise ValueError("zero vector in candidate basis")
+    norms = [norm2(b) for b in basis]
+    return tuple(
+        tuple(Fraction(2 * dot(a, b), nb) for b, nb in zip(basis, norms))
+        for a in basis
+    )
+
+
+def _classify_component(comp: List[int], n: Matrix) -> Optional[TypeLabel]:
+    """Type of one connected component of an integral pairing matrix."""
+    k = len(comp)
+    if k == 1:
+        return TypeLabel("A", 1)
+    edges = []
+    adj: Dict[int, List[int]] = {i: [] for i in comp}
+    for ai, i in enumerate(comp):
+        for j in comp[ai + 1:]:
+            w = int(n[i][j] * n[j][i])
+            if w:
+                edges.append((i, j, w))
+                adj[i].append(j)
+                adj[j].append(i)
+    if len(edges) != k - 1:
+        return None  # a cycle: no finite type
+    deg = {i: len(adj[i]) for i in comp}
+    triple = [e for e in edges if e[2] == 3]
+    double = [e for e in edges if e[2] == 2]
+    if triple:
+        if k == 2 and len(triple) == 1 and not double:
+            return TypeLabel("G", 2)
+        return None
+    if double:
+        if len(double) > 1 or any(deg[i] > 2 for i in comp):
+            return None
+        if k == 2:
+            return TypeLabel("B", 2)
+        u, v, _ = double[0]
+        if deg[u] == 1 or deg[v] == 1:
+            end, inner = (u, v) if deg[u] == 1 else (v, u)
+            # |n[inner][end]| = 2 exactly when the end node is the short one
+            if n[inner][end] == -2:
+                return TypeLabel("B", k)
+            return TypeLabel("C", k)
+        # interior double edge: only the rank-4 path qualifies
+        if k == 4 and deg[u] == 2 and deg[v] == 2:
+            return TypeLabel("F", 4)
+        return None
+    # simply laced component
+    branch = [i for i in comp if deg[i] >= 3]
+    if any(deg[i] > 3 for i in comp) or len(branch) > 1:
+        return None
+    if not branch:
+        return TypeLabel("A", k)
+    center = branch[0]
+    arms = []
+    for start in adj[center]:
+        length, prev, cur = 1, center, start
+        while deg[cur] == 2:
+            nxt = next(x for x in adj[cur] if x != prev)
+            prev, cur = cur, nxt
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return TypeLabel("D", arms[2] + 3)
+    if arms == [1, 2, 2]:
+        return TypeLabel("E", 6)
+    if arms == [1, 2, 3]:
+        return TypeLabel("E", 7)
+    if arms == [1, 2, 4]:
+        return TypeLabel("E", 8)
+    return None
+
+
+def shape_match_type(basis: Sequence[Vector]
+                     ) -> Optional[List[Tuple[TypeLabel, Tuple[int, ...]]]]:
+    """``detect.match_type`` by the diagram shape: the same (label,
+    indices) pairs, or None for pairings outside {0, -1, -2, -3}, edge
+    weights n_ij n_ji above 3, cycles and unrecognised shapes."""
+    if not basis:
+        raise ValueError("empty basis")
+    n = pairing_matrix(basis)
+    k = len(basis)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            x = n[i][j]
+            if x.denominator != 1 or int(x) not in (0, -1, -2, -3):
+                return None
+            if int(n[i][j] * n[j][i]) not in (0, 1, 2, 3):
+                return None
+    seen: Set[int] = set()
+    out = []
+    for start in range(k):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(k):
+                if j not in seen and n[i][j] != 0:
+                    seen.add(j)
+                    comp.append(j)
+                    queue.append(j)
+        comp.sort()
+        label = _classify_component(comp, n)
+        if label is None:
+            return None
+        out.append((label, tuple(comp)))
+    out.sort(key=lambda item: item[1][0])
+    return out

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,16 @@ from rootproj.detect import (ClosureCertificate, ComponentWitness,
 from rootproj.projection import project_all
 
 
+# child interpreters import the package the tests import, installed or
+# found through pytest's pythonpath
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "rootproj.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -256,6 +264,52 @@ def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
     assert started == [2, 2]
 
 
+def test_enumerate_jobs_cancel_queued_theta_when_output_fails(monkeypatch,
+                                                             capsys):
+    # stdout closes after the first record (`| head -1`): the theta still
+    # queued are cancelled, not classified, and the error is one line
+    classified = []
+
+    class QueuedPool:
+        """Queues every task at map, as a real pool does, and on exit
+        waits for the ones neither run nor cancelled."""
+
+        def __init__(self, max_workers):
+            self.queue = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            classified.extend(self.queue)
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            self.queue = list(tasks)
+
+            def results():
+                while self.queue:
+                    task = self.queue.pop(0)
+                    classified.append(task)
+                    yield fn(task)
+            return results()
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            if cancel_futures:
+                self.queue.clear()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", QueuedPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["enumerate", "--sigma", "B3", "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert classified == [("B3", (1,))]
+
+
 def test_enumerate_refuses_an_oversized_system(monkeypatch, capsys):
     # A40 has 2^40 - 2 proper theta: refused from the rank alone, before
     # any subset is listed or classified
@@ -304,7 +358,7 @@ def test_serial_enumerate_does_not_load_multiprocessing():
             "main(['enumerate', '--sigma', 'G2', '--format', 'json']); "
             "sys.exit('multiprocessing' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+                          text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SingularMatrixError, invert, mat_vec, matrix, vector
-from rootproj.linalg import bareiss_solve, dot, gram
+from rootproj.linalg import bareiss_minors, bareiss_solve, dot, gram
 
 
 def transpose(m):
@@ -128,6 +128,27 @@ def test_bareiss_solve_random_gram_matrices():
         assert mat_mul(g, sol) == tuple(tuple(det * x for x in row)
                                         for row in rhs)
         done += 1
+
+
+def test_bareiss_minors_stop_at_the_first_that_is_not_positive():
+    # the minors of random int matrices, Cartan-like and not symmetric,
+    # are the determinants of their leading blocks, up to the first one
+    # that is not positive; bareiss_solve refuses such a matrix
+    rng = random.Random(4)
+    stopped = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[2 if i == j else rng.choice((0, 0, -1, -1, -2, -3))
+              for j in range(n)] for i in range(n)]
+        want = [fraction_det([row[:k] for row in m[:k]])
+                for k in range(1, n + 1)]
+        cut = next((k + 1 for k, x in enumerate(want) if x <= 0), n)
+        assert bareiss_minors([list(row) for row in m], n) == want[:cut]
+        if want[cut - 1] <= 0:
+            stopped += 1
+            with pytest.raises(ValueError, match="not positive definite"):
+                bareiss_solve(m, [(1,)] * n)
+    assert stopped > 50
 
 
 def test_fractions_canonical():
