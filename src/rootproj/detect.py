@@ -10,8 +10,9 @@ both detection modes: it picks one factor of the target after another,
 the restricted mode taking some of them from delta_theta.  The search
 over one factor's bases is an incremental backtracking over one
 representative per +-pair, sorted by squared norm; partial bases are
-pruned with the Cartan-integer constraints, tree-shape bounds of the
-target diagram, and the norm census of the projection.
+pruned with the norm census of the projection, integral pairings none
+positive, the target's node degrees, and linear independence: the
+finite-type test of ``match_type`` below, one Bareiss pivot per step.
 
 Raw subset enumeration would be hopeless at rank 7 over a hundred
 vectors, but the census frequently forces the candidate classes to have
@@ -56,11 +57,9 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
-from .linalg import (IntVector, Vector, bareiss_minors, dot, neg, norm2, scale,
-                     sub)
+from .linalg import (IntVector, Vector, bareiss_minors, bareiss_row, dot, neg,
+                     norm2, scale, sub)
 from .projection import ProjectionResult
-
-_VALID_OFFDIAG = {0, -1, -2, -3}
 
 
 def _finite_type(cartan: List[List[int]], norms: List) -> Optional[TypeLabel]:
@@ -326,7 +325,6 @@ class _Scaled:
 
 
 _MAX_DEGREE = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3, "F": 2, "G": 1}
-_MAX_EDGE_WEIGHT = {"A": 1, "B": 2, "C": 2, "D": 1, "E": 1, "F": 2, "G": 3}
 
 
 def _try_class_union(label: TypeLabel, base: int, pr: _Scaled,
@@ -368,15 +366,21 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
     lex order is additive), so nothing is lost.  A BC label is searched
     as its reduced type at the scales where the census can also hold the
     doubled short roots; ``certify`` checks the doubles.
+
+    A partial basis keeps the label's norms, integral pairings none
+    positive, the label's node degrees and a positive Gram determinant
+    (one ``bareiss_row`` pivot per step): the independence that makes
+    ``match_type`` read a finite type, whose diagram is a forest of
+    len(picks) - edges components that the remaining steps must join.
+    Obtuse vectors in one open half-space, as the lex-positive ones, are
+    independent anyway (Humphreys, Lie Algebras, 10.1); the pivot keeps
+    the search sound on a pool of either sign.
     """
     inner = _reduced(label)
     basis_prof, root_prof = _profiles(inner)
     universe = pr.sigma_theta_set
     pool_set = set(pool)
     maxdeg = _MAX_DEGREE[inner.family]
-    maxw = _MAX_EDGE_WEIGHT[inner.family]
-    branch_budget = 1 if inner.family in ("D", "E") else 0
-    heavy_budget = 1 if inner.family in ("B", "C", "F", "G") else 0
     k = label.rank
 
     for base in census_scales(label, pr.census):
@@ -391,15 +395,15 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
         sub_pool = [v for v in pool if norm2(v) in need]
         norms = [norm2(v) for v in sub_pool]
 
-        def dfs(start: int, chosen: List[IntVector], remaining: Dict[int, int],
-                deg: List[int], comp_id: List[int], ncomp: int,
-                branches: int, heavies: int):
-            if len(chosen) == k:
-                roots = certify(label, chosen, universe)
+        def dfs(start: int, picks: List[int], remaining: Dict[int, int],
+                deg: List[int], elim: List[List[int]], ncomp: int):
+            if len(picks) == k:
+                basis = tuple(sub_pool[i] for i in picks)
+                roots = certify(label, basis, universe)
                 if not isinstance(roots, ClosureFailure):
-                    yield tuple(chosen), roots
+                    yield basis, roots
                 return
-            slots = k - len(chosen)
+            slots = k - len(picks)
             if ncomp - (maxdeg - 1) * slots > 1:
                 return  # cannot reconnect in the remaining steps
             for idx in range(start, len(sub_pool)):
@@ -409,58 +413,26 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
                 nv = norms[idx]
                 if remaining.get(nv, 0) == 0:
                     continue
-                links = []  # (position in chosen, edge weight)
-                ok = True
-                for pos, u in enumerate(chosen):
-                    p = 2 * dot(u, v)
-                    a, r = divmod(p, nv)
-                    if r or a not in _VALID_OFFDIAG:
-                        ok = False
+                dots = []
+                for i, n in zip(picks, deg):
+                    x = dot(sub_pool[i], v)
+                    if x > 0 or 2 * x % nv or 2 * x % norms[i] \
+                            or x and n == maxdeg:
                         break
-                    if a:
-                        b, r = divmod(p, norm2(u))
-                        w = a * b
-                        if r or w < 1 or w > maxw:
-                            ok = False
-                            break
-                        links.append((pos, w))
-                if not ok:
+                    dots.append(x)
+                links = len(dots) - dots.count(0)
+                if len(dots) < len(picks) or links > maxdeg:
                     continue
-                if len(links) > maxdeg:
-                    continue
-                touched = {comp_id[p] for p, _ in links}
-                if len(touched) != len(links):
-                    continue  # two edges into one component close a cycle
-                nheavy = heavies + sum(1 for _, w in links if w > 1)
-                if nheavy > heavy_budget:
-                    continue
-                nbranch = branches + (1 if len(links) == 3 else 0)
-                new_deg = deg + [len(links)]
-                for p, _ in links:
-                    new_deg[p] += 1
-                    if new_deg[p] > maxdeg:
-                        ok = False
-                    elif new_deg[p] == 3:
-                        nbranch += 1
-                if not ok or nbranch > branch_budget:
-                    continue
-                # component ids are positions in `chosen`, never reused,
-                # so ids of disjoint components can never collide
-                own = len(chosen)
-                new_comp = comp_id + [own]
-                if links:
-                    tgt = min(touched)
-                    merged = touched | {own}
-                    new_comp = [tgt if c in merged else c for c in new_comp]
-                new_n = ncomp + 1 - len(links)
+                row = bareiss_row(elim, dots + [nv])
+                if row[-1] <= 0:
+                    continue  # dependent: no finite type
                 remaining[nv] -= 1
-                chosen.append(v)
-                yield from dfs(idx + 1, chosen, remaining, new_deg,
-                               new_comp, new_n, nbranch, nheavy)
-                chosen.pop()
+                yield from dfs(idx + 1, picks + [idx], remaining,
+                               [n + (x != 0) for n, x in zip(deg, dots)]
+                               + [links], elim + [row], ncomp + 1 - links)
                 remaining[nv] += 1
 
-        yield from dfs(0, [], dict(need), [], [], 0, 0, 0)
+        yield from dfs(0, [], dict(need), [], [], 0)
 
 
 def _delta_subset_bases(label: TypeLabel, delta_pool: List[IntVector],

@@ -12,9 +12,10 @@ gives the leading principal minors of an int matrix: ``bareiss_solve``
 solves with it, and ``detect`` tests a Cartan matrix for finite type
 with it (every minor positive; Kac, Infinite-dimensional Lie Algebras,
 Thm 4.3), the last minor being the Cartan determinant of ``catalog``'s
-table.  Vectors are plain tuples and matrices (Gram and Cartan) are
-tuples of row tuples; everything here is immutable and pure, hence safe
-to share across processes.
+table; ``bareiss_row`` takes a symmetric matrix one row at a time, so
+``detect`` grows a Gram matrix with its basis.  Vectors are plain tuples
+and matrices (Gram and Cartan) are tuples of row tuples; everything here
+is immutable and pure, hence safe to share across processes.
 """
 
 from __future__ import annotations
@@ -76,6 +77,28 @@ def bareiss_minors(rows: List[List[int]], n: int) -> List[int]:
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
         prev = p
     return minors
+
+
+def bareiss_row(elim: Sequence[Sequence[int]], row: Sequence[int]
+                ) -> List[int]:
+    """One more row of a symmetric int matrix through ``bareiss_minors``.
+
+    elim holds the rows returned so far; row is the new matrix row up to
+    the diagonal.  Entry k of a returned row is its column k after k
+    elimination steps, its last entry the new pivot (the next leading
+    minor).  By symmetry, column j of pivot row k after k steps is entry
+    k of row j, so the step costs O(n^2) and needs no stored column.
+    Every earlier pivot must be positive.
+    """
+    r = list(row)
+    prev = 1
+    for k, piv in enumerate(elim):
+        p, f = piv[k], r[k]
+        for j in range(k + 1, len(elim)):
+            r[j] = (p * r[j] - f * elim[j][k]) // prev
+        r[-1] = (p * r[-1] - f * f) // prev
+        prev = p
+    return r
 
 
 def bareiss_solve(g: Sequence[IntVector], rhs: Sequence[IntVector]

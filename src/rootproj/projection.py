@@ -91,7 +91,7 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     restrictions.discard((0,) * len(outside))
     sigma_scaled = tuple(v for v, _ in int_combine(restrictions, delta_scaled))
     sigma = from_ints(sigma_scaled, den)
-    census = dict(Counter(norm2(v) for v in sigma))
+    norms = {v: norm2(v) for v in sigma}
     reps = {max(v, linalg.neg(v)) for v in sigma}
     return ProjectionResult(
         system=sys,
@@ -99,9 +99,9 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
         d=len(outside),
         sigma_theta=sigma,
         delta_theta=delta,
-        census=census,
+        census=dict(Counter(norms.values())),
         sigma_theta_set=frozenset(sigma),
-        pair_reps=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
+        pair_reps=tuple(sorted(reps, key=lambda v: (norms[v], v))),
         denominator=den,
         sigma_scaled=sigma_scaled,
         delta_scaled=delta_scaled,

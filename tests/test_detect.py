@@ -17,8 +17,9 @@ from rootproj.catalog import (FAMILIES, TypeLabel, build, build_from_name,
 from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, _try_class_union, census_admits,
-                             certify, classify_max_rank, find_subsystem,
-                             match_type, reflection_closure, revalidate)
+                             census_scales, certify, classify_max_rank,
+                             find_subsystem, match_type, reflection_closure,
+                             revalidate)
 from rootproj.linalg import dot, neg, norm2, scale, sub, to_ints
 from rootproj.projection import ProjectionResult, project_all
 
@@ -320,6 +321,53 @@ def test_new_g2_row_in_e8_cross_checked():
     assert naive_find(pr, parse_target("G2"))
     rep_r = find_subsystem(pr, parse_target("G2"), restrict_to_delta_theta=True)
     assert rep_r.found
+
+
+def brute_bases(label, scaled):
+    """What _iter_bases must yield: at each census scale, every k-subset
+    of the pool at the label's norms there that certify accepts, in
+    combinations order.  Where the census classes are exact, that is one
+    basis, which the class-union shortcut yields sorted."""
+    basis_prof, root_prof = detect._profiles(detect._reduced(label))
+    out = []
+    for base in census_scales(label, scaled.census):
+        norms = {base * rel for rel in basis_prof}
+        cands = [v for v in scaled.pool() if norm2(v) in norms]
+        # certify needs every pairing integral and none positive
+        obtuse = {(u, v) for u, v in combinations(cands, 2)
+                  if cartan_matrix([u, v]) is not None and dot(u, v) <= 0}
+        hits = []
+        for subset in combinations(cands, label.rank):
+            if all(pair in obtuse for pair in combinations(subset, 2)):
+                roots = certify(label, subset, scaled.sigma_theta_set)
+                if not isinstance(roots, ClosureFailure):
+                    hits.append((subset, roots))
+        if all(scaled.census.get(base * rel, 0) == need
+               for rel, need in root_prof.items()):
+            assert len(hits) <= 1, (label, base)
+            hits = [(tuple(sorted(b)), roots) for b, roots in hits]
+        out.extend(hits)
+    return out
+
+
+@pytest.mark.parametrize("name, theta", [
+    ("E7", (2, 5, 7)), ("E8", (2, 3, 4, 5)), ("E8", (1, 2, 5, 7)),
+    ("E8", (1, 2, 5, 8)), ("E8", (1, 2, 6, 8)), ("E8", (1, 4, 6, 8)),
+    ("E8", (2, 3, 5, 7)), ("E8", (2, 3, 5, 8)), ("E8", (2, 3, 6, 8)),
+    ("E7", (1, 3, 5)), ("E6", (2,)), ("E7", (2, 5)), ("E8", (2, 3, 4)),
+    ("E7", (1,)),
+])
+def test_iter_bases_yields_every_certified_subset_in_order(name, theta):
+    # every label of rank 3 to 5, past the d <= 3 slice of naive_find.
+    # At rank 4 the first nine hold B4, C4 and D4, and E7 (1, 3, 5) none;
+    # E7 (2, 5), E8 (2, 3, 4) and E7 (1,) hold D4 and D5 as factors of a
+    # larger target, where only the depth-first search finds them
+    pr = project_all(build_from_name(name), theta)
+    scaled = detect._Scaled(pr)
+    for rank in range(3, min(pr.d, 5) + 1):
+        for label in irreducible_labels(rank):
+            got = list(detect._iter_bases(label, list(scaled.pool()), scaled))
+            assert got == brute_bases(label, scaled), (name, theta, str(label))
 
 
 def test_census_pruning_is_consistent():
@@ -643,8 +691,11 @@ def test_certificates_hold_the_fraction_vectors_of_sigma_theta(name):
 
 
 def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
-    # the DFS prunes every pair whose Cartan pairing leaves a remainder,
-    # so each basis it completes has an integral pairing matrix
+    # the DFS prunes every pair whose Cartan pairing leaves a remainder or
+    # is positive, and every dependent set, so each basis it completes is
+    # a simple system of finite type.  The lex-positive pool lies in an open
+    # half-space, where obtuse vectors are independent anyway; with every
+    # other sign flipped, only the Bareiss pivot keeps dependent sets out
     leaves = []
 
     def record(label, basis, universe):
@@ -657,8 +708,12 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     for theta in [(2, 5, 7), (1, 2, 5), (2, 3, 7), (1, 3, 5, 6), (2, 4, 6, 7)]:
         pr = project_all(e7, theta)
         scaled = detect._Scaled(pr)
+        flipped = [neg(v) if i % 2 else v for i, v in enumerate(scaled.pool())]
         for label in irreducible_labels(pr.d):
-            list(detect._iter_bases(label, list(scaled.pool()), scaled))
+            for pool in (list(scaled.pool()), flipped):
+                list(detect._iter_bases(label, pool, scaled))
     assert leaves
     for basis in leaves:
         assert cartan_matrix(basis) is not None, basis
+        # independent, obtuse and integral: a simple system of finite type
+        assert match_type(basis) is not None, basis
