@@ -26,8 +26,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .linalg import (IntVector, Vector, combine, gram, is_zero, norm2,
-                     to_ints)
+from .linalg import (IntVector, Vector, from_ints, gram, int_combine, is_zero,
+                     norm2, to_ints)
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -300,19 +300,20 @@ def build(label: TypeLabel) -> RealizedRootSystem:
     its short roots.
     """
     simple = _simple_roots(label)
-    cartan = cartan_matrix(to_ints(simple)[1])  # same ratios, int work
+    den, ints = to_ints(simple)  # same ratios, int work
+    cartan = cartan_matrix(ints)
     if cartan is None:
         raise ValueError(f"{label}: non-integral Cartan pairing")
-    pairs = combine(_root_coefficients(cartan), simple)
+    pairs = int_combine(_root_coefficients(cartan), ints)
     if label.family == "BC":
         short = min(norm2(r) for r, _ in pairs)
-        pairs = combine([c for _, c in pairs] + [
+        pairs = int_combine([c for _, c in pairs] + [
             tuple(2 * x for x in c) for r, c in pairs if norm2(r) == short],
-            simple)
+            ints)
     sys = RealizedRootSystem(
         label=label,
         ambient_dim=len(simple[0]),
-        roots=tuple(r for r, _ in pairs),
+        roots=from_ints((r for r, _ in pairs), den),
         coefficients=tuple(c for _, c in pairs),
         simple_roots=tuple(simple),
         cartan=cartan,
@@ -349,22 +350,18 @@ def irreducible_labels(rank: int) -> List[TypeLabel]:
     return out
 
 
+@lru_cache(maxsize=None)
 def detection_targets(d: int, reducible: bool = False,
-                      require_exceptional_component: bool = False) -> List[Target]:
+                      require_exceptional_component: bool = False
+                      ) -> Tuple[Target, ...]:
     """Candidate targets of rank d for the detector.
 
     With ``reducible`` the result is every multiset of irreducible labels
     whose ranks sum to d (the single-label ones included); the
     exceptional flag keeps only targets with at least one component among
-    E, F, G.  The list is built once per arguments; each call gets a
-    fresh copy.
+    E, F, G.  The tuple is built once per arguments and shared by every
+    caller.
     """
-    return list(_detection_targets(d, reducible, require_exceptional_component))
-
-
-@lru_cache(maxsize=None)
-def _detection_targets(d: int, reducible: bool,
-                       require_exceptional_component: bool) -> Tuple[Target, ...]:
     if d < 1:
         raise ValueError("rank must be positive")
     if not reducible:

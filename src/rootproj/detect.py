@@ -11,8 +11,10 @@ the restricted mode taking some of them from delta_theta.  The search
 over one factor's bases is an incremental backtracking over one
 representative per +-pair, sorted by squared norm; partial bases are
 pruned with the norm census of the projection, integral pairings none
-positive, the target's node degrees, and linear independence: the
-finite-type test of ``match_type`` below, one Bareiss pivot per step.
+positive and the target's node degrees.  The pool lies in one open
+half-space, where obtuse vectors are linearly independent (Humphreys,
+10.1), so every partial basis with integral pairings is of finite type
+for ``match_type`` below without a further test.
 
 Raw subset enumeration would be hopeless at rank 7 over a hundred
 vectors, but the census frequently forces the candidate classes to have
@@ -57,8 +59,8 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
-from .linalg import (IntVector, Vector, bareiss_minors, bareiss_row, dot, neg,
-                     norm2, scale, sub)
+from .linalg import (IntVector, Vector, bareiss_minors, dot, neg, norm2, scale,
+                     sub)
 from .projection import ProjectionResult
 
 
@@ -255,7 +257,9 @@ def _profiles(label: TypeLabel) -> Tuple[Dict[int, int], Dict[int, int]]:
     shortest root (Bourbaki, planches); BC_k is B_k plus its 2k doubled
     short roots.  The tests check every entry against the catalog.  Read
     off ``build`` here instead, the profiles would cost each fresh
-    ``enumerate --jobs`` worker some 40 ms of catalog builds.
+    ``enumerate --jobs`` worker some 12 ms of catalog builds: the 23
+    labels an E8 enumeration reads, built in a fresh CPython 3.11
+    process.
     """
     f, k = label.family, label.rank
     if f == "BC":
@@ -367,14 +371,15 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
     as its reduced type at the scales where the census can also hold the
     doubled short roots; ``certify`` checks the doubles.
 
-    A partial basis keeps the label's norms, integral pairings none
-    positive, the label's node degrees and a positive Gram determinant
-    (one ``bareiss_row`` pivot per step): the independence that makes
-    ``match_type`` read a finite type, whose diagram is a forest of
-    len(picks) - edges components that the remaining steps must join.
-    Obtuse vectors in one open half-space, as the lex-positive ones, are
-    independent anyway (Humphreys, Lie Algebras, 10.1); the pivot keeps
-    the search sound on a pool of either sign.
+    Precondition: the pool holds lex-positive +-pair representatives, or
+    a subset of them (``_search`` passes ``pool()``, narrowed by
+    ``_orthogonal``).  They lie in one open half-space, where obtuse
+    vectors are linearly independent (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.1).  So a partial basis that
+    keeps the label's norms, integral pairings none positive and the
+    label's node degrees is independent, hence of finite type for
+    ``match_type``: its diagram is a forest of len(picks) - edges
+    components that the remaining steps must join.
     """
     inner = _reduced(label)
     basis_prof, root_prof = _profiles(inner)
@@ -396,7 +401,7 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
         norms = [norm2(v) for v in sub_pool]
 
         def dfs(start: int, picks: List[int], remaining: Dict[int, int],
-                deg: List[int], elim: List[List[int]], ncomp: int):
+                deg: List[int], ncomp: int):
             if len(picks) == k:
                 basis = tuple(sub_pool[i] for i in picks)
                 roots = certify(label, basis, universe)
@@ -423,16 +428,13 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
                 links = len(dots) - dots.count(0)
                 if len(dots) < len(picks) or links > maxdeg:
                     continue
-                row = bareiss_row(elim, dots + [nv])
-                if row[-1] <= 0:
-                    continue  # dependent: no finite type
                 remaining[nv] -= 1
                 yield from dfs(idx + 1, picks + [idx], remaining,
                                [n + (x != 0) for n, x in zip(deg, dots)]
-                               + [links], elim + [row], ncomp + 1 - links)
+                               + [links], ncomp + 1 - links)
                 remaining[nv] += 1
 
-        yield from dfs(0, [], dict(need), [], [], 0)
+        yield from dfs(0, [], dict(need), [], 0)
 
 
 def _delta_subset_bases(label: TypeLabel, delta_pool: List[IntVector],

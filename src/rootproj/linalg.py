@@ -12,10 +12,12 @@ gives the leading principal minors of an int matrix: ``bareiss_solve``
 solves with it, and ``detect`` tests a Cartan matrix for finite type
 with it (every minor positive; Kac, Infinite-dimensional Lie Algebras,
 Thm 4.3), the last minor being the Cartan determinant of ``catalog``'s
-table; ``bareiss_row`` takes a symmetric matrix one row at a time, so
-``detect`` grows a Gram matrix with its basis.  Vectors are plain tuples
-and matrices (Gram and Cartan) are tuples of row tuples; everything here
-is immutable and pure, hence safe to share across processes.
+table.  ``detect``'s basis search needs no elimination of its own: its
+pool lies in one open half-space, where obtuse vectors are independent
+(Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.1).  Vectors are plain tuples and matrices (Gram and Cartan) are
+tuples of row tuples; everything here is immutable and pure, hence safe
+to share across processes.
 """
 
 from __future__ import annotations
@@ -79,28 +81,6 @@ def bareiss_minors(rows: List[List[int]], n: int) -> List[int]:
     return minors
 
 
-def bareiss_row(elim: Sequence[Sequence[int]], row: Sequence[int]
-                ) -> List[int]:
-    """One more row of a symmetric int matrix through ``bareiss_minors``.
-
-    elim holds the rows returned so far; row is the new matrix row up to
-    the diagonal.  Entry k of a returned row is its column k after k
-    elimination steps, its last entry the new pivot (the next leading
-    minor).  By symmetry, column j of pivot row k after k steps is entry
-    k of row j, so the step costs O(n^2) and needs no stored column.
-    Every earlier pivot must be positive.
-    """
-    r = list(row)
-    prev = 1
-    for k, piv in enumerate(elim):
-        p, f = piv[k], r[k]
-        for j in range(k + 1, len(elim)):
-            r[j] = (p * r[j] - f * elim[j][k]) // prev
-        r[-1] = (p * r[-1] - f * f) // prev
-        prev = p
-    return r
-
-
 def bareiss_solve(g: Sequence[IntVector], rhs: Sequence[IntVector]
                   ) -> Tuple[int, Tuple[IntVector, ...]]:
     """(det g, det g * g^-1 rhs) for a positive definite int matrix g (the
@@ -149,16 +129,3 @@ def int_combine(coeffs: Iterable[Sequence[int]], basis: Sequence[IntVector]
     return sorted((tuple(sum(map(mul, c, col)) for col in cols), c)
                   for c in coeffs)
 
-
-def combine(coeffs: Iterable[Sequence[int]], basis: Sequence[Vector]
-            ) -> List[Tuple[Vector, Sequence[int]]]:
-    """(sum_i c_i b_i, c) for every integer coefficient row c, sorted.
-
-    The basis is scaled once to a common denominator, so the sums and the
-    sort (by the vector, then by c) are int work; each coordinate becomes
-    a Fraction only at the end.
-    """
-    den, ints = to_ints(basis)
-    pairs = int_combine(coeffs, ints)
-    return list(zip(from_ints((v for v, _ in pairs), den),
-                    (c for _, c in pairs)))

@@ -235,19 +235,16 @@ def test_detection_targets_reducible_rank5():
     assert "A3xG2" in names
 
 
-def test_detection_targets_returns_a_fresh_list():
-    # the targets are built once per arguments; a caller that edits its
-    # list must not change what the next caller gets
+def test_detection_targets_returns_one_immutable_tuple():
+    # the targets are built once per arguments and shared: a tuple, so a
+    # caller cannot change what the next caller gets
     first = detection_targets(4, reducible=True,
                               require_exceptional_component=True)
-    want = [str(t) for t in first]
-    first.clear()
-    second = detection_targets(4, reducible=True,
-                               require_exceptional_component=True)
-    assert [str(t) for t in second] == want
-    second.append(second[0])
-    assert [str(t) for t in detection_targets(
-        4, reducible=True, require_exceptional_component=True)] == want
+    assert isinstance(first, tuple)
+    assert detection_targets(4, reducible=True,
+                             require_exceptional_component=True) == first
+    with pytest.raises(AttributeError):
+        first.append(first[0])
 
 
 def test_detection_targets_deterministic():

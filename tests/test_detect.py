@@ -292,6 +292,70 @@ def test_find_agrees_with_naive_enumeration_small():
                     assert got == want, (name, theta, str(target))
 
 
+def naive_find_restricted(pr, target, certified):
+    """Reference restricted detector, the pinning rule written out: with
+    no exceptional component every factor's basis is a subset of
+    delta_theta as given; with one, only the exceptional factors' bases
+    are, and the other factors' come from sigma_theta up to sign.  The
+    bases must be pairwise orthogonal and each one certified; no pruning.
+    It runs on pr's int vectors; ``certified`` memoizes ``certify`` per
+    (label, subset) across the targets of one projection."""
+    comps = list(target.normalized())
+    has_exceptional = any(c.family in ("E", "F", "G") for c in comps)
+    universe = frozenset(pr.sigma_scaled)
+    pool = sorted({max(v, neg(v)) for v in universe})
+
+    def rec(ci, used):
+        if ci == len(comps):
+            return True
+        label = comps[ci]
+        pinned = not has_exceptional or label.family in ("E", "F", "G")
+        source = pr.delta_scaled if pinned else pool
+        for subset in combinations(source, label.rank):
+            if any(dot(a, b) != 0 for a in subset for b in used):
+                continue
+            key = (label, subset)
+            if key not in certified:
+                certified[key] = certify(label, subset, universe)
+            if isinstance(certified[key], ClosureFailure):
+                continue
+            if rec(ci + 1, used + subset):
+                return True
+        return False
+
+    return rec(0, ())
+
+
+def test_restricted_find_agrees_with_naive_pinning():
+    # every reducible rank-d target at d <= 3 on the small labels of
+    # test_find_agrees_with_naive_enumeration_small and the exceptional
+    # ones, and every irreducible rank-d target at every theta of F4, E6
+    # and E7
+    verdicts = Counter()
+    for name in ["A3", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]:
+        sys = build_from_name(name)
+        every_irreducible = name in ("F4", "E6", "E7")
+        for size in range(1, sys.rank):
+            d = sys.rank - size
+            if d > 3 and not every_irreducible:
+                continue
+            targets = set(detection_targets(d)) if every_irreducible else set()
+            if d <= 3:
+                targets.update(detection_targets(d, reducible=True))
+            targets = sorted(targets, key=lambda t: t.sort_key)
+            for theta in combinations(range(1, sys.rank + 1), size):
+                pr = project_all(sys, theta)
+                certified = {}
+                for target in targets:
+                    got = find_subsystem(
+                        pr, target, restrict_to_delta_theta=True).found
+                    want = naive_find_restricted(pr, target, certified)
+                    assert got == want, (name, theta, str(target))
+                    verdicts[target.is_irreducible, got] += 1
+    assert all(verdicts[irr, found] > 0
+               for irr in (False, True) for found in (False, True)), verdicts
+
+
 @st.composite
 def small_queries(draw):
     """(projection, rank-d target) of a label of rank <= 5, inside the
@@ -692,10 +756,9 @@ def test_certificates_hold_the_fraction_vectors_of_sigma_theta(name):
 
 def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     # the DFS prunes every pair whose Cartan pairing leaves a remainder or
-    # is positive, and every dependent set, so each basis it completes is
-    # a simple system of finite type.  The lex-positive pool lies in an open
-    # half-space, where obtuse vectors are independent anyway; with every
-    # other sign flipped, only the Bareiss pivot keeps dependent sets out
+    # is positive.  Its lex-positive pool lies in an open half-space, where
+    # obtuse vectors are independent, so each basis it completes is a
+    # simple system of finite type
     leaves = []
 
     def record(label, basis, universe):
@@ -708,12 +771,36 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     for theta in [(2, 5, 7), (1, 2, 5), (2, 3, 7), (1, 3, 5, 6), (2, 4, 6, 7)]:
         pr = project_all(e7, theta)
         scaled = detect._Scaled(pr)
-        flipped = [neg(v) if i % 2 else v for i, v in enumerate(scaled.pool())]
         for label in irreducible_labels(pr.d):
-            for pool in (list(scaled.pool()), flipped):
-                list(detect._iter_bases(label, pool, scaled))
+            list(detect._iter_bases(label, list(scaled.pool()), scaled))
     assert leaves
     for basis in leaves:
         assert cartan_matrix(basis) is not None, basis
         # independent, obtuse and integral: a simple system of finite type
         assert match_type(basis) is not None, basis
+
+
+def test_iter_bases_is_handed_lex_positive_pools_only(monkeypatch):
+    # the DFS tests no independence: it relies on its pool lying in one
+    # open half-space, so every pool the searches hand it must hold
+    # lex-positive vectors only, whether pr.pool() or a part of it
+    pools = []
+    iter_bases = detect._iter_bases
+
+    def spy(label, pool, pr):
+        pools.append((pool, len(pr.pool())))
+        return iter_bases(label, pool, pr)
+
+    monkeypatch.setattr(detect, "_iter_bases", spy)
+    for name, theta in [("E7", (2, 5, 7)), ("E7", (1, 3, 5, 6)),
+                        ("E7", (1, 2, 5)), ("E8", (2, 3, 4, 5)),
+                        ("E8", (1, 2, 5, 7)), ("E8", (2, 5, 7, 8))]:
+        pr = project_all(build_from_name(name), theta)
+        classify_max_rank(pr)
+        for target in detection_targets(pr.d, reducible=True):
+            for restricted in (False, True):
+                find_subsystem(pr, target, restrict_to_delta_theta=restricted)
+    # some pools are pr.pool() narrowed by _orthogonal
+    assert any(len(pool) < full for pool, full in pools)
+    for pool, _ in pools:
+        assert all(v > neg(v) for v in pool)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SingularMatrixError, invert, mat_vec, matrix, vector
-from rootproj.linalg import (bareiss_minors, bareiss_row, bareiss_solve, dot,
-                             gram)
+from rootproj.linalg import bareiss_minors, bareiss_solve, dot, gram
 
 
 def transpose(m):
@@ -150,33 +149,6 @@ def test_bareiss_minors_stop_at_the_first_that_is_not_positive():
             with pytest.raises(ValueError, match="not positive definite"):
                 bareiss_solve(m, [(1,)] * n)
     assert stopped > 50
-
-
-small_int_vectors = st.lists(
-    st.lists(st.integers(-3, 3), min_size=5, max_size=5).map(tuple),
-    min_size=1, max_size=5)
-
-
-@settings(max_examples=120, deadline=None)
-@given(small_int_vectors, st.lists(st.integers(-2, 2), min_size=5, max_size=5))
-def test_bareiss_row_grows_the_minors_of_a_gram_matrix(vecs, coeffs):
-    # feeding the rows of a Gram matrix one at a time gives the pivots of
-    # bareiss_minors on the whole matrix, up to the first that is not
-    # positive; after independent vectors, a combination of them adds a
-    # pivot of 0
-    g = gram(vecs)
-    want = bareiss_minors([list(row) for row in g], len(g))
-    elim = []
-    for i, grow in enumerate(g):
-        elim.append(bareiss_row(elim, grow[:i + 1]))
-        if elim[-1][-1] <= 0:
-            break
-    assert [row[-1] for row in elim] == want
-    if want[-1] > 0 and len(want) == len(vecs):
-        v = tuple(sum(c * u[j] for c, u in zip(coeffs, vecs))
-                  for j in range(5))
-        last = bareiss_row(elim, [dot(u, v) for u in vecs] + [dot(v, v)])
-        assert last[-1] == 0
 
 
 def test_fractions_canonical():
