@@ -24,12 +24,16 @@ decides the question without any search.
 
 Exact rationals at the edge, integers inside, never floats.  Every test
 of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
-inside a finite set), so ``find_subsystem`` and ``classify_max_rank``
-run it on the projection times its common denominator (``_Scaled``,
-int tuples) and map each certificate back onto the Fraction vectors of
-sigma_theta when its report is built.  Positive scaling keeps the
-(norm, coordinates) order of the pool and of every closure frontier, so
-the first certificate is the one the Fraction search would find.  The
+inside a finite set), so the search behind ``find_subsystem`` and
+``classify_max_rank`` reads only the int fields of ``ProjectionResult``:
+the projection times its common denominator (``sigma_scaled``,
+``delta_scaled``) with its ``census_scaled``, ``sigma_scaled_set`` and
+``pool_scaled``.  Each certificate is mapped back onto the Fraction
+vectors of sigma_theta when its report is built, and ``revalidate``
+scales a certificate and its universe to ints the same way before it
+checks them.  Positive scaling keeps the (norm, coordinates)
+order of the pool and of every closure frontier, so the first
+certificate is the one the Fraction search would find.  The
 functions here stay generic: ``certify``, ``match_type`` and
 ``reflection_closure`` take int or Fraction vectors alike, and a
 pairing is a Cartan integer exactly when ``divmod`` leaves no
@@ -52,7 +56,6 @@ root is B_k, k - 1 of them C_k, and two at k = 4 F4.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
@@ -60,7 +63,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
 
 from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
 from .linalg import (IntVector, Vector, bareiss_minors, dot, neg, norm2, scale,
-                     sub)
+                     sub, to_ints)
 from .projection import ProjectionResult
 
 
@@ -301,37 +304,10 @@ def census_admits(target: Target, census: dict) -> bool:
 # basis search
 
 
-class _Scaled:
-    """A projection times its common denominator, as int tuples.
-
-    Carries the fields of ProjectionResult that the search reads, under
-    the same names, so the search runs on either; ``find_subsystem`` and
-    ``classify_max_rank`` hand it this one.  Squared norms scale by the
-    square of the denominator, so census keys and scales are ints too.
-    """
-
-    __slots__ = ("sigma_theta", "delta_theta", "census", "sigma_theta_set",
-                 "pair_reps")
-
-    def __init__(self, pr: ProjectionResult):
-        sigma = pr.sigma_scaled
-        norms = {v: norm2(v) for v in sigma}
-        reps = {max(v, neg(v)) for v in sigma}
-        self.sigma_theta = sigma
-        self.delta_theta = pr.delta_scaled
-        self.census = dict(Counter(norms.values()))
-        self.sigma_theta_set = frozenset(sigma)
-        self.pair_reps = tuple(sorted(reps, key=lambda v: (norms[v], v)))
-
-    def pool(self) -> Tuple[IntVector, ...]:
-        """One representative per +-pair, sorted by (squared norm, coords)."""
-        return self.pair_reps
-
-
 _MAX_DEGREE = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3, "F": 2, "G": 1}
 
 
-def _try_class_union(label: TypeLabel, base: int, pr: _Scaled,
+def _try_class_union(label: TypeLabel, base: int, pr: ProjectionResult,
                      pool_set: Set[IntVector]):
     """Decide occurrence when census classes exactly match the copy's sizes.
 
@@ -344,7 +320,7 @@ def _try_class_union(label: TypeLabel, base: int, pr: _Scaled,
     """
     root_prof = _profiles(_reduced(label))[1]
     class_norms = {base * rel for rel in root_prof}
-    union = [v for v in pr.sigma_theta if norm2(v) in class_norms]
+    union = [v for v in pr.sigma_scaled if norm2(v) in class_norms]
     for v in union:
         if max(v, neg(v)) not in pool_set:
             return None
@@ -354,13 +330,13 @@ def _try_class_union(label: TypeLabel, base: int, pr: _Scaled,
                if not any((sub(p, q) in pset) for q in positives if q != p)]
     if len(simples) != label.rank:
         return None
-    roots = certify(label, simples, pr.sigma_theta_set)
+    roots = certify(label, simples, pr.sigma_scaled_set)
     if isinstance(roots, ClosureFailure) or not roots.issuperset(union):
         return None
     return tuple(sorted(simples)), roots
 
 
-def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
+def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
                 ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Yield (basis, roots) realizations of an irreducible label.
 
@@ -372,7 +348,7 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
     doubled short roots; ``certify`` checks the doubles.
 
     Precondition: the pool holds lex-positive +-pair representatives, or
-    a subset of them (``_search`` passes ``pool()``, narrowed by
+    a subset of them (``_search`` passes ``pool_scaled``, narrowed by
     ``_orthogonal``).  They lie in one open half-space, where obtuse
     vectors are linearly independent (Humphreys, Introduction to Lie
     Algebras and Representation Theory, 10.1).  So a partial basis that
@@ -383,13 +359,14 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
     """
     inner = _reduced(label)
     basis_prof, root_prof = _profiles(inner)
-    universe = pr.sigma_theta_set
+    universe = pr.sigma_scaled_set
     pool_set = set(pool)
+    pool_norms = [(v, norm2(v)) for v in pool]
     maxdeg = _MAX_DEGREE[inner.family]
     k = label.rank
 
-    for base in census_scales(label, pr.census):
-        exact = all(pr.census.get(base * rel, 0) == need
+    for base in census_scales(label, pr.census_scaled):
+        exact = all(pr.census_scaled.get(base * rel, 0) == need
                     for rel, need in root_prof.items())
         if exact:
             hit = _try_class_union(label, base, pr, pool_set)
@@ -397,8 +374,9 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
                 yield hit
             continue
         need = {base * rel: cnt for rel, cnt in basis_prof.items()}
-        sub_pool = [v for v in pool if norm2(v) in need]
-        norms = [norm2(v) for v in sub_pool]
+        picked = [(v, n) for v, n in pool_norms if n in need]
+        sub_pool = [v for v, _ in picked]
+        norms = [n for _, n in picked]
 
         def dfs(start: int, picks: List[int], remaining: Dict[int, int],
                 deg: List[int], ncomp: int):
@@ -438,7 +416,7 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: _Scaled
 
 
 def _delta_subset_bases(label: TypeLabel, delta_pool: List[IntVector],
-                        pr: _Scaled, certified: dict
+                        pr: ProjectionResult, certified: dict
                         ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Realizations of a label whose basis is a subset of delta_theta.
 
@@ -452,7 +430,7 @@ def _delta_subset_bases(label: TypeLabel, delta_pool: List[IntVector],
     for subset in combinations(delta_pool, label.rank):
         key = (subset, label)
         if key not in certified:
-            certified[key] = certify(label, subset, pr.sigma_theta_set)
+            certified[key] = certify(label, subset, pr.sigma_scaled_set)
         if not isinstance(certified[key], ClosureFailure):
             yield subset, certified[key]
 
@@ -462,7 +440,7 @@ def _orthogonal(pool: List[IntVector], basis: Sequence[IntVector]
     return [v for v in pool if all(dot(v, b) == 0 for b in basis)]
 
 
-def _search(pr: _Scaled, target: Target, restricted: bool,
+def _search(pr: ProjectionResult, target: Target, restricted: bool,
             certified: dict) -> Optional[ClosureCertificate]:
     """First certified copy of the target, one factor after another.
 
@@ -480,7 +458,7 @@ def _search(pr: _Scaled, target: Target, restricted: bool,
     (2,4,5,6,7) G2xA1 and (2,5,7) F4xA1.  The census condition is
     necessary in both modes and is checked first.
     """
-    if not census_admits(target, pr.census):
+    if not census_admits(target, pr.census_scaled):
         return None
     pin_all = not target.has_exceptional_component
 
@@ -509,7 +487,7 @@ def _search(pr: _Scaled, target: Target, restricted: bool,
             witnesses.pop()
         return False
 
-    if search(0, list(pr.delta_theta), list(pr.pool())):
+    if search(0, list(pr.delta_scaled), list(pr.pool_scaled)):
         return ClosureCertificate(target, tuple(witnesses))
     return None
 
@@ -550,7 +528,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
     if target.rank != pr.d:
         raise ValueError(
             f"target rank {target.rank} does not match d={pr.d}")
-    cert = _search(_Scaled(pr), target, restrict_to_delta_theta, {})
+    cert = _search(pr, target, restrict_to_delta_theta, {})
     return _report(pr, target, cert, restrict_to_delta_theta)
 
 
@@ -565,16 +543,15 @@ def classify_max_rank(pr: ProjectionResult) -> List[DetectionReport]:
     """
     reports = []
     certified: dict = {}
-    scaled = _Scaled(pr)
     for target in detection_targets(pr.d, reducible=True,
                                     require_exceptional_component=True):
         if target.is_irreducible:
-            cert = _search(scaled, target, True, certified) \
-                or _search(scaled, target, False, certified)
+            cert = _search(pr, target, True, certified) \
+                or _search(pr, target, False, certified)
             reports.append(_report(pr, target, cert, False))
         else:
             reports.append(_report(
-                pr, target, _search(scaled, target, True, certified), True))
+                pr, target, _search(pr, target, True, certified), True))
     return reports
 
 
@@ -583,16 +560,24 @@ def revalidate(cert: ClosureCertificate, universe: frozenset) -> bool:
 
     The witness labels must be the target's normalized components, the
     witness bases pairwise orthogonal, and each witness's roots exactly
-    what ``certify`` makes of its label and basis inside universe.
+    what ``certify`` makes of its label and basis inside universe.  The
+    checks run on ints: the certificate and the universe times one common
+    denominator of all their coordinates, which changes no ratio test.
     """
     labels = sorted((w.label for w in cert.components),
                     key=lambda lab: lab.sort_key)
     if tuple(labels) != cert.target.normalized():
         return False
+    vectors = [*universe, *(v for w in cert.components
+                            for v in (*w.basis, *w.roots))]
+    ints = dict(zip(vectors, to_ints(vectors)[1]))
+    universe = frozenset(ints[v] for v in universe)
+    bases = [tuple(ints[v] for v in w.basis) for w in cert.components]
     for wi, witness in enumerate(cert.components):
-        for other in cert.components[wi + 1:]:
-            if any(dot(a, b) != 0 for a in witness.basis for b in other.basis):
+        for other in bases[wi + 1:]:
+            if any(dot(a, b) != 0 for a in bases[wi] for b in other):
                 return False
-        if certify(witness.label, witness.basis, universe) != witness.roots:
+        if certify(witness.label, bases[wi], universe) \
+                != frozenset(ints[v] for v in witness.roots):
             return False
     return True

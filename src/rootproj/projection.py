@@ -16,8 +16,10 @@ s*a_i, Bareiss elimination on the theta block of their int Gram matrix
 outside root a_i at once; s*det*delta_i = det*(s*a_i) - sum_j x_ij (s*a_j)
 is integral, and dividing it and s*det by their gcd gives exactly
 ``to_ints`` of delta_theta.  Every other projection is an integer
-combination of delta_theta, read off the root coefficients; the result
-keeps those ints next to the Fractions, and ``detect`` searches them.
+combination of delta_theta, read off the root coefficients.  The result
+keeps those ints next to the Fractions, each kind with its census,
+member set and pool, which one helper (``_views``) builds for both;
+``detect`` searches the ints.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ class ProjectionResult(NamedTuple):
     of sigma_theta, built once by project_all.  sigma_scaled and
     delta_scaled are sigma_theta and delta_theta times ``denominator``,
     a common denominator of their coordinates, as int tuples in the same
-    order.  The fields from sigma_theta_set on are functions of the ones
-    before them.
+    order; census_scaled, sigma_scaled_set and pool_scaled are the same
+    views of sigma_scaled, so the census keys are the Fraction ones times
+    ``denominator`` squared.  The fields from sigma_theta_set on are
+    functions of the ones before them.
     """
 
     system: RealizedRootSystem
@@ -58,10 +62,23 @@ class ProjectionResult(NamedTuple):
     denominator: int
     sigma_scaled: Tuple[IntVector, ...]
     delta_scaled: Tuple[IntVector, ...]
+    census_scaled: Dict[int, int]
+    sigma_scaled_set: frozenset
+    pool_scaled: Tuple[IntVector, ...]
 
     def pool(self) -> Tuple[Vector, ...]:
         """One representative per +-pair, sorted by (squared norm, coords)."""
         return self.pair_reps
+
+
+def _views(vectors: tuple) -> Tuple[dict, frozenset, tuple]:
+    """(census, member set, pool) of a sorted, negation-closed tuple of
+    Fraction or int vectors; the pool holds the lex-larger vector of each
+    +-pair, sorted by (squared norm, coords)."""
+    norms = {v: norm2(v) for v in vectors}
+    reps = {max(v, linalg.neg(v)) for v in vectors}
+    return (dict(Counter(norms.values())), frozenset(vectors),
+            tuple(sorted(reps, key=lambda v: (norms[v], v))))
 
 
 def project_all(sys: RealizedRootSystem, theta: Sequence[int]
@@ -91,19 +108,6 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     restrictions.discard((0,) * len(outside))
     sigma_scaled = tuple(v for v, _ in int_combine(restrictions, delta_scaled))
     sigma = from_ints(sigma_scaled, den)
-    norms = {v: norm2(v) for v in sigma}
-    reps = {max(v, linalg.neg(v)) for v in sigma}
-    return ProjectionResult(
-        system=sys,
-        theta=idx,
-        d=len(outside),
-        sigma_theta=sigma,
-        delta_theta=delta,
-        census=dict(Counter(norms.values())),
-        sigma_theta_set=frozenset(sigma),
-        pair_reps=tuple(sorted(reps, key=lambda v: (norms[v], v))),
-        denominator=den,
-        sigma_scaled=sigma_scaled,
-        delta_scaled=delta_scaled,
-    )
-
+    return ProjectionResult(sys, idx, len(outside), sigma, delta, *_views(sigma),
+                            den, sigma_scaled, delta_scaled,
+                            *_views(sigma_scaled))

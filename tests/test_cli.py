@@ -399,6 +399,15 @@ PINNED_BYTES = {
         "f74d99559438888b22a5ae2fce9669a88a2b4159b5918303b245cb9cd0ce90f4",
     "verify-paper --sigma F4 --format json":
         "899cbc5834492710435c8f231fa2ee9e8c31560add5f6f164bdf639215bdf7fe",
+    "enumerate --sigma F4 --format json":
+        "60222c48fef32c2631a8b7658e75491e8395e175f618477c032d344c1b43c02c",
+    "enumerate --sigma F4 --format json --jobs 2":
+        "60222c48fef32c2631a8b7658e75491e8395e175f618477c032d344c1b43c02c",
+    "enumerate --sigma E6 --format json":
+        "02a763f246fe2278cf68c23d02bc63fe6ce65d24dc4cd19cc9477a78c220a534",
+    # the same bytes as perfbench/reference.json's "enumerate E7"
+    "enumerate --sigma E7 --format json":
+        "c35abbce2098249eb9aa047d85347513cdf39e3d5f6aaf686e305adc2b8d3c61",
 }
 
 PINNED_ERRORS = {

@@ -20,8 +20,8 @@ from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              census_scales, certify, classify_max_rank,
                              find_subsystem, match_type, reflection_closure,
                              revalidate)
-from rootproj.linalg import dot, neg, norm2, scale, sub, to_ints
-from rootproj.projection import ProjectionResult, project_all
+from rootproj.linalg import dot, from_ints, neg, norm2, scale, sub, to_ints
+from rootproj.projection import ProjectionResult, _views, project_all
 
 
 def test_cartan_matrix_orthogonal_pair():
@@ -387,26 +387,26 @@ def test_new_g2_row_in_e8_cross_checked():
     assert rep_r.found
 
 
-def brute_bases(label, scaled):
+def brute_bases(label, pr):
     """What _iter_bases must yield: at each census scale, every k-subset
-    of the pool at the label's norms there that certify accepts, in
+    of the int pool at the label's norms there that certify accepts, in
     combinations order.  Where the census classes are exact, that is one
     basis, which the class-union shortcut yields sorted."""
     basis_prof, root_prof = detect._profiles(detect._reduced(label))
     out = []
-    for base in census_scales(label, scaled.census):
+    for base in census_scales(label, pr.census_scaled):
         norms = {base * rel for rel in basis_prof}
-        cands = [v for v in scaled.pool() if norm2(v) in norms]
+        cands = [v for v in pr.pool_scaled if norm2(v) in norms]
         # certify needs every pairing integral and none positive
         obtuse = {(u, v) for u, v in combinations(cands, 2)
                   if cartan_matrix([u, v]) is not None and dot(u, v) <= 0}
         hits = []
         for subset in combinations(cands, label.rank):
             if all(pair in obtuse for pair in combinations(subset, 2)):
-                roots = certify(label, subset, scaled.sigma_theta_set)
+                roots = certify(label, subset, pr.sigma_scaled_set)
                 if not isinstance(roots, ClosureFailure):
                     hits.append((subset, roots))
-        if all(scaled.census.get(base * rel, 0) == need
+        if all(pr.census_scaled.get(base * rel, 0) == need
                for rel, need in root_prof.items()):
             assert len(hits) <= 1, (label, base)
             hits = [(tuple(sorted(b)), roots) for b, roots in hits]
@@ -427,11 +427,10 @@ def test_iter_bases_yields_every_certified_subset_in_order(name, theta):
     # E7 (2, 5), E8 (2, 3, 4) and E7 (1,) hold D4 and D5 as factors of a
     # larger target, where only the depth-first search finds them
     pr = project_all(build_from_name(name), theta)
-    scaled = detect._Scaled(pr)
     for rank in range(3, min(pr.d, 5) + 1):
         for label in irreducible_labels(rank):
-            got = list(detect._iter_bases(label, list(scaled.pool()), scaled))
-            assert got == brute_bases(label, scaled), (name, theta, str(label))
+            got = list(detect._iter_bases(label, list(pr.pool_scaled), pr))
+            assert got == brute_bases(label, pr), (name, theta, str(label))
 
 
 def test_census_pruning_is_consistent():
@@ -619,18 +618,39 @@ def test_revalidate_compares_labels_with_target():
                       universe)
     assert not revalidate(ClosureCertificate(parse_target("B3"), (witness,)),
                           universe)
+    # revalidate scales to ints by one common denominator, which must come
+    # from both sides: the certificate's coordinates are halves, the
+    # universe also holds a third
+    half = Fraction(1, 2)
+    basis = tuple(scale(half, v) for v in c3.simple_roots)
+    roots = frozenset(scale(half, v) for v in c3.roots)
+    third = vector([Fraction(1, 3), 0, 0])
+    universe = roots | {third}
+    witness = ComponentWitness(TypeLabel("C", 3), basis, roots)
+    assert revalidate(ClosureCertificate(parse_target("C3"), (witness,)),
+                      universe)
+    assert not revalidate(ClosureCertificate(parse_target("B3"), (witness,)),
+                          universe)
+    # a tampered certificate is rejected: a root dropped or one added
+    for forged in (roots - {max(roots)}, roots | {third}):
+        assert not revalidate(ClosureCertificate(parse_target("C3"), (
+            ComponentWitness(TypeLabel("C", 3), basis, forged),)), universe)
+    # and so is a basis the universe does not close, also where a
+    # denominator of the certificate's alone would turn (1/3, 1, 0) into
+    # the missing root (0, 1, 0)
+    e2 = vector([0, 1, 0])
+    for short in (universe - {max(roots)}, roots - {e2} | {third, vector(
+            [Fraction(1, 3), 1, 0])}):
+        assert not revalidate(
+            ClosureCertificate(parse_target("C3"), (witness,)), short)
 
 
 def _hand_projection(vectors):
     sigma = tuple(sorted(vectors))
-    reps = {max(v, neg(v)) for v in sigma}
     den, sigma_scaled = to_ints(sigma)
     return ProjectionResult(
-        system=build_from_name("A2"), theta=(), d=2, sigma_theta=sigma,
-        delta_theta=(), census=dict(Counter(norm2(v) for v in sigma)),
-        sigma_theta_set=frozenset(sigma),
-        pair_reps=tuple(sorted(reps, key=lambda v: (norm2(v), v))),
-        denominator=den, sigma_scaled=sigma_scaled, delta_scaled=())
+        build_from_name("A2"), (), 2, sigma, (), *_views(sigma), den,
+        sigma_scaled, (), *_views(sigma_scaled))
 
 
 def test_class_union_rejects_six_vectors_that_are_no_a2():
@@ -640,8 +660,9 @@ def test_class_union_rejects_six_vectors_that_are_no_a2():
             [(1, 1), (1, -1), (Fraction(7, 5), Fraction(1, 5))]]
     pr = _hand_projection(vecs + [neg(v) for v in vecs])
     assert pr.census == {Fraction(2): 6}
-    assert _try_class_union(TypeLabel("A", 2), Fraction(2), pr,
-                            set(pr.pool())) is None
+    assert pr.denominator == 5 and pr.census_scaled == {50: 6}
+    assert _try_class_union(TypeLabel("A", 2), 50, pr,
+                            set(pr.pool_scaled)) is None
     assert not find_subsystem(pr, parse_target("A2")).found
 
 
@@ -649,8 +670,13 @@ def test_class_union_hit_in_e8():
     pr = project_all(build_from_name("E8"), (2, 5, 7))
     half = Fraction(1, 2)
     assert pr.census[half] == 2
-    v = max(u for u in pr.sigma_theta if norm2(u) == half)
-    hit = _try_class_union(TypeLabel("A", 1), half, pr, set(pr.pool()))
+    base = half * pr.denominator ** 2
+    assert base.denominator == 1 and pr.census_scaled[int(base)] == 2
+    v = max(u for u in pr.sigma_scaled if norm2(u) == base)
+    assert from_ints([v], pr.denominator)[0] \
+        == max(u for u in pr.sigma_theta if norm2(u) == half)
+    hit = _try_class_union(TypeLabel("A", 1), int(base), pr,
+                           set(pr.pool_scaled))
     assert hit == ((v,), frozenset([v, neg(v)]))
 
 
@@ -770,9 +796,8 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     e7 = build_from_name("E7")
     for theta in [(2, 5, 7), (1, 2, 5), (2, 3, 7), (1, 3, 5, 6), (2, 4, 6, 7)]:
         pr = project_all(e7, theta)
-        scaled = detect._Scaled(pr)
         for label in irreducible_labels(pr.d):
-            list(detect._iter_bases(label, list(scaled.pool()), scaled))
+            list(detect._iter_bases(label, list(pr.pool_scaled), pr))
     assert leaves
     for basis in leaves:
         assert cartan_matrix(basis) is not None, basis

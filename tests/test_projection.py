@@ -9,7 +9,8 @@ from oracles import (ExpansionConsistencyError, add,
                      simple_root_expansion, vector, zero)
 from rootproj.catalog import build_from_name
 from rootproj.classify import proper_subsets
-from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub, to_ints
+from rootproj.linalg import (dot, from_ints, is_zero, neg, norm2, scale, sub,
+                            to_ints)
 from rootproj.projection import project_all
 
 
@@ -228,3 +229,35 @@ def test_pool_is_one_rep_per_pair():
     assert all(v > neg(v) for v in pool)
     norms = [norm2(v) for v in pool]
     assert norms == sorted(norms)
+
+
+@pytest.mark.parametrize("name, max_size", [
+    ("F4", 3), ("E6", 5), ("E7", 6), ("E8", 2)])
+def test_int_views_map_onto_the_fraction_ones(name, max_size):
+    # project_all takes the census, member set and pool of sigma_theta and
+    # of sigma_scaled; divided by the denominator, the int views are the
+    # Fraction ones, the pool in the same order
+    sys = build_from_name(name)
+    for theta in proper_subsets(sys.rank):
+        if len(theta) > max_size:
+            break
+        pr = project_all(sys, theta)
+        den = pr.denominator
+        assert from_ints(pr.pool_scaled, den) == pr.pair_reps == pr.pool()
+        assert all(type(n) is int for n in pr.census_scaled)
+        assert {Fraction(n, den * den): c
+                for n, c in pr.census_scaled.items()} == pr.census
+        assert len(pr.sigma_scaled_set) == len(pr.sigma_theta_set)
+        assert frozenset(from_ints(pr.sigma_scaled_set, den)) \
+            == pr.sigma_theta_set
+        # sigma is sorted, closed under negation and zero-free, so its
+        # lex-positive half, the pool's members, is its upper half
+        for sigma, pool in ((pr.sigma_theta, pr.pair_reps),
+                            (pr.sigma_scaled, pr.pool_scaled)):
+            assert list(sigma) == sorted(set(sigma))
+            assert {neg(v) for v in sigma} == set(sigma)
+            assert not any(is_zero(v) for v in sigma)
+            half = len(sigma) // 2
+            assert len(sigma) == 2 * len(pool)
+            assert all(v > neg(v) for v in sigma[half:])
+            assert set(sigma[half:]) == set(pool)
