@@ -4,7 +4,7 @@
 candidate basis must have the label's Dynkin type (BC_k read as B_k, BC_1
 as A_1), its reflection closure must stay inside the projected set, and
 for BC the doubles of the shortest roots must be there as well.  The
-search, the class-union shortcut, the restricted search and
+search, the restricted search and
 ``revalidate`` all go through it.  ``_search`` is the single driver of
 both detection modes: it picks one factor of the target after another,
 the restricted mode taking some of them from delta_theta.  The search
@@ -14,13 +14,9 @@ pruned with the norm census of the projection, integral pairings none
 positive and the target's node degrees.  The pool lies in one open
 half-space, where obtuse vectors are linearly independent (Humphreys,
 10.1), so every partial basis with integral pairings is of finite type
-for ``match_type`` below without a further test.
-
-Raw subset enumeration would be hopeless at rank 7 over a hundred
-vectors, but the census frequently forces the candidate classes to have
-exactly the cardinality of the target system, in which case the only
-possible copy is the class union itself and certifying its simple roots
-decides the question without any search.
+for ``match_type`` below without a further test.  Every factor the
+search finds lists its basis in pool order, by (squared norm, coords);
+a factor pinned to delta_theta lists it in delta_theta order.
 
 Exact rationals at the edge, integers inside, never floats.  Every test
 of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
@@ -62,8 +58,8 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
-from .linalg import (IntVector, Vector, bareiss_minors, dot, neg, norm2, scale,
-                     sub, to_ints)
+from .linalg import (IntVector, Vector, bareiss_minors, dot, norm2, scale, sub,
+                     to_ints)
 from .projection import ProjectionResult
 
 
@@ -307,35 +303,6 @@ def census_admits(target: Target, census: dict) -> bool:
 _MAX_DEGREE = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3, "F": 2, "G": 1}
 
 
-def _try_class_union(label: TypeLabel, base: int, pr: ProjectionResult,
-                     pool_set: Set[IntVector]):
-    """Decide occurrence when census classes exactly match the copy's sizes.
-
-    If each needed class has exactly as many vectors as the copy would
-    contribute, any copy must equal the class union.  The union's
-    indecomposable lex-positive vectors are certified as a basis, and the
-    union must lie inside the roots they generate.  Those roots hold
-    exactly as many vectors at the class norms as the union does, so the
-    union is that copy.  This is sound and complete at this scale.
-    """
-    root_prof = _profiles(_reduced(label))[1]
-    class_norms = {base * rel for rel in root_prof}
-    union = [v for v in pr.sigma_scaled if norm2(v) in class_norms]
-    for v in union:
-        if max(v, neg(v)) not in pool_set:
-            return None
-    positives = [v for v in union if v > neg(v)]
-    pset = set(positives)
-    simples = [p for p in positives
-               if not any((sub(p, q) in pset) for q in positives if q != p)]
-    if len(simples) != label.rank:
-        return None
-    roots = certify(label, simples, pr.sigma_scaled_set)
-    if isinstance(roots, ClosureFailure) or not roots.issuperset(union):
-        return None
-    return tuple(sorted(simples)), roots
-
-
 def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
                 ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Yield (basis, roots) realizations of an irreducible label.
@@ -358,21 +325,13 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
     components that the remaining steps must join.
     """
     inner = _reduced(label)
-    basis_prof, root_prof = _profiles(inner)
+    basis_prof = _profiles(inner)[0]
     universe = pr.sigma_scaled_set
-    pool_set = set(pool)
     pool_norms = [(v, norm2(v)) for v in pool]
     maxdeg = _MAX_DEGREE[inner.family]
     k = label.rank
 
     for base in census_scales(label, pr.census_scaled):
-        exact = all(pr.census_scaled.get(base * rel, 0) == need
-                    for rel, need in root_prof.items())
-        if exact:
-            hit = _try_class_union(label, base, pr, pool_set)
-            if hit is not None:
-                yield hit
-            continue
         need = {base * rel: cnt for rel, cnt in basis_prof.items()}
         picked = [(v, n) for v, n in pool_norms if n in need]
         sub_pool = [v for v, _ in picked]

@@ -16,10 +16,9 @@ from rootproj.catalog import (FAMILIES, TypeLabel, build, build_from_name,
                               irreducible_labels, parse_target)
 from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
-                             ComponentWitness, _try_class_union, census_admits,
-                             census_scales, certify, classify_max_rank,
-                             find_subsystem, match_type, reflection_closure,
-                             revalidate)
+                             ComponentWitness, census_admits, census_scales,
+                             certify, classify_max_rank, find_subsystem,
+                             match_type, reflection_closure, revalidate)
 from rootproj.linalg import dot, from_ints, neg, norm2, scale, sub, to_ints
 from rootproj.projection import ProjectionResult, _views, project_all
 
@@ -390,8 +389,8 @@ def test_new_g2_row_in_e8_cross_checked():
 def brute_bases(label, pr):
     """What _iter_bases must yield: at each census scale, every k-subset
     of the int pool at the label's norms there that certify accepts, in
-    combinations order.  Where the census classes are exact, that is one
-    basis, which the class-union shortcut yields sorted."""
+    combinations order.  Where the census classes are exact, that is at
+    most one basis."""
     basis_prof, root_prof = detect._profiles(detect._reduced(label))
     out = []
     for base in census_scales(label, pr.census_scaled):
@@ -409,7 +408,6 @@ def brute_bases(label, pr):
         if all(pr.census_scaled.get(base * rel, 0) == need
                for rel, need in root_prof.items()):
             assert len(hits) <= 1, (label, base)
-            hits = [(tuple(sorted(b)), roots) for b, roots in hits]
         out.extend(hits)
     return out
 
@@ -425,7 +423,7 @@ def test_iter_bases_yields_every_certified_subset_in_order(name, theta):
     # every label of rank 3 to 5, past the d <= 3 slice of naive_find.
     # At rank 4 the first nine hold B4, C4 and D4, and E7 (1, 3, 5) none;
     # E7 (2, 5), E8 (2, 3, 4) and E7 (1,) hold D4 and D5 as factors of a
-    # larger target, where only the depth-first search finds them
+    # larger target
     pr = project_all(build_from_name(name), theta)
     for rank in range(3, min(pr.d, 5) + 1):
         for label in irreducible_labels(rank):
@@ -490,20 +488,21 @@ def test_census_conditions_for_g2_and_f4():
     assert any(classes.get(2 * n, 0) >= 24 and c >= 24 for n, c in classes.items())
 
 
-def test_find_subsystem_replays_the_f4_sweep_reference():
-    # every |theta| <= 2 query of F4, every irreducible target, both modes,
+@pytest.mark.parametrize("name, count", [("F4", 92), ("E7", 294)])
+def test_find_subsystem_replays_the_sweep_reference(name, count):
+    # every |theta| <= 2 query, every irreducible target, both modes,
     # against the verdicts and closure sizes recorded in the benchmark's
     # reference, with every certificate revalidated from scratch
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    want = json.loads(path.read_text())["sweep F4 theta<=2"]["queries"]
-    assert len(want) == 92
-    f4 = build_from_name("F4")
+    want = json.loads(path.read_text())[f"sweep {name} theta<=2"]["queries"]
+    assert len(want) == count
+    sys = build_from_name(name)
     prs = {}
     for key, expected in want.items():
         theta_s, target, mode = key.split(";")
         theta = tuple(int(i) for i in theta_s.split(","))
         if theta not in prs:
-            prs[theta] = project_all(f4, theta)
+            prs[theta] = project_all(sys, theta)
         pr = prs[theta]
         rep = find_subsystem(pr, parse_target(target),
                              restrict_to_delta_theta=mode == "restricted")
@@ -653,7 +652,7 @@ def _hand_projection(vectors):
         sigma_scaled, (), *_views(sigma_scaled))
 
 
-def test_class_union_rejects_six_vectors_that_are_no_a2():
+def test_six_vectors_of_one_norm_that_are_no_a2():
     # one norm-2 class of exactly six vectors, as an A2 would have, but
     # (7/5, 1/5) makes no 120 degree angle with the other two
     vecs = [vector(v) for v in
@@ -661,23 +660,22 @@ def test_class_union_rejects_six_vectors_that_are_no_a2():
     pr = _hand_projection(vecs + [neg(v) for v in vecs])
     assert pr.census == {Fraction(2): 6}
     assert pr.denominator == 5 and pr.census_scaled == {50: 6}
-    assert _try_class_union(TypeLabel("A", 2), 50, pr,
-                            set(pr.pool_scaled)) is None
     assert not find_subsystem(pr, parse_target("A2")).found
 
 
-def test_class_union_hit_in_e8():
+def test_iter_bases_finds_the_pair_an_exact_census_class_holds():
+    # E8 theta = {2, 5, 7} has exactly two vectors of squared norm 1/2,
+    # as many as an A1 has roots: the search yields that +-pair first
     pr = project_all(build_from_name("E8"), (2, 5, 7))
     half = Fraction(1, 2)
-    assert pr.census[half] == 2
+    assert min(pr.census) == half and pr.census[half] == 2
     base = half * pr.denominator ** 2
     assert base.denominator == 1 and pr.census_scaled[int(base)] == 2
     v = max(u for u in pr.sigma_scaled if norm2(u) == base)
     assert from_ints([v], pr.denominator)[0] \
         == max(u for u in pr.sigma_theta if norm2(u) == half)
-    hit = _try_class_union(TypeLabel("A", 1), int(base), pr,
-                           set(pr.pool_scaled))
-    assert hit == ((v,), frozenset([v, neg(v)]))
+    hits = detect._iter_bases(TypeLabel("A", 1), list(pr.pool_scaled), pr)
+    assert next(hits) == ((v,), frozenset([v, neg(v)]))
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +778,33 @@ def test_certificates_hold_the_fraction_vectors_of_sigma_theta(name):
     assert seen > 0
 
 
+@pytest.mark.parametrize("name", ["F4", "C4", "C5", "BC4"])
+def test_every_found_factor_lists_its_basis_in_search_order(name):
+    # one basis order for every found copy: a factor pinned to delta_theta
+    # in delta_theta order, any other in pool order, by (squared norm,
+    # coords), the order in which the depth-first search picks it
+    sys = build_from_name(name)
+    factors = 0
+    for theta in proper_subsets(sys.rank):
+        pr = project_all(sys, theta)
+        pool = {v: i for i, v in enumerate(pr.pool())}
+        delta = {v: i for i, v in enumerate(pr.delta_theta)}
+        for target in detection_targets(pr.d, reducible=True):
+            pin_all = not target.has_exceptional_component
+            for restricted in (False, True):
+                rep = find_subsystem(pr, target, restricted)
+                if not rep.found:
+                    continue
+                for w in rep.certificate.components:
+                    pinned = restricted and (pin_all or w.label.is_exceptional)
+                    order = delta if pinned else pool
+                    idx = [order[v] for v in w.basis]
+                    assert idx == sorted(idx), (name, theta, str(target),
+                                                restricted, w.basis)
+                    factors += 1
+    assert factors > 0
+
+
 def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     # the DFS prunes every pair whose Cartan pairing leaves a remainder or
     # is positive.  Its lex-positive pool lies in an open half-space, where
@@ -792,7 +817,6 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
         return ClosureFailure(mistyped=True)
 
     monkeypatch.setattr(detect, "certify", record)
-    monkeypatch.setattr(detect, "_try_class_union", lambda *args: None)
     e7 = build_from_name("E7")
     for theta in [(2, 5, 7), (1, 2, 5), (2, 3, 7), (1, 3, 5, 6), (2, 4, 6, 7)]:
         pr = project_all(e7, theta)
