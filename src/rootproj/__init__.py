@@ -1,11 +1,10 @@
 """Exact-arithmetic projections of root systems and subsystem detection."""
 
 from .catalog import (RealizedRootSystem, Target, TypeLabel, build,
-                      build_from_name, cartan_matrix, detection_targets,
-                      parse_label, parse_target)
-from .classify import (ClassicalPrediction, ClassificationRecord,
-                       classical_predicate, classify_theta, enumerate_records,
-                       oracle_equivalence, verify_paper)
+                      cartan_matrix, detection_targets, parse_label,
+                      parse_target)
+from .classify import (ClassificationRecord, classify_theta,
+                       enumerate_records, verify_paper)
 from .detect import (ClosureCertificate, ClosureFailure, DetectionReport,
                      classify_max_rank, find_subsystem, match_type,
                      reflection_closure, revalidate)
@@ -13,10 +12,10 @@ from .linalg import dot
 from .projection import ProjectionResult, project_all
 
 __all__ = [
-    "RealizedRootSystem", "Target", "TypeLabel", "build", "build_from_name",
-    "cartan_matrix", "detection_targets", "parse_label", "parse_target",
-    "ClassicalPrediction", "ClassificationRecord", "classical_predicate",
-    "classify_theta", "enumerate_records", "oracle_equivalence", "verify_paper",
+    "RealizedRootSystem", "Target", "TypeLabel", "build", "cartan_matrix",
+    "detection_targets", "parse_label", "parse_target",
+    "ClassificationRecord", "classify_theta", "enumerate_records",
+    "verify_paper",
     "ClosureCertificate", "ClosureFailure", "DetectionReport",
     "classify_max_rank", "find_subsystem", "match_type", "reflection_closure",
     "revalidate",

@@ -324,10 +324,6 @@ def build(label: TypeLabel) -> RealizedRootSystem:
     return sys
 
 
-def build_from_name(name: str) -> RealizedRootSystem:
-    return build(parse_label(name))
-
-
 def irreducible_labels(rank: int) -> List[TypeLabel]:
     """Irreducible detection targets of the given rank.
 

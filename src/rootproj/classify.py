@@ -1,132 +1,19 @@
-"""Subset enumeration, classical-family predicates, and table verification.
+"""Subset enumeration and table verification.
 
-For the classical families the type of a maximal-rank system in the
-projection is decided by arithmetic on the shape of theta alone: decode
-theta into blocks of glued coordinate indices (plus the special tail
-component touching the short/long/fork end), and compare block sizes.
-``classical_predicate`` implements those rules; ``oracle_equivalence``
-replays every prediction against the search-based detector, which knows
-nothing about the rules.
-
-``verify_paper`` compares the detector's findings over every proper
-theta of an exceptional system against the bundled reference tables and
-reports the exact symmetric difference.
+``enumerate_records`` runs the detector over every proper theta of a
+system, one record per theta.  ``verify_paper`` compares its findings on
+an exceptional system against the bundled reference tables and reports
+the exact symmetric difference.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
-from .catalog import (RealizedRootSystem, Target, TypeLabel, build,
-                      check_theta, parse_target)
-from .detect import DetectionReport, classify_max_rank, find_subsystem
+from .catalog import RealizedRootSystem, Target, TypeLabel, build, parse_target
+from .detect import DetectionReport, classify_max_rank
 from .projection import project_all
-
-
-class ClassicalPrediction(NamedTuple):
-    """Outcome of the block-arithmetic rules for one (system, theta)."""
-
-    predicted: Optional[TypeLabel]
-    condition_trace: str
-
-
-def _block_sizes(count: int, glued: Callable[[int], bool]) -> List[int]:
-    """Sizes of maximal runs of 1..count, where glued(i) joins i and i+1."""
-    sizes = []
-    run = 1
-    for i in range(1, count):
-        if glued(i):
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    sizes.append(run)
-    return sizes
-
-
-def classical_predicate(label: TypeLabel, theta: Sequence[int]) -> ClassicalPrediction:
-    """Maximal-rank prediction for a classical system from theta's shape.
-
-    Returns the guaranteed type when one of the uniform conditions holds
-    (equal-size glued blocks separated by single gaps, with the family
-    end treated according to its tail component), and no prediction
-    otherwise.  Mixed-size configurations carry no stated guarantee and
-    come back empty.
-    """
-    if label.family not in ("A", "B", "C", "D"):
-        raise ValueError("classical families only")
-    sys = build(label)
-    idx = set(check_theta(sys, theta))
-    n = label.rank
-    none = ClassicalPrediction(None, "no uniform block structure")
-
-    if label.family == "A":
-        sizes = _block_sizes(n + 1, lambda i: i in idx)
-        if len(set(sizes)) == 1 and sizes[0] >= 2:
-            d = len(sizes) - 1
-            return ClassicalPrediction(
-                TypeLabel("A", d),
-                f"{len(sizes)} blocks of size {sizes[0]}: n+1=(m+1)(d+1)")
-        return none
-
-    if label.family in ("B", "C"):
-        k = 0
-        j = n
-        while j >= 1 and j in idx:
-            k += 1
-            j -= 1
-        sizes = _block_sizes(n - k, lambda i: i in idx) if n - k > 0 else []
-        b = len(sizes)
-        if sizes and len(set(sizes)) == 1:
-            s = sizes[0]
-            if label.family == "B":
-                if s == 1 and k >= 1:
-                    return ClassicalPrediction(
-                        TypeLabel("B", n - k), f"tail of length {k}, bare blocks: B_(n-k)")
-                if s >= 2:
-                    return ClassicalPrediction(
-                        TypeLabel("BC", b), f"{b} blocks of size {s}, tail {k}: BC_d")
-            else:
-                if k >= 1:
-                    return ClassicalPrediction(
-                        TypeLabel("BC", b), f"{b} blocks of size {s}, tail {k}: BC_d")
-                if s >= 2:
-                    return ClassicalPrediction(
-                        TypeLabel("C", b), f"{b} blocks of size {s}, no tail: C_d")
-        if label.family == "C" and b == 2 and \
-                (sizes[0] * 3 == sizes[1] or sizes[1] * 3 == sizes[0]):
-            return ClassicalPrediction(
-                TypeLabel("A", 2), f"blocks {sizes}: p=3m+2 gives A_2")
-        return none
-
-    # family D
-    fork1, fork2 = (n - 1) in idx, n in idx
-    if fork1 and fork2:
-        k = 2
-        j = n - 2
-        while j >= 1 and j in idx:
-            k += 1
-            j -= 1
-        sizes = _block_sizes(n - k, lambda i: i in idx) if n - k > 0 else []
-        if sizes and len(set(sizes)) == 1:
-            s = sizes[0]
-            if s == 1:
-                return ClassicalPrediction(
-                    TypeLabel("B", n - k), f"fork component D_{k}: recover B_(n-k)")
-            return ClassicalPrediction(
-                TypeLabel("BC", len(sizes)),
-                f"fork component D_{k}, {len(sizes)} blocks of size {s}: BC_d")
-        return none
-    if fork1 or fork2:
-        sizes = _block_sizes(
-            n, lambda i: i in idx or (i == n - 1 and n in idx))
-        if len(set(sizes)) == 1 and sizes[0] >= 2:
-            return ClassicalPrediction(
-                TypeLabel("C", len(sizes)),
-                f"one fork root, {len(sizes)} blocks of size {sizes[0]}: C_d")
-        return none
-    return none
 
 
 class ClassificationRecord(NamedTuple):
@@ -277,60 +164,3 @@ def verify_paper(label: TypeLabel,
             if row in found)
     return VerificationReport(label, missing, unexpected, negatives_violated,
                               records_checked)
-
-
-# ---------------------------------------------------------------------------
-# classical oracle equivalence
-
-
-class OracleEntry(NamedTuple):
-    theta: Tuple[int, ...]
-    prediction: Optional[str]
-    trace: str
-    confirmed: Optional[bool]          # None when there was nothing to confirm
-    exceptional_found: Tuple[str, ...]
-
-
-class OracleReport(NamedTuple):
-    sigma: TypeLabel
-    entries: Tuple[OracleEntry, ...]
-
-    @property
-    def disagreements(self) -> List[OracleEntry]:
-        return [e for e in self.entries
-                if e.confirmed is False or e.exceptional_found]
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-
-def oracle_equivalence(label: TypeLabel) -> OracleReport:
-    """Replay every block-rule prediction against the detector.
-
-    Also asserts that no exceptional irreducible system of maximal rank
-    is ever detected in a classical projection.
-    """
-    sys = build(label)
-    entries = []
-    for theta in proper_subsets(label.rank):
-        pred = classical_predicate(label, theta)
-        pr = project_all(sys, theta)
-        confirmed: Optional[bool] = None
-        if pred.predicted is not None:
-            confirmed = find_subsystem(pr, Target((pred.predicted,))).found
-        exceptional = []
-        if pr.d == 2:
-            if find_subsystem(pr, Target((TypeLabel("G", 2),))).found:
-                exceptional.append("G2")
-        if pr.d == 4:
-            if find_subsystem(pr, Target((TypeLabel("F", 4),))).found:
-                exceptional.append("F4")
-        entries.append(OracleEntry(
-            theta=theta,
-            prediction=str(pred.predicted) if pred.predicted else None,
-            trace=pred.condition_trace,
-            confirmed=confirmed,
-            exceptional_found=tuple(exceptional),
-        ))
-    return OracleReport(label, tuple(entries))

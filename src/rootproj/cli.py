@@ -119,22 +119,19 @@ def cmd_enumerate(args) -> int:
             f"{label} has {count} proper theta subsets, more than "
             f"{MAX_ENUMERATE_THETAS}; pass --force to enumerate them anyway")
     tasks = ((args.sigma, t) for t in proper_subsets(label.rank))
-    # the pool forks all its workers at the first task: no more than CPUs
+    # the pool forks all its workers when it starts: no more than CPUs
     workers = min(args.jobs, os.cpu_count() or 1)
     with _output(args.out) as out:
         if args.format == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)
         if workers > 1:
             # imported here so that serial commands do not load multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                try:
-                    for doc in pool.map(_one_record, tasks, chunksize=4):
-                        _write_record(out, doc, args.format)
-                except BaseException:
-                    # leaving the block waits for every queued theta
-                    pool.shutdown(cancel_futures=True)
-                    raise
+            from multiprocessing import Pool
+            # leaving the block terminates the workers, so a failed write
+            # does not wait for the theta they already hold
+            with Pool(workers) as pool:
+                for doc in pool.imap(_one_record, tasks, chunksize=4):
+                    _write_record(out, doc, args.format)
         else:
             for task in tasks:
                 _write_record(out, _one_record(task), args.format)

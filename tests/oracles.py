@@ -9,16 +9,30 @@ roots expand integrally and with one sign.  ``shape_match_type`` types a
 candidate basis the way the package did before it used the finite-type
 criterion: from Fraction pairings, by walking the shape of the Dynkin
 diagram.
+
+``classical_predicate`` holds the paper's block rules for the classical
+families, which name the rank-d types of the projection from the shape
+of theta alone; ``oracle_equivalence`` holds the detector to them in
+both directions.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
-from rootproj.catalog import RealizedRootSystem, TypeLabel
+from rootproj.catalog import (RealizedRootSystem, TypeLabel, build,
+                              check_theta, detection_targets,
+                              normalize_components, parse_label)
+from rootproj.classify import proper_subsets
+from rootproj.detect import find_subsystem
 from rootproj.linalg import (Matrix, Vector, dot, gram, is_zero, norm2, scale,
                              sub)
-from rootproj.projection import ProjectionResult
+from rootproj.projection import ProjectionResult, project_all
+
+
+def build_from_name(name: str) -> RealizedRootSystem:
+    return build(parse_label(name))
 
 
 class SingularMatrixError(ValueError):
@@ -280,3 +294,168 @@ def shape_match_type(basis: Sequence[Vector]
         out.append((label, tuple(comp)))
     out.sort(key=lambda item: item[1][0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the block rules of the classical families
+
+
+class ClassicalPrediction(NamedTuple):
+    """Outcome of the block rules for one (system, theta)."""
+
+    predicted: Optional[TypeLabel]
+    condition_trace: str
+
+
+def _block_sizes(count: int, glued: Callable[[int], bool]) -> List[int]:
+    """Sizes of maximal runs of 1..count, where glued(i) joins i and i+1."""
+    sizes = []
+    run = 1
+    for i in range(1, count):
+        if glued(i):
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    return sizes
+
+
+def classical_predicate(label: TypeLabel, theta: Sequence[int]
+                        ) -> ClassicalPrediction:
+    """The irreducible rank-d type of sigma_theta, from theta's shape.
+
+    A chain root e_i - e_{i+1} in theta glues coordinates i and i+1 into
+    one block, and the projection sends every e_i of a block of size s
+    to the block's mean u, with <u, u> = 1/s.  At the end of the diagram
+    theta may hold a tail: a run of roots through e_n (B), 2e_n (C) or
+    both e_{n-1} -+ e_n (D).  Its coordinates project to 0.  On D a
+    single fork root glues n-1 and n, up to the sign of e_n.
+
+    A_n: sigma_theta is {u_j - u_l} over the d + 1 blocks of the n + 1
+    coordinates.  Equal sizes s (n + 1 = s(d + 1)) make it A_d, scaled
+    by 1/s.  Two blocks of any sizes leave one pair +-(u_1 - u_2): A_1.
+
+    B_n, C_n, D_n: sigma_theta is {+-u_j +- u_l} over the d blocks left
+    of the tail, with +-u_j where a short root reaches the block (e_i in
+    B; e_i +- e_t, t in the tail, in C and D) and +-2u_j where a long one
+    does (2e_i in C; e_i + e_i' inside a block of size s >= 2 in B, D).
+
+    - Equal sizes make the u_j orthogonal of one norm: BC_d with both
+      kinds of roots, B_d with short ones only, C_d with long ones only.
+      Every proper theta gives one kind: B has e_i, C has 2e_i, and D
+      without a tail glues a block.
+    - Two blocks of sizes m and 3m: 2u_2, u_1 - u_2 and -u_1 - u_2 all
+      have norm 4/(3m) and sum to 0, an A_2.
+
+    Every other shape predicts no irreducible type of rank d.
+    """
+    if label.family not in ("A", "B", "C", "D"):
+        raise ValueError("classical families only")
+    idx = set(check_theta(build(label), theta))
+    n = label.rank
+
+    if label.family == "A":
+        sizes = _block_sizes(n + 1, lambda i: i in idx)
+        if len(set(sizes)) == 1 or len(sizes) == 2:
+            return ClassicalPrediction(
+                TypeLabel("A", len(sizes) - 1),
+                f"blocks {sizes}: A_d from equal sizes or two blocks")
+        return ClassicalPrediction(None, f"blocks {sizes}: no rule")
+
+    fork = label.family == "D" and {n - 1, n} <= idx
+    if label.family == "D" and not fork:
+        sizes = _block_sizes(
+            n, lambda i: i in idx or (i == n - 1 and n in idx))
+        short, tail = False, 0
+    else:
+        tail = 2 if fork else 0
+        while n - tail in idx:
+            tail += 1
+        sizes = _block_sizes(n - tail, lambda i: i in idx)
+        short = label.family != "C" or tail > 0
+    if len(set(sizes)) == 1:
+        long = label.family == "C" or sizes[0] >= 2
+        family = {(True, True): "BC", (True, False): "B",
+                  (False, True): "C"}[short, long]
+        return ClassicalPrediction(
+            TypeLabel(family, len(sizes)),
+            f"blocks {sizes}, tail {tail}: {family}_d")
+    if len(sizes) == 2 and max(sizes) == 3 * min(sizes):
+        return ClassicalPrediction(
+            TypeLabel("A", 2), f"blocks {sizes}: sizes m and 3m give A_2")
+    return ClassicalPrediction(None, f"blocks {sizes}, tail {tail}: no rule")
+
+
+def _names(labels: Iterable[TypeLabel]) -> Tuple[str, ...]:
+    """Distinct names of labels in canonical form (C2 is B2, D3 is A3)."""
+    return tuple(sorted({str(lab) for lab in normalize_components(labels)}))
+
+
+def predicted_labels(label: Optional[TypeLabel]) -> Tuple[str, ...]:
+    """label with the irreducible types of its rank that it contains:
+    BC_d holds B_d, C_d and D_d, and B_d, C_d hold D_d (D_2 = A_1 x A_1
+    is not irreducible, so from d = 3)."""
+    if label is None:
+        return ()
+    d = label.rank
+    out = [label]
+    if label.family == "BC":
+        out += [TypeLabel("B", d), TypeLabel("C", d)]
+    if label.family in ("B", "C", "BC") and d >= 3:
+        out.append(TypeLabel("D", d))
+    return _names(out)
+
+
+class OracleEntry(NamedTuple):
+    """One theta: the block rules' types against the detector's."""
+
+    theta: Tuple[int, ...]
+    prediction: Optional[str]
+    trace: str
+    predicted: Tuple[str, ...]   # predicted_labels of the prediction
+    found: Tuple[str, ...]       # irreducible rank-d types found unrestricted
+
+    @property
+    def confirmed(self) -> bool:
+        return self.predicted == self.found
+
+
+class OracleReport(NamedTuple):
+    sigma: TypeLabel
+    entries: Tuple[OracleEntry, ...]
+
+    @property
+    def disagreements(self) -> List[OracleEntry]:
+        return [e for e in self.entries if not e.confirmed]
+
+    @property
+    def ok(self) -> bool:
+        return not self.disagreements
+
+
+def oracle_equivalence(label: TypeLabel,
+                       thetas: Optional[Iterable[Sequence[int]]] = None
+                       ) -> OracleReport:
+    """Replay the block rules against the detector, both ways.
+
+    For each theta (every proper one by default) the irreducible rank-d
+    types the detector finds without restriction must be exactly the
+    prediction and what it contains: a type found that no rule predicts
+    is a disagreement, as is a predicted type not found.
+    """
+    sys = build(label)
+    entries = []
+    for theta in proper_subsets(label.rank) if thetas is None else thetas:
+        pred = classical_predicate(label, theta)
+        pr = project_all(sys, theta)
+        found = [t.components[0] for t in detection_targets(pr.d)
+                 if find_subsystem(pr, t).found]
+        entries.append(OracleEntry(
+            theta=tuple(theta),
+            prediction=str(pred.predicted) if pred.predicted else None,
+            trace=pred.condition_trace,
+            predicted=predicted_labels(pred.predicted),
+            found=_names(found),
+        ))
+    return OracleReport(label, tuple(entries))

@@ -11,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (add, expansion_over_delta_theta, project_vector, reflect,
-                     simple_root_expansion, vector, zero)
+from oracles import (add, build_from_name, classical_predicate,
+                     expansion_over_delta_theta, oracle_equivalence,
+                     project_vector, reflect, simple_root_expansion, vector,
+                     zero)
 from rootproj import output
-from rootproj.catalog import Target, build_from_name, parse_label, parse_target
+from rootproj.catalog import Target, parse_label, parse_target
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
-                               TABLE_PRODUCT_RESTRICTED, classical_predicate,
-                               enumerate_records, load_golden_tables,
-                               oracle_equivalence, verify_paper)
+                               TABLE_PRODUCT_RESTRICTED, enumerate_records,
+                               load_golden_tables, verify_paper)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
                              find_subsystem, reflection_closure,
@@ -324,16 +325,27 @@ def test_criterion_4_norm_census_numbers():
     conclude(4, "norm census counts", not problems, "\n".join(problems))
 
 
+# Every theta of these systems, and the rank-8 theta of the A2 rule: two
+# blocks of sizes 2 and 6, or of sizes 1 and 3 beside a tail of four
+# coordinates.  Below rank 8 the rule meets sizes 1 and 3 only.
+CLASSICAL_ORACLE_CASES = [
+    *((f"{fam}{n}", None) for fam, low in (("A", 2), ("B", 2), ("C", 2),
+                                           ("D", 3)) for n in range(low, 8)),
+    ("B8", [(1, 2, 3, 4, 5, 7), (1, 2, 5, 6, 7, 8), (1, 3, 4, 5, 6, 7),
+            (2, 3, 5, 6, 7, 8)]),
+    ("D8", [(1, 2, 3, 4, 5, 7), (1, 2, 3, 4, 5, 8), (1, 2, 5, 6, 7, 8),
+            (1, 3, 4, 5, 6, 7), (1, 3, 4, 5, 6, 8), (2, 3, 5, 6, 7, 8)]),
+]
+
+
 def test_criterion_5_classical_oracle():
-    """Block-rule predictions confirmed; no exceptional type in classicals."""
+    """The block rules name exactly the irreducible rank-d types found."""
     problems = []
-    for fam in "ABCD":
-        for n in range(3, 7):
-            rep = oracle_equivalence(parse_label(f"{fam}{n}"))
-            for e in rep.disagreements:
-                problems.append(f"{fam}{n} {e.theta}: prediction={e.prediction} "
-                                f"confirmed={e.confirmed} "
-                                f"exceptional={e.exceptional_found}")
+    for name, thetas in CLASSICAL_ORACLE_CASES:
+        rep = oracle_equivalence(parse_label(name), thetas)
+        for e in rep.disagreements:
+            problems.append(f"{name} {e.theta}: predicted {e.predicted} "
+                            f"({e.trace}), found {e.found}")
     for name, theta, want in [("B4", (1, 3), "BC2"), ("C4", (2, 3), "A2"),
                               ("D4", (3, 4), "B2")]:
         pred = classical_predicate(parse_label(name), theta)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import add, matrix, simple_root_expansion, vector, zero
-from rootproj.catalog import (TypeLabel, build_from_name, cartan_matrix,
-                              check_theta, detection_targets,
-                              normalize_components, parse_label, parse_target)
+from oracles import (add, build_from_name, matrix, simple_root_expansion,
+                     vector, zero)
+from rootproj.catalog import (TypeLabel, cartan_matrix, check_theta,
+                              detection_targets, normalize_components,
+                              parse_label, parse_target)
 from rootproj.detect import match_type, reflection_closure
 from rootproj.linalg import scale
 

@@ -1,8 +1,8 @@
 import pytest
 
+from oracles import classical_predicate, oracle_equivalence
 from rootproj.catalog import parse_label
-from rootproj.classify import (classical_predicate, enumerate_records,
-                               load_golden_tables, oracle_equivalence,
+from rootproj.classify import (enumerate_records, load_golden_tables,
                                proper_subsets, verify_paper)
 
 
@@ -48,6 +48,16 @@ def test_predicate_d_cases():
     assert str(pred("D4", (1, 4)).predicted) == "C2"
     assert pred("D4", (2,)).predicted is None
     assert str(pred("D5", (3, 4, 5)).predicted) == "B2"
+
+
+def test_predicate_two_block_rules():
+    # two blocks of any sizes on A_n leave one pair of roots
+    assert str(pred("A4", (1, 2, 3)).predicted) == "A1"
+    # blocks of sizes 1 and 3 give A2 on B and D as on C, tail or not
+    assert str(pred("B5", (1, 2, 5)).predicted) == "A2"
+    assert str(pred("D4", (1, 2)).predicted) == "A2"
+    assert str(pred("D6", (2, 3, 5, 6)).predicted) == "A2"
+    assert pred("B5", (1, 5)).predicted is None
 
 
 def test_predicate_rejects_exceptional_input():

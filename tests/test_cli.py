@@ -1,19 +1,23 @@
-import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from oracles import (build_from_name, project_vector, reflect,
+                     shape_match_type)
 from rootproj import cli, output
-from rootproj.catalog import build_from_name, parse_label, parse_target
+from rootproj.catalog import parse_label, parse_target
 from rootproj.cli import main
 from rootproj.detect import (ClosureCertificate, ComponentWitness,
                              DetectionReport, find_subsystem, revalidate)
+from rootproj.linalg import dot
 from rootproj.projection import project_all
 
 
@@ -174,6 +178,108 @@ def test_round_trip_detection_doc():
     assert revalidate(back.certificate, pr.sigma_theta_set)
 
 
+def _reflection_closure(basis, universe):
+    """The orbit of basis under its own reflections, which is the root
+    system it generates, or None once a vector leaves universe."""
+    orbit, frontier = set(basis), list(basis)
+    if not orbit <= universe:
+        return None
+    while frontier:
+        v = frontier.pop()
+        for b in basis:
+            w = reflect(v, b)
+            if w not in orbit:
+                if w not in universe:
+                    return None
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
+def _recheck_found_report(report, sigma_theta, delta_theta):
+    """Problems with one found report, read from its JSON alone."""
+    def vec(items):
+        return tuple(Fraction(x) for x in items)
+
+    target = parse_target(report["target"])
+    components = report["components"]
+    labels = sorted((parse_label(w["label"]) for w in components),
+                    key=lambda lab: lab.sort_key)
+    if tuple(labels) != target.normalized():
+        return [f"labels {labels} do not make {target}"]
+    problems = []
+    bases = [[vec(v) for v in w["basis"]] for w in components]
+    if [v for basis in bases for v in basis] != \
+            [vec(v) for v in report["basis"]]:
+        problems.append("basis is not the components' bases")
+    for i, basis in enumerate(bases):
+        for other in bases[i + 1:]:
+            if any(dot(u, v) for u in basis for v in other):
+                problems.append("components are not orthogonal")
+    size = 0
+    for w, basis in zip(components, bases):
+        # no component of F4, E6 or E7 is BC, whose doubled roots this
+        # closure leaves out
+        label = parse_label(w["label"])
+        if shape_match_type(basis) != [(label, tuple(range(len(basis))))]:
+            problems.append(f"{label}: basis is no simple system of it")
+            continue
+        roots = _reflection_closure(basis, sigma_theta)
+        if roots is None:
+            problems.append(f"{label}: closure leaves sigma_theta")
+            continue
+        if len(roots) != label.root_count or \
+                roots != {vec(v) for v in w["roots"]}:
+            problems.append(f"{label}: roots differ from the closure")
+        pinned = target.is_irreducible or label.is_exceptional
+        if report["basis_from_delta_theta"] and pinned and \
+                not set(basis) <= delta_theta:
+            problems.append(f"{label}: basis is not in delta_theta")
+        size += len(roots)
+    if size != report["closure_size"]:
+        problems.append(f"closure_size {report['closure_size']} != {size}")
+    return problems
+
+
+@pytest.mark.parametrize("name", ["F4", "E6", "E7"])
+def test_enumerate_json_rechecks_from_its_bytes(name, capsys):
+    # every found report of the pinned enumerate document is evidence on
+    # its own: the Fraction oracles project the roots again, and a
+    # reflection closure written here rebuilds each component, without
+    # the package's detector
+    assert main(["enumerate", "--sigma", name, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        PINNED_BYTES[f"enumerate --sigma {name} --format json"]
+    sys_ = build_from_name(name)
+    found = problems = 0
+    for line in text.splitlines():
+        doc = json.loads(line)
+        reports = [r for r in doc["reports"] if r["found"]]
+        if not reports:
+            continue
+        alphas = [sys_.simple_roots[i - 1] for i in doc["theta"]]
+        sigma_theta = {project_vector(alphas, r) for r in sys_.roots}
+        sigma_theta.discard(tuple(Fraction(0) for _ in alphas[0]))
+        delta_theta = {project_vector(alphas, a)
+                       for i, a in enumerate(sys_.simple_roots, 1)
+                       if i not in doc["theta"]}
+        assert doc["d"] == len(delta_theta)
+        for report in reports:
+            found += 1
+            for problem in _recheck_found_report(report, sigma_theta,
+                                                 delta_theta):
+                problems += 1
+                print(f"{name} theta={doc['theta']} {report['target']}: "
+                      f"{problem}")
+            # the check is not vacuous: a report missing a root fails it
+            w = report["components"][0]
+            cut = dict(report, components=[dict(w, roots=w["roots"][1:])])
+            assert _recheck_found_report(cut, sigma_theta, delta_theta)
+    assert problems == 0
+    assert found == {"F4": 2, "E6": 1, "E7": 4}[name]
+
+
 def test_main_direct_exit_codes():
     assert main(["project", "--sigma", "A3", "--theta", "2"]) == 0
     assert main(["project", "--sigma", "A3", "--theta", "7"]) == 2
@@ -222,7 +328,7 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(multiprocessing, "Pool", no_work)
     monkeypatch.setattr(cli, "_one_record", no_work)
     for jobs in ("0", "-1"):
         assert main(["enumerate", "--sigma", "G2", "--jobs", jobs]) == 2
@@ -230,13 +336,13 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
 
 
 def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
-    # the pool forks every worker it is given at the first task, so
+    # the pool forks every worker it is given when it starts, so
     # --jobs asks for no more than the CPUs; this fake starts none
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, processes):
+            started.append(processes)
 
         def __enter__(self):
             return self
@@ -244,13 +350,13 @@ def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def imap(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     argv = ["enumerate", "--sigma", "B3", "--format", "json"]
     assert main(argv) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for jobs in ("2", "100000"):
         assert main(argv + ["--jobs", jobs]) == 0
@@ -264,50 +370,31 @@ def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
     assert started == [2, 2]
 
 
-def test_enumerate_jobs_cancel_queued_theta_when_output_fails(monkeypatch,
-                                                             capsys):
-    # stdout closes after the first record (`| head -1`): the theta still
-    # queued are cancelled, not classified, and the error is one line
-    classified = []
+# seconds that each theta takes in the workers of the test below
+SLOW_RECORD_S = 0.25
 
-    class QueuedPool:
-        """Queues every task at map, as a real pool does, and on exit
-        waits for the ones neither run nor cancelled."""
 
-        def __init__(self, max_workers):
-            self.queue = []
+def _slow_record(task):
+    time.sleep(SLOW_RECORD_S)
+    return {}
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            classified.extend(self.queue)
-            return False
+def test_enumerate_jobs_stop_workers_when_output_fails(monkeypatch, capsys):
+    # stdout closes after the first record (`| head -1`): the workers stop
+    # with the chunks they hold, and the error is one line.  The first
+    # record comes after one chunk of 4 theta; waiting for the chunks
+    # queued behind it would take at least one chunk more.
+    def closed_pipe(out, doc, fmt):
+        raise BrokenPipeError(32, "Broken pipe")
 
-        def map(self, fn, tasks, chunksize=1):
-            self.queue = list(tasks)
-
-            def results():
-                while self.queue:
-                    task = self.queue.pop(0)
-                    classified.append(task)
-                    yield fn(task)
-            return results()
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            if cancel_futures:
-                self.queue.clear()
-
-    class ClosedPipe:
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", QueuedPool)
+    monkeypatch.setattr(cli, "_one_record", _slow_record)
+    monkeypatch.setattr(cli, "_write_record", closed_pipe)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    assert main(["enumerate", "--sigma", "B3", "--jobs", "2"]) == 2
+    start = time.perf_counter()
+    assert main(["enumerate", "--sigma", "F4", "--jobs", "2"]) == 2
+    elapsed = time.perf_counter() - start
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
-    assert classified == [("B3", (1,))]
+    assert elapsed < 6 * SLOW_RECORD_S, elapsed
 
 
 def test_enumerate_refuses_an_oversized_system(monkeypatch, capsys):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import pairing_matrix, reflect, shape_match_type, vector
+from oracles import (build_from_name, pairing_matrix, reflect,
+                     shape_match_type, vector)
 from rootproj import detect
-from rootproj.catalog import (FAMILIES, TypeLabel, build, build_from_name,
-                              cartan_matrix, detection_targets,
-                              irreducible_labels, parse_target)
+from rootproj.catalog import (FAMILIES, TypeLabel, build, cartan_matrix,
+                              detection_targets, irreducible_labels,
+                              parse_target)
 from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, census_scales,
@@ -853,3 +854,33 @@ def test_iter_bases_is_handed_lex_positive_pools_only(monkeypatch):
     assert any(len(pool) < full for pool, full in pools)
     for pool, _ in pools:
         assert all(v > neg(v) for v in pool)
+
+
+# E6's diagram automorphism: 1 <-> 6, 3 <-> 5, with 2 and 4 fixed
+E6_FLIP = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+
+
+def test_e6_diagram_automorphism_keeps_every_verdict():
+    # -w0 permutes the simple roots of E6 by the flip, as an isometry, so
+    # theta and its image project to isometric systems: the same d and
+    # census, the same maximal-rank reports, and the same verdict for
+    # every rank-d target in both modes
+    e6 = build_from_name("E6")
+
+    def summary(theta):
+        pr = project_all(e6, theta)
+        reports = [(r.target, r.found, r.basis_from_delta_theta,
+                    r.certificate.size if r.certificate else 0)
+                   for r in classify_max_rank(pr)]
+        verdicts = [find_subsystem(pr, target, restricted).found
+                    for target in detection_targets(pr.d, reducible=True)
+                    for restricted in (False, True)]
+        return pr.d, pr.census, reports, verdicts
+
+    summaries = {theta: summary(theta) for theta in proper_subsets(6)}
+    moved = [theta for theta in summaries if theta != tuple(sorted(
+        E6_FLIP[i] for i in theta))]
+    assert len(moved) == 48
+    for theta in moved:
+        image = tuple(sorted(E6_FLIP[i] for i in theta))
+        assert summaries[image] == summaries[theta], (theta, image)

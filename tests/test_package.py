@@ -9,7 +9,7 @@ SRC = Path(rootproj.__file__).resolve().parent
 
 # public entry points that no other package code calls: the tests and
 # library users are their only callers by design
-LIBRARY_ONLY = {"build_from_name", "oracle_equivalence", "revalidate"}
+LIBRARY_ONLY = {"revalidate"}
 
 
 def _defined_names(stmt):

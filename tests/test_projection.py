@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (ExpansionConsistencyError, add,
+from oracles import (ExpansionConsistencyError, add, build_from_name,
                      expansion_over_delta_theta, project_vector,
                      simple_root_expansion, vector, zero)
-from rootproj.catalog import build_from_name
 from rootproj.classify import proper_subsets
 from rootproj.linalg import (dot, from_ints, is_zero, neg, norm2, scale, sub,
                             to_ints)

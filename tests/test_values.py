@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import rootproj
-from rootproj import (ClosureFailure, Target, TypeLabel, build_from_name,
-                      classical_predicate, classify_theta, find_subsystem,
-                      oracle_equivalence, parse_label, parse_target,
-                      project_all, verify_paper)
+from oracles import build_from_name, classical_predicate, oracle_equivalence
+from rootproj import (ClosureFailure, Target, TypeLabel, classify_theta,
+                      find_subsystem, parse_label, parse_target, project_all,
+                      verify_paper)
 from rootproj.classify import load_golden_tables
 
 SRC = Path(rootproj.__file__).resolve().parent.parent
