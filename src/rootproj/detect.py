@@ -4,19 +4,19 @@
 candidate basis must have the label's Dynkin type (BC_k read as B_k, BC_1
 as A_1), its reflection closure must stay inside the projected set, and
 for BC the doubles of the shortest roots must be there as well.  The
-search, the restricted search and
-``revalidate`` all go through it.  ``_search`` is the single driver of
-both detection modes: it picks one factor of the target after another,
-the restricted mode taking some of them from delta_theta.  The search
-over one factor's bases is an incremental backtracking over one
-representative per +-pair, sorted by squared norm; partial bases are
+search and ``revalidate`` both go through it.  ``_search`` is the single
+driver of both detection modes: it picks one factor of the target after
+another, the restricted mode pinning some of them to delta_theta.  Every
+factor's bases, pinned or not, come from one incremental backtracking,
+``_iter_bases``, over a pool: one representative per +-pair sorted by
+squared norm, or delta_theta for a pinned factor.  Partial bases are
 pruned with the norm census of the projection, integral pairings none
-positive and the target's node degrees.  The pool lies in one open
+positive and the target's node degrees.  Both pools lie in one open
 half-space, where obtuse vectors are linearly independent (Humphreys,
 10.1), so every partial basis with integral pairings is of finite type
 for ``match_type`` below without a further test.  Every factor the
-search finds lists its basis in pool order, by (squared norm, coords);
-a factor pinned to delta_theta lists it in delta_theta order.
+search finds lists its basis in pool order: by (squared norm, coords),
+or in delta_theta order for a pinned factor.
 
 Exact rationals at the edge, integers inside, never floats.  Every test
 of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
@@ -53,7 +53,6 @@ root is B_k, k - 1 of them C_k, and two at k = 4 F4.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -307,22 +306,22 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
                 ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Yield (basis, roots) realizations of an irreducible label.
 
-    Exhaustive over the pool in deterministic order.  The pool must hold
-    one representative per +-pair: a subsystem always owns a simple
-    system made of lexicographically positive vectors (positivity in the
-    lex order is additive), so nothing is lost.  A BC label is searched
-    as its reduced type at the scales where the census can also hold the
-    doubled short roots; ``certify`` checks the doubles.
+    Exhaustive over the pool: every k-subset of it that ``certify``
+    accepts, census scale by census scale in ascending order and, within
+    a scale, in pool order (the order of ``combinations``).  A BC label
+    is searched as its reduced type at the scales where the census can
+    also hold the doubled short roots; ``certify`` checks the doubles.
 
-    Precondition: the pool holds lex-positive +-pair representatives, or
-    a subset of them (``_search`` passes ``pool_scaled``, narrowed by
-    ``_orthogonal``).  They lie in one open half-space, where obtuse
+    Precondition: the pool lies in one open half-space, where obtuse
     vectors are linearly independent (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 10.1).  So a partial basis that
-    keeps the label's norms, integral pairings none positive and the
-    label's node degrees is independent, hence of finite type for
-    ``match_type``: its diagram is a forest of len(picks) - edges
-    components that the remaining steps must join.
+    Algebras and Representation Theory, 10.1).  ``_search`` hands it two
+    such pools, each narrowed by ``_orthogonal``: the lex-positive
+    +-pair representatives ``pool_scaled``, and ``delta_scaled``, whose
+    vectors are linearly independent, and so is every subset of them.
+    So a partial basis that keeps the label's norms, integral pairings
+    none positive and the label's node degrees is independent, hence of
+    finite type for ``match_type``: its diagram is a forest of
+    len(picks) - edges components that the remaining steps must join.
     """
     inner = _reduced(label)
     basis_prof = _profiles(inner)[0]
@@ -374,48 +373,43 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
         yield from dfs(0, [], dict(need), [], 0)
 
 
-def _delta_subset_bases(label: TypeLabel, delta_pool: List[IntVector],
-                        pr: ProjectionResult, certified: dict
-                        ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
-    """Realizations of a label whose basis is a subset of delta_theta.
-
-    The projected simple roots are taken exactly as they come: if some
-    sign-flipped selection formed a simple system, the vectors as given
-    would too, because mixed signs inside a connected component would
-    contradict the one-signed integral expansion of the projected roots.
-    ``certified`` memoizes ``certify`` per (basis, label) across the
-    searches of one projection.
-    """
-    for subset in combinations(delta_pool, label.rank):
-        key = (subset, label)
-        if key not in certified:
-            certified[key] = certify(label, subset, pr.sigma_scaled_set)
-        if not isinstance(certified[key], ClosureFailure):
-            yield subset, certified[key]
-
-
 def _orthogonal(pool: List[IntVector], basis: Sequence[IntVector]
                 ) -> List[IntVector]:
     return [v for v in pool if all(dot(v, b) == 0 for b in basis)]
 
 
-def _search(pr: ProjectionResult, target: Target, restricted: bool,
-            certified: dict) -> Optional[ClosureCertificate]:
+def _search(pr: ProjectionResult, target: Target, restricted: bool
+            ) -> Optional[ClosureCertificate]:
     """First certified copy of the target, one factor after another.
 
-    Unrestricted, every factor's basis comes from the pool, i.e. anywhere
-    in sigma_theta up to sign.  Restricted, the pinned factors take their
-    basis from delta_theta: every factor of an irreducible or
-    all-classical target, but only the exceptional factors of a product
-    with an exceptional component, whose classical factors may sit
-    anywhere in sigma_theta orthogonal to the rest.  That is the reading
-    under which the bundled product tables are stated, so on product rows
-    ``basis_from_delta_theta`` vouches for the exceptional factors only.
-    Pinning every factor would make the basis all of delta_theta, whose
-    pairing matrix is of no finite type for five listed rows: E7
-    (1,3,5,6) G2xA1 and E8 (1,3,5,6) G2xA1xA1, (1,3,5,6,8) G2xA1,
-    (2,4,5,6,7) G2xA1 and (2,5,7) F4xA1.  The census condition is
-    necessary in both modes and is checked first.
+    Every factor's bases come from ``_iter_bases`` on a pool orthogonal
+    to the factors picked before it.  Unrestricted, that pool is
+    ``pool_scaled``, sigma_theta up to sign: a subsystem always owns a
+    simple system made of lexicographically positive vectors (positivity
+    in the lex order is additive), so nothing is lost.  Restricted, the
+    pinned factors take their basis from ``delta_scaled``: every factor
+    of an irreducible or all-classical target, but only the exceptional
+    factors of a product with an exceptional component, whose classical
+    factors may sit anywhere in sigma_theta orthogonal to the rest.  That
+    is the reading under which the bundled product tables are stated, so
+    on product rows ``basis_from_delta_theta`` vouches for the
+    exceptional factors only.  Pinning every factor would make the basis
+    all of delta_theta, whose pairing matrix is of no finite type for
+    five listed rows: E7 (1,3,5,6) G2xA1 and E8 (1,3,5,6) G2xA1xA1,
+    (1,3,5,6,8) G2xA1, (2,4,5,6,7) G2xA1 and (2,5,7) F4xA1.
+
+    The projected simple roots are taken exactly as they come: if some
+    sign-flipped selection formed a simple system, the vectors as given
+    would too, because mixed signs inside a connected component would
+    contradict the one-signed integral expansion of the projected roots.
+    So a pinned factor's bases are the k-subsets of delta_theta that
+    ``certify`` accepts.  They are tried census scale by census scale in
+    ascending order and, within a scale, in delta_theta order, so a
+    subset of shorter vectors comes first even when a subset of longer
+    ones comes earlier in delta_theta (an A1 or A2 factor on a
+    projection with two norms).  A free factor's bases come by (squared
+    norm, coords).  The census condition is necessary in both modes and
+    is checked first.
     """
     if not census_admits(target, pr.census_scaled):
         return None
@@ -433,9 +427,8 @@ def _search(pr: ProjectionResult, target: Target, restricted: bool,
         if ci == len(ordered):
             return True
         label = ordered[ci]
-        gen = _delta_subset_bases(label, delta_pool, pr, certified) \
-            if pinned(label) else _iter_bases(label, pool, pr)
-        for basis, roots in gen:
+        for basis, roots in _iter_bases(
+                label, delta_pool if pinned(label) else pool, pr):
             if ci > 0 and ordered[ci - 1] == label \
                     and basis <= witnesses[-1].basis:
                 continue  # identical factors: enforce an order, halve the work
@@ -487,7 +480,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
     if target.rank != pr.d:
         raise ValueError(
             f"target rank {target.rank} does not match d={pr.d}")
-    cert = _search(pr, target, restrict_to_delta_theta, {})
+    cert = _search(pr, target, restrict_to_delta_theta)
     return _report(pr, target, cert, restrict_to_delta_theta)
 
 
@@ -501,16 +494,14 @@ def classify_max_rank(pr: ProjectionResult) -> List[DetectionReport]:
     exceptional factors only (see ``_search``).
     """
     reports = []
-    certified: dict = {}
     for target in detection_targets(pr.d, reducible=True,
                                     require_exceptional_component=True):
         if target.is_irreducible:
-            cert = _search(pr, target, True, certified) \
-                or _search(pr, target, False, certified)
+            cert = _search(pr, target, True) or _search(pr, target, False)
             reports.append(_report(pr, target, cert, False))
         else:
             reports.append(_report(
-                pr, target, _search(pr, target, True, certified), True))
+                pr, target, _search(pr, target, True), True))
     return reports
 
 

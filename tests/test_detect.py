@@ -387,16 +387,16 @@ def test_new_g2_row_in_e8_cross_checked():
     assert rep_r.found
 
 
-def brute_bases(label, pr):
-    """What _iter_bases must yield: at each census scale, every k-subset
-    of the int pool at the label's norms there that certify accepts, in
-    combinations order.  Where the census classes are exact, that is at
-    most one basis."""
+def brute_bases(label, pr, pool):
+    """What _iter_bases must yield on an int pool: at each census scale,
+    every k-subset of the pool at the label's norms there that certify
+    accepts, in combinations order.  Where the census classes are exact,
+    that is at most one basis."""
     basis_prof, root_prof = detect._profiles(detect._reduced(label))
     out = []
     for base in census_scales(label, pr.census_scaled):
         norms = {base * rel for rel in basis_prof}
-        cands = [v for v in pr.pool_scaled if norm2(v) in norms]
+        cands = [v for v in pool if norm2(v) in norms]
         # certify needs every pairing integral and none positive
         obtuse = {(u, v) for u, v in combinations(cands, 2)
                   if cartan_matrix([u, v]) is not None and dot(u, v) <= 0}
@@ -421,15 +421,27 @@ def brute_bases(label, pr):
     ("E7", (1,)),
 ])
 def test_iter_bases_yields_every_certified_subset_in_order(name, theta):
-    # every label of rank 3 to 5, past the d <= 3 slice of naive_find.
-    # At rank 4 the first nine hold B4, C4 and D4, and E7 (1, 3, 5) none;
-    # E7 (2, 5), E8 (2, 3, 4) and E7 (1,) hold D4 and D5 as factors of a
-    # larger target
+    # on the pool, every label of rank 3 to 5, past the d <= 3 slice of
+    # naive_find.  At rank 4 the first nine hold B4, C4 and D4, and E7
+    # (1, 3, 5) none; E7 (2, 5), E8 (2, 3, 4) and E7 (1,) hold D4 and D5
+    # as factors of a larger target
     pr = project_all(build_from_name(name), theta)
     for rank in range(3, min(pr.d, 5) + 1):
         for label in irreducible_labels(rank):
             got = list(detect._iter_bases(label, list(pr.pool_scaled), pr))
-            assert got == brute_bases(label, pr), (name, theta, str(label))
+            assert got == brute_bases(label, pr, pr.pool_scaled), \
+                (name, theta, str(label))
+    # on delta_theta, the pool of a pinned factor, every label of rank 1
+    # to d: every k-subset of delta_theta that certify accepts, scale by
+    # scale
+    found = 0
+    for rank in range(1, pr.d + 1):
+        for label in irreducible_labels(rank):
+            got = list(detect._iter_bases(label, list(pr.delta_scaled), pr))
+            assert got == brute_bases(label, pr, pr.delta_scaled), \
+                (name, theta, str(label))
+            found += len(got)
+    assert found > 0, (name, theta)
 
 
 def test_census_pruning_is_consistent():
@@ -515,18 +527,20 @@ def test_find_subsystem_replays_the_sweep_reference(name, count):
 
 def test_restricted_search_screens_the_census_first(monkeypatch):
     # G2 needs six vectors at some norm and six at three times it; the
-    # census of F4 theta = {1, 3} has no such pair, so the restricted
-    # search must answer without trying any subset of delta_theta
+    # census of F4 theta = {1, 3} has no such pair, so either search must
+    # answer without trying any basis, from delta_theta or from the pool
     pr = project_all(build_from_name("F4"), (1, 3))
     target = parse_target("G2")
     assert not census_admits(target, pr.census)
 
-    def no_subsets(*args):
-        raise AssertionError("delta_theta subsets tried after a census reject")
+    def no_bases(*args):
+        raise AssertionError("a basis was tried after a census reject")
 
-    monkeypatch.setattr(detect, "_delta_subset_bases", no_subsets)
-    rep = find_subsystem(pr, target, restrict_to_delta_theta=True)
-    assert (rep.found, rep.restricted, rep.certificate) == (False, True, None)
+    monkeypatch.setattr(detect, "_iter_bases", no_bases)
+    for restricted in (True, False):
+        rep = find_subsystem(pr, target, restrict_to_delta_theta=restricted)
+        assert (rep.found, rep.restricted, rep.certificate) \
+            == (False, restricted, None)
 
 
 def test_classify_max_rank_f4_theta12():
@@ -830,15 +844,16 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
         assert match_type(basis) is not None, basis
 
 
-def test_iter_bases_is_handed_lex_positive_pools_only(monkeypatch):
+def test_iter_bases_is_handed_half_space_pools_only(monkeypatch):
     # the DFS tests no independence: it relies on its pool lying in one
-    # open half-space, so every pool the searches hand it must hold
-    # lex-positive vectors only, whether pr.pool() or a part of it
+    # open half-space, so every pool the searches hand it must be a part
+    # of the lex-positive pool or of the linearly independent
+    # delta_theta, and both kinds must occur
     pools = []
     iter_bases = detect._iter_bases
 
     def spy(label, pool, pr):
-        pools.append((pool, len(pr.pool())))
+        pools.append((pool, pr))
         return iter_bases(label, pool, pr)
 
     monkeypatch.setattr(detect, "_iter_bases", spy)
@@ -850,10 +865,17 @@ def test_iter_bases_is_handed_lex_positive_pools_only(monkeypatch):
         for target in detection_targets(pr.d, reducible=True):
             for restricted in (False, True):
                 find_subsystem(pr, target, restrict_to_delta_theta=restricted)
-    # some pools are pr.pool() narrowed by _orthogonal
-    assert any(len(pool) < full for pool, full in pools)
-    for pool, _ in pools:
-        assert all(v > neg(v) for v in pool)
+    kinds = Counter()
+    for pool, pr in pools:
+        in_pool = set(pool) <= set(pr.pool_scaled)
+        in_delta = set(pool) <= set(pr.delta_scaled)
+        assert in_pool or in_delta, pool
+        kinds[in_pool, in_delta] += 1
+        # some pools are narrowed by _orthogonal
+        kinds["narrowed"] += len(pool) < (len(pr.pool_scaled) if in_pool
+                                          else len(pr.delta_scaled))
+    assert kinds[True, False] and kinds[False, True] and kinds["narrowed"], \
+        kinds
 
 
 # E6's diagram automorphism: 1 <-> 6, 3 <-> 5, with 2 and 4 fixed

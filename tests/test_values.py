@@ -1,7 +1,9 @@
 """The package's result types are immutable, picklable tuple values, and
 importing it loads no more of the standard library than its commands use."""
 
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,20 +40,35 @@ def _values():
     pr = project_all(f4, (1, 2))
     record = classify_theta(f4, (1, 2))
     found = next(r for r in record.reports if r.found)
-    oracle = oracle_equivalence(parse_label("A2"))
     values = [
         TypeLabel("A", 1), parse_target("E7xA1"), f4, pr,
         ClosureFailure(), found.certificate, found.certificate.components[0],
-        found, classical_predicate(parse_label("A3"), (2,)), record,
-        load_golden_tables()["F4"], verify_paper(parse_label("F4"), []),
-        oracle, oracle.entries[0],
+        found, record, load_golden_tables()["F4"],
+        verify_paper(parse_label("F4"), []),
     ]
     return {type(v).__name__: v for v in values}
 
 
-def test_every_result_type_is_immutable():
-    values = _values()
-    assert len(values) == 14
+def _oracle_values():
+    """One instance of every result type of the test oracles."""
+    oracle = oracle_equivalence(parse_label("A2"))
+    values = [classical_predicate(parse_label("A3"), (2,)), oracle,
+              oracle.entries[0]]
+    return {type(v).__name__: v for v in values}
+
+
+def _package_tuple_types():
+    """Every tuple type a module of the package defines."""
+    out = set()
+    for info in pkgutil.iter_modules(rootproj.__path__):
+        module = importlib.import_module(f"rootproj.{info.name}")
+        out.update(obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, tuple)
+                   and obj.__module__ == module.__name__)
+    return out
+
+
+def _assert_immutable(values):
     for name, value in values.items():
         assert isinstance(value, tuple), name
         field = value._fields[0]
@@ -59,6 +76,25 @@ def test_every_result_type_is_immutable():
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             value.cache = {}
+
+
+def test_every_result_type_is_immutable():
+    values = _values()
+    assert len(values) == 11
+    # every tuple type of the package has an instance here, its private
+    # bases (catalog's _TypeLabel and _Target) through their subclasses
+    types = _package_tuple_types()
+    assert {t.__name__ for t in types} >= set(values)
+    for t in types:
+        assert any(isinstance(v, t) for v in values.values()), t.__name__
+    _assert_immutable(values)
+
+
+def test_every_oracle_result_type_is_immutable():
+    values = _oracle_values()
+    assert set(values) == {"ClassicalPrediction", "OracleReport",
+                           "OracleEntry"}
+    _assert_immutable(values)
 
 
 def test_results_survive_pickle():
