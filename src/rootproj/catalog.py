@@ -8,9 +8,9 @@ dimension 3.  Simple roots follow the Bourbaki numbering throughout.
 ``n_ij = 2<b_i, b_j> / <b_j, b_j>`` of a basis, as ints.  Their
 determinants are A_n: n + 1; B_n, C_n: 2; D_n: 4; E6: 3; E7: 2; E8, F4,
 G2: 1 (Bourbaki, Lie Groups and Lie Algebras VI, planches I-IX).  The
-simple roots are the only hand-written root data: every other root is
-generated from them as an integer coefficient vector and then put in
-ambient coordinates.
+simple roots are the only hand-written root data: every root is kept as
+its integer coefficient vector over them, which is all ``project_all``
+reads, and no root is put in ambient coordinates.
 
 BC_n (the non-reduced system B_n plus the doubled short roots) is built
 the same way, from the simple roots of B_n; it serves as a detection
@@ -26,8 +26,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .linalg import (IntVector, Vector, from_ints, gram, int_combine, is_zero,
-                     norm2, to_ints)
+from .linalg import IntVector, Vector, gram, is_zero, to_ints
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -172,29 +171,19 @@ def parse_target(text: str) -> Target:
 
 
 class RealizedRootSystem(NamedTuple):
-    """A root system embedded in coordinates, with its simple roots.
+    """A root system given by its simple roots in coordinates.
 
-    ``coefficients[k]`` expresses ``roots[k]`` over the simple roots:
-    integers, all of one sign.  ``cartan`` is the int Cartan matrix of
-    the simple roots (``cartan_matrix``).
+    ``coefficients`` holds every root as its coefficients over the
+    simple roots, sorted: integers, all of one sign.
     """
 
     label: TypeLabel
-    ambient_dim: int
-    roots: Tuple[Vector, ...]
-    coefficients: Tuple[Tuple[int, ...], ...]
     simple_roots: Tuple[Vector, ...]
-    cartan: Tuple[IntVector, ...]
+    coefficients: Tuple[Tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return self.label.rank
-
-    def simple_root(self, i: int) -> Vector:
-        """Simple root number i, 1-indexed as in the tables."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple root index {i} out of range 1..{self.rank}")
-        return self.simple_roots[i - 1]
 
 
 def check_theta(sys: RealizedRootSystem, theta: Sequence[int]
@@ -267,17 +256,19 @@ def cartan_matrix(basis: Sequence[Vector]) -> Optional[Tuple[IntVector, ...]]:
     return tuple(tuple(c for c, _ in row) for row in pairs)
 
 
-def _root_coefficients(cartan: Sequence[IntVector]) -> Set[Tuple[int, ...]]:
-    """Every root of a reduced system, as coefficients over the simple roots.
+def _orbit(cartan: Sequence[IntVector], seeds: Sequence[int]
+           ) -> Set[Tuple[int, ...]]:
+    """The W-orbit of the simple roots numbered seeds (0-indexed), as
+    coefficient vectors over the simple roots.
 
-    Every root is W-conjugate to a simple root (Bourbaki, Lie Groups and
-    Lie Algebras VI.1.5), so the orbit of the unit vectors under the
-    simple reflections s_j(c) = c - <c, a_j^vee> e_j is the whole system;
-    the pairing <c, a_j^vee> is sum_i c_i cartan[i][j].
+    The simple reflections act as s_j(c) = c - <c, a_j^vee> e_j, the
+    pairing <c, a_j^vee> being sum_i c_i cartan[i][j].  Every root is
+    W-conjugate to a simple root (Bourbaki, Lie Groups and Lie Algebras
+    VI.1.5), so seeding every index gives the whole reduced system.
     """
     n = len(cartan)
     columns = list(zip(*cartan))
-    found = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    found = {tuple(int(i == j) for i in range(n)) for j in seeds}
     frontier = list(found)
     while frontier:
         c = frontier.pop()
@@ -295,33 +286,24 @@ def _root_coefficients(cartan: Sequence[IntVector]) -> Set[Tuple[int, ...]]:
 def build(label: TypeLabel) -> RealizedRootSystem:
     """Realize a root system with Bourbaki-numbered simple roots.
 
-    The roots are generated from the simple roots: integer coefficients
-    first, then ambient coordinates in one pass.  BC_n is B_n plus twice
-    its short roots.
+    The root coefficients are the orbit of the simple roots under the
+    simple reflections, read off the int Cartan matrix.  BC_n is B_n
+    plus twice its short roots, which in B_n are one W-orbit, that of
+    a_n = e_n (Bourbaki VI.1.3).
     """
-    simple = _simple_roots(label)
-    den, ints = to_ints(simple)  # same ratios, int work
-    cartan = cartan_matrix(ints)
+    simple = tuple(_simple_roots(label))
+    cartan = cartan_matrix(to_ints(simple)[1])
     if cartan is None:
         raise ValueError(f"{label}: non-integral Cartan pairing")
-    pairs = int_combine(_root_coefficients(cartan), ints)
+    n = label.rank
+    coefficients = _orbit(cartan, range(n))
     if label.family == "BC":
-        short = min(norm2(r) for r, _ in pairs)
-        pairs = int_combine([c for _, c in pairs] + [
-            tuple(2 * x for x in c) for r, c in pairs if norm2(r) == short],
-            ints)
-    sys = RealizedRootSystem(
-        label=label,
-        ambient_dim=len(simple[0]),
-        roots=from_ints((r for r, _ in pairs), den),
-        coefficients=tuple(c for _, c in pairs),
-        simple_roots=tuple(simple),
-        cartan=cartan,
-    )
-    if len(sys.roots) != label.root_count:
-        raise AssertionError(
-            f"{label}: built {len(sys.roots)} roots, expected {label.root_count}")
-    return sys
+        coefficients |= {tuple(2 * x for x in c)
+                         for c in _orbit(cartan, [n - 1])}
+    if len(coefficients) != label.root_count:
+        raise AssertionError(f"{label}: built {len(coefficients)} roots, "
+                             f"expected {label.root_count}")
+    return RealizedRootSystem(label, simple, tuple(sorted(coefficients)))
 
 
 def irreducible_labels(rank: int) -> List[TypeLabel]:

@@ -462,9 +462,10 @@ def _report(pr: ProjectionResult, target: Target,
     A found restricted report vouches for delta_theta (see ``_search``);
     any other one says whether its whole basis lies in delta_theta."""
     found = cert is not None
+    from_delta = found and (restricted
+                            or set(cert.basis) <= set(pr.delta_scaled))
     if found:
         cert = _unscaled(cert, pr)
-    from_delta = found and (restricted or set(cert.basis) <= set(pr.delta_theta))
     return DetectionReport(target, found, restricted, from_delta, cert)
 
 

@@ -1,9 +1,12 @@
 """Exact vector arithmetic, over Fractions and over scaled ints.
 
-Every scalar at the package's public edge but the Cartan integers is a
-``fractions.Fraction``: the geometric discriminations downstream
-(squared lengths 2/3 vs 4/3 vs 2, Cartan pairings in {0, -1, -2, -3})
-are exact-ratio tests, so no floating point is allowed anywhere.  Inside
+At the package's public edge every coordinate of a root or of a
+projection is a ``fractions.Fraction`` (beside the scaled int copies a
+``ProjectionResult`` also carries), and the other ints there are counts,
+root coefficients over the simple roots and Cartan integers.  The
+geometric discriminations downstream (squared lengths 2/3 vs 4/3 vs 2,
+Cartan pairings in {0, -1, -2, -3}) are exact-ratio tests, so no
+floating point is allowed anywhere.  Inside
 ``detect`` the same vectors run as int tuples, scaled by one common
 denominator (``to_ints``); every ratio test is unchanged by that
 scaling, and the vector helpers here (``dot``, ``sub``, ``scale``, ...)

@@ -10,6 +10,10 @@ candidate basis the way the package did before it used the finite-type
 criterion: from Fraction pairings, by walking the shape of the Dynkin
 diagram.
 
+``planche_roots`` lists every root of a label in the catalog's
+coordinates from the explicit formulas of Bourbaki's planches, which the
+catalog never writes out: it keeps integer coefficients only.
+
 ``classical_predicate`` holds the paper's block rules for the classical
 families, which name the rank-d types of the projection from the shape
 of theta alone; ``oracle_equivalence`` holds the detector to them in
@@ -18,6 +22,7 @@ both directions.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations, product
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -33,6 +38,87 @@ from rootproj.projection import ProjectionResult, project_all
 
 def build_from_name(name: str) -> RealizedRootSystem:
     return build(parse_label(name))
+
+
+def _coords(dim: int, entries: Dict[int, int]) -> Vector:
+    return tuple(Fraction(entries.get(i, 0)) for i in range(dim))
+
+
+def _pm_pairs(dim: int, count: int) -> Set[Vector]:
+    """+-e_i +- e_j for i < j < count."""
+    return {_coords(dim, {i: a, j: b})
+            for i, j in combinations(range(count), 2)
+            for a, b in product((1, -1), repeat=2)}
+
+
+def _units(dim: int, c: int) -> Set[Vector]:
+    """+-c e_i for every i."""
+    return {_coords(dim, {i: s}) for i in range(dim) for s in (c, -c)}
+
+
+def _signs(k: int, minus_parity: int) -> List[Tuple[int, ...]]:
+    """Rows of k signs whose number of minus signs has the given parity."""
+    return [s for s in product((1, -1), repeat=k)
+            if s.count(-1) % 2 == minus_parity]
+
+
+def _halves(signs: Iterable[Sequence[int]]) -> Set[Vector]:
+    """1/2 (s_1, ..., s_k) and its negative for every sign row s."""
+    out = set()
+    for s in signs:
+        v = tuple(Fraction(x, 2) for x in s)
+        out |= {v, tuple(-x for x in v)}
+    return out
+
+
+@lru_cache(maxsize=None)
+def planche_roots(label: TypeLabel) -> Tuple[Vector, ...]:
+    """Every root of label, sorted, written out as in Bourbaki's planches
+    I-IX (Lie Groups and Lie Algebras, ch. VI) in the coordinates of
+    ``catalog``'s simple roots (indices below from 1):
+
+    - A_n in R^{n+1}: e_i - e_j, i != j.
+    - B_n, C_n, D_n, BC_n in R^n: +-e_i +- e_j (i < j), with +-e_i in B
+      and BC and +-2e_i in C and BC.
+    - E8 in R^8: +-e_i +- e_j and 1/2 (+-1, ..., +-1) with an even
+      number of minus signs.
+    - E7: +-e_i +- e_j (i < j <= 6), +-(e_7 - e_8) and
+      +-1/2 (e_7 - e_8 + sum_{i <= 6} +-e_i), an odd number of minus
+      signs in the sum.
+    - E6: +-e_i +- e_j (i < j <= 5) and
+      +-1/2 (e_8 - e_7 - e_6 + sum_{i <= 5} +-e_i), an even number of
+      minus signs in the sum.
+    - F4 in R^4: +-e_i, +-e_i +- e_j and 1/2 (+-1, +-1, +-1, +-1).
+    - G2 in R^3: +-(e_i - e_j) and +-(2e_i - e_j - e_k), {i, j, k} =
+      {1, 2, 3}.
+    """
+    f, n = label.family, label.rank
+    if f == "A":
+        roots = {_coords(n + 1, {i: 1, j: -1})
+                 for i, j in permutations(range(n + 1), 2)}
+    elif f in ("B", "C", "D", "BC"):
+        roots = _pm_pairs(n, n)
+        if f in ("B", "BC"):
+            roots |= _units(n, 1)
+        if f in ("C", "BC"):
+            roots |= _units(n, 2)
+    elif f == "E" and n == 8:
+        roots = _pm_pairs(8, 8) | _halves(_signs(8, 0))
+    elif f == "E" and n == 7:
+        roots = _pm_pairs(8, 6) | _halves([(0,) * 6 + (2, -2)]) \
+            | _halves(s + (1, -1) for s in _signs(6, 1))
+    elif f == "E":
+        roots = _pm_pairs(8, 5) \
+            | _halves(s + (-1, -1, 1) for s in _signs(5, 0))
+    elif f == "F":
+        roots = _pm_pairs(4, 4) | _units(4, 1) \
+            | _halves(product((1, -1), repeat=4))
+    else:
+        roots = {_coords(3, {i: 1, j: -1})
+                 for i, j in permutations(range(3), 2)} \
+            | {_coords(3, {i: 2 * s, j: -s, k: -s})
+               for i, j, k in permutations(range(3)) for s in (1, -1)}
+    return tuple(sorted(roots))
 
 
 class SingularMatrixError(ValueError):

@@ -13,8 +13,8 @@ import pytest
 
 from oracles import (add, build_from_name, classical_predicate,
                      expansion_over_delta_theta, oracle_equivalence,
-                     project_vector, reflect, simple_root_expansion, vector,
-                     zero)
+                     planche_roots, project_vector, reflect,
+                     simple_root_expansion, vector, zero)
 from rootproj import output
 from rootproj.catalog import Target, parse_label, parse_target
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
@@ -115,10 +115,10 @@ PROVEN_ADDITIONS = {
 
 def _conjugation_problems(sys, theta, listed, word):
     """The word must carry the simple roots of theta onto those of listed."""
-    image = {sys.simple_root(j) for j in theta}
+    image = {sys.simple_roots[j - 1] for j in theta}
     for j in word:
-        image = {reflect(v, sys.simple_root(j)) for v in image}
-    if image != {sys.simple_root(j) for j in listed}:
+        image = {reflect(v, sys.simple_roots[j - 1]) for v in image}
+    if image != {sys.simple_roots[j - 1] for j in listed}:
         return [f"word {word} does not carry theta onto {listed}"]
     return []
 
@@ -128,7 +128,7 @@ def _basis_problems(sys, table, theta, target, factors):
     labels = sorted(parse_label(lab).sort_key for lab, _ in factors)
     if labels != sorted(lab.sort_key for lab in target.normalized()):
         return [f"factors {[lab for lab, _ in factors]} do not make {target}"]
-    alphas = [sys.simple_root(j) for j in theta]
+    alphas = [sys.simple_roots[j - 1] for j in theta]
     universe = project_all(sys, theta).sigma_theta_set
     witnesses = []
     for lab, spec in factors:
@@ -140,14 +140,14 @@ def _basis_problems(sys, table, theta, target, factors):
         if pinned:
             if any(j in theta for j in spec):
                 return [f"{lab}: {spec} meets theta"]
-            roots = [sys.simple_root(j) for j in spec]
+            roots = [sys.simple_roots[j - 1] for j in spec]
         else:
             roots = []
             for coeff in spec:
-                r = zero(sys.ambient_dim)
+                r = zero(len(sys.simple_roots[0]))
                 for c, a in zip(coeff, sys.simple_roots):
                     r = add(r, scale(Fraction(c), a))
-                if r not in sys.roots:
+                if r not in planche_roots(sys.label):
                     return [f"{lab}: {coeff} is not a root"]
                 roots.append(r)
         basis = tuple(project_vector(alphas, r) for r in roots)
@@ -292,17 +292,18 @@ def test_criterion_4_norm_census_numbers():
             ("E7", range(1, 8), "D6", {Fraction(2): 60, Fraction(3, 2): 32}),
             ("E8", (8,), "E7", {Fraction(2): 126, Fraction(3, 2): 56})]:
         sys = build_from_name(name)
-        orth_count = len(build_from_name(orth_name).roots)
+        roots = planche_roots(sys.label)
+        orth_count = len(planche_roots(parse_label(orth_name)))
         for i in indices:
-            alpha = sys.simple_root(i)
-            orth = [b for b in sys.roots if dot(b, alpha) == 0]
-            paired = [b for b in sys.roots
+            alpha = sys.simple_roots[i - 1]
+            orth = [b for b in roots if dot(b, alpha) == 0]
+            paired = [b for b in roots
                       if 2 * dot(b, alpha) / dot(alpha, alpha) in (1, -1)]
             # s_alpha swaps the paired roots two by two, with no fixed point
             swapped = {sub(b, scale(2 * dot(b, alpha) / dot(alpha, alpha),
                                     alpha)) for b in paired}
             if swapped != set(paired) or \
-                    len(orth) + len(paired) + 2 != len(sys.roots):
+                    len(orth) + len(paired) + 2 != len(roots):
                 problems.append(f"{name} theta={i}: roots do not split "
                                 f"into orthogonal and paired ones")
             derived = {}
@@ -375,15 +376,16 @@ def test_criterion_6_invariant_suite():
             k = rng.choice(list(sizes))
             theta = tuple(sorted(rng.sample(range(1, sys.rank + 1), k)))
             pairs.append((sys, theta))
-    while sum(min(22, len(s.roots)) for s, _ in pairs) < 1000:
+    while sum(min(22, s.label.root_count) for s, _ in pairs) < 1000:
         pairs.append(pairs[rng.randrange(len(pairs))])
     for sys, theta in pairs:
-        alphas = [sys.simple_root(i) for i in theta]
+        alphas = [sys.simple_roots[i - 1] for i in theta]
         pr = project_all(sys, theta)
         sset = set(pr.sigma_theta)
         if not all(neg(v) in sset for v in sset):
             problems.append(f"{sys.label} {theta}: negation closure fails")
-        for r in rng.sample(sys.roots, min(22, len(sys.roots))):
+        roots = planche_roots(sys.label)
+        for r in rng.sample(roots, min(22, len(roots))):
             triples += 1
             p = project_vector(alphas, r)
             if project_vector(alphas, p) != p:
@@ -411,7 +413,7 @@ def test_criterion_7_weyl_conjugacy_of_singletons(records):
         sys = build_from_name(name)
         by_length = {}
         for i in range(1, sys.rank + 1):
-            root_len = norm2(sys.simple_root(i))
+            root_len = norm2(sys.simple_roots[i - 1])
             pr = project_all(sys, (i,))
             if name in records:
                 recs = {rec.theta: rec for rec in records[name]}

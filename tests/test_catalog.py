@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (add, build_from_name, matrix, simple_root_expansion,
-                     vector, zero)
-from rootproj.catalog import (TypeLabel, cartan_matrix, check_theta,
-                              detection_targets, normalize_components,
-                              parse_label, parse_target)
+from oracles import (add, build_from_name, matrix, planche_roots,
+                     simple_root_expansion, vector, zero)
+from rootproj.catalog import (FAMILIES, TypeLabel, build, cartan_matrix,
+                              check_theta, detection_targets,
+                              normalize_components, parse_label, parse_target)
 from rootproj.detect import match_type, reflection_closure
 from rootproj.linalg import scale
 
@@ -48,14 +48,49 @@ ALL_LABELS = ["A1", "A2", "A3", "A4", "A5", "A6",
 @pytest.mark.parametrize("name", ALL_LABELS)
 def test_root_counts(name):
     sys = build_from_name(name)
-    assert len(sys.roots) == sys.label.root_count
-    assert len(set(sys.roots)) == len(sys.roots)
+    assert len(sys.coefficients) == sys.label.root_count
+    assert len(set(sys.coefficients)) == len(sys.coefficients)
+
+
+def _labels_up_to_rank_8():
+    out = []
+    for rank in range(1, 9):
+        for family in FAMILIES:
+            try:
+                out.append(TypeLabel(family, rank))
+            except ValueError:
+                pass
+    return out
+
+
+def catalog_roots(sys):
+    """The roots the catalog's coefficients stand for, sum c_i a_i."""
+    out = []
+    for c in sys.coefficients:
+        root = zero(len(sys.simple_roots[0]))
+        for ci, alpha in zip(c, sys.simple_roots):
+            root = add(root, scale(Fraction(ci), alpha))
+        out.append(root)
+    return out
+
+
+@pytest.mark.parametrize("label", _labels_up_to_rank_8(), ids=str)
+def test_coefficients_stand_for_the_planche_roots(label):
+    # every family at ranks 1-8 (B1, C1 and BC1 included) and E6-E8, F4,
+    # G2: the coefficient vectors are one-signed and, over the simple
+    # roots, give exactly the roots Bourbaki's planches list
+    sys = build(label)
+    assert all(min(c) >= 0 or max(c) <= 0 for c in sys.coefficients)
+    roots = catalog_roots(sys)
+    assert len(roots) == len(set(roots)) == label.root_count
+    assert set(roots) == set(planche_roots(label))
 
 
 def test_root_count_formulas():
     assert build_from_name("E6").label.root_count == 72
     assert build_from_name("E8").label.root_count == 240
-    assert build_from_name("A1").roots == (
+    assert build_from_name("A1").coefficients == ((-1,), (1,))
+    assert planche_roots(TypeLabel("A", 1)) == (
         vector([-1, 1]), vector([1, -1]))
 
 
@@ -63,9 +98,10 @@ def test_root_count_formulas():
 def test_cartan_entries_are_valid(name):
     sys = build_from_name(name)
     n = sys.rank
+    cartan = cartan_matrix(sys.simple_roots)
     for i in range(n):
         for j in range(n):
-            c = sys.cartan[i][j]
+            c = cartan[i][j]
             assert c.denominator == 1
             if i == j:
                 assert c == 2
@@ -78,21 +114,25 @@ def _chain_cartan(n):
              for j in range(n)] for i in range(n)]
 
 
+def _cartan(name):
+    return cartan_matrix(build_from_name(name).simple_roots)
+
+
 def test_standard_cartan_matrices():
-    assert build_from_name("A3").cartan == matrix(_chain_cartan(3))
+    assert _cartan("A3") == matrix(_chain_cartan(3))
     b3 = _chain_cartan(3)
     b3[1][2], b3[2][1] = -2, -1  # short end column carries the -2
-    assert build_from_name("B3").cartan == matrix(b3)
+    assert _cartan("B3") == matrix(b3)
     c3 = _chain_cartan(3)
     c3[1][2], c3[2][1] = -1, -2
-    assert build_from_name("C3").cartan == matrix(c3)
+    assert _cartan("C3") == matrix(c3)
     d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-    assert build_from_name("D4").cartan == matrix(d4)
+    assert _cartan("D4") == matrix(d4)
     f4 = _chain_cartan(4)
     f4[1][2], f4[2][1] = -2, -1
-    assert build_from_name("F4").cartan == matrix(f4)
-    assert build_from_name("G2").cartan == matrix([[2, -1], [-3, 2]])
-    e8 = build_from_name("E8").cartan
+    assert _cartan("F4") == matrix(f4)
+    assert _cartan("G2") == matrix([[2, -1], [-3, 2]])
+    e8 = _cartan("E8")
     edges = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
     for i in range(1, 9):
         for j in range(i + 1, 9):
@@ -109,40 +149,40 @@ def test_cartan_matrix_rejects_a_non_integral_pairing():
     m = cartan_matrix([vector([1, 0]), vector([-half, half])])
     assert m == ((2, -2), (-1, 2))
     assert all(type(c) is int for row in m for c in row)
-    assert all(type(c) is int for row in build_from_name("F4").cartan
-               for c in row)
+    assert all(type(c) is int for row in _cartan("F4") for c in row)
 
 
 @pytest.mark.parametrize("name", ALL_LABELS)
 def test_every_root_has_one_signed_integral_expansion(name):
+    # the planche roots solved over the simple roots by the Fraction
+    # oracle: integral, one-signed, and the catalog's coefficients
     sys = build_from_name(name)
-    assert len(sys.coefficients) == len(sys.roots)
-    for r, stored in zip(sys.roots, sys.coefficients):
+    expansions = set()
+    for r in planche_roots(sys.label):
         coeff = simple_root_expansion(sys, r)
         assert all(c.denominator == 1 for c in coeff)
         assert all(c >= 0 for c in coeff) or all(c <= 0 for c in coeff)
-        assert stored == coeff
-        rebuilt = zero(sys.ambient_dim)
-        for c, alpha in zip(stored, sys.simple_roots):
-            rebuilt = add(rebuilt, scale(Fraction(c), alpha))
-        assert rebuilt == r
+        expansions.add(coeff)
+    assert expansions == set(sys.coefficients)
+
+
+def _roots(name):
+    return set(catalog_roots(build_from_name(name)))
 
 
 def test_bc_contains_b_and_c_at_full_rank():
-    roots = set(build_from_name("BC3").roots)
-    assert set(build_from_name("B3").roots) < roots
-    assert set(build_from_name("C3").roots) < roots
+    roots = _roots("BC3")
+    assert _roots("B3") < roots
+    assert _roots("C3") < roots
 
 
 def test_e7_e6_sit_inside_e8():
-    e8 = set(build_from_name("E8").roots)
-    assert set(build_from_name("E7").roots) < e8
-    assert set(build_from_name("E6").roots) < set(build_from_name("E7").roots)
+    assert _roots("E7") < _roots("E8")
+    assert _roots("E6") < _roots("E7")
 
 
 def test_cyclic_generators_close_to_rank7_subsystem():
-    e8 = build_from_name("E8")
-    universe = frozenset(e8.roots)
+    universe = frozenset(planche_roots(TypeLabel("E", 8)))
     gens = cyclic_e8_generators()
     assert set(gens) < universe
     # coefficient sums vanish, so the span has rank 7 and the closure is
@@ -160,8 +200,7 @@ def test_cyclic_generators_close_to_rank7_subsystem():
 
 
 def test_cyclic_e7_basis_is_an_e7_inside_e8():
-    e8 = build_from_name("E8")
-    universe = frozenset(e8.roots)
+    universe = frozenset(planche_roots(TypeLabel("E", 8)))
     basis = cyclic_e7_basis()
     assert set(basis) < universe
     decomp = match_type(list(basis))
@@ -269,8 +308,5 @@ def test_type_label_invariants():
 
 
 def test_ambient_dimensions():
-    assert build_from_name("A5").ambient_dim == 6
-    assert build_from_name("B4").ambient_dim == 4
-    assert build_from_name("E6").ambient_dim == 8
-    assert build_from_name("F4").ambient_dim == 4
-    assert build_from_name("G2").ambient_dim == 3
+    for name, dim in (("A5", 6), ("B4", 4), ("E6", 8), ("F4", 4), ("G2", 3)):
+        assert len(build_from_name(name).simple_roots[0]) == dim

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (build_from_name, project_vector, reflect,
-                     shape_match_type)
+from oracles import (build_from_name, planche_roots, project_vector,
+                     reflect, shape_match_type)
 from rootproj import cli, output
-from rootproj.catalog import parse_label, parse_target
+from rootproj.catalog import TypeLabel, parse_label, parse_target
 from rootproj.cli import main
 from rootproj.detect import (ClosureCertificate, ComponentWitness,
                              DetectionReport, find_subsystem, revalidate)
-from rootproj.linalg import dot
+from rootproj.linalg import dot, neg
 from rootproj.projection import project_all
 
 
@@ -178,9 +178,10 @@ def test_round_trip_detection_doc():
     assert revalidate(back.certificate, pr.sigma_theta_set)
 
 
-def _reflection_closure(basis, universe):
+def _reflection_closure(basis, universe, doubled):
     """The orbit of basis under its own reflections, which is the root
-    system it generates, or None once a vector leaves universe."""
+    system it generates, with twice its shortest roots when doubled (BC),
+    or None once a vector leaves universe."""
     orbit, frontier = set(basis), list(basis)
     if not orbit <= universe:
         return None
@@ -193,6 +194,13 @@ def _reflection_closure(basis, universe):
                     return None
                 orbit.add(w)
                 frontier.append(w)
+    if doubled:
+        short = min(dot(v, v) for v in orbit)
+        doubles = {tuple(2 * x for x in v) for v in orbit
+                   if dot(v, v) == short}
+        if not doubles <= universe:
+            return None
+        orbit |= doubles
     return orbit
 
 
@@ -218,13 +226,16 @@ def _recheck_found_report(report, sigma_theta, delta_theta):
                 problems.append("components are not orthogonal")
     size = 0
     for w, basis in zip(components, bases):
-        # no component of F4, E6 or E7 is BC, whose doubled roots this
-        # closure leaves out
         label = parse_label(w["label"])
-        if shape_match_type(basis) != [(label, tuple(range(len(basis))))]:
+        doubled = label.family == "BC"
+        # a basis of BC_k is one of B_k, and of BC_1 one of A_1
+        shape = TypeLabel("B", label.rank) if doubled else label
+        if label.rank == 1:
+            shape = TypeLabel("A", 1)
+        if shape_match_type(basis) != [(shape, tuple(range(len(basis))))]:
             problems.append(f"{label}: basis is no simple system of it")
             continue
-        roots = _reflection_closure(basis, sigma_theta)
+        roots = _reflection_closure(basis, sigma_theta, doubled)
         if roots is None:
             problems.append(f"{label}: closure leaves sigma_theta")
             continue
@@ -241,12 +252,13 @@ def _recheck_found_report(report, sigma_theta, delta_theta):
     return problems
 
 
-@pytest.mark.parametrize("name", ["F4", "E6", "E7"])
+@pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
 def test_enumerate_json_rechecks_from_its_bytes(name, capsys):
     # every found report of the pinned enumerate document is evidence on
-    # its own: the Fraction oracles project the roots again, and a
-    # reflection closure written here rebuilds each component, without
-    # the package's detector
+    # its own: the Fraction oracles project the planche roots, and a
+    # reflection closure written here rebuilds each component, BC ones
+    # with their doubled roots, without the package's catalog roots or
+    # detector
     assert main(["enumerate", "--sigma", name, "--format", "json"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
@@ -259,7 +271,10 @@ def test_enumerate_json_rechecks_from_its_bytes(name, capsys):
         if not reports:
             continue
         alphas = [sys_.simple_roots[i - 1] for i in doc["theta"]]
-        sigma_theta = {project_vector(alphas, r) for r in sys_.roots}
+        # projection is linear: project one root of each +-pair
+        images = {project_vector(alphas, r)
+                  for r in planche_roots(sys_.label) if r > neg(r)}
+        sigma_theta = images | {neg(v) for v in images}
         sigma_theta.discard(tuple(Fraction(0) for _ in alphas[0]))
         delta_theta = {project_vector(alphas, a)
                        for i, a in enumerate(sys_.simple_roots, 1)
@@ -277,7 +292,7 @@ def test_enumerate_json_rechecks_from_its_bytes(name, capsys):
             cut = dict(report, components=[dict(w, roots=w["roots"][1:])])
             assert _recheck_found_report(cut, sigma_theta, delta_theta)
     assert problems == 0
-    assert found == {"F4": 2, "E6": 1, "E7": 4}[name]
+    assert found == {"F4": 2, "E6": 1, "E7": 4, "E8": 29}[name]
 
 
 def test_main_direct_exit_codes():
@@ -492,9 +507,12 @@ PINNED_BYTES = {
         "60222c48fef32c2631a8b7658e75491e8395e175f618477c032d344c1b43c02c",
     "enumerate --sigma E6 --format json":
         "02a763f246fe2278cf68c23d02bc63fe6ce65d24dc4cd19cc9477a78c220a534",
-    # the same bytes as perfbench/reference.json's "enumerate E7"
+    # the same bytes as perfbench/reference.json's "enumerate E7" and
+    # "enumerate E8"
     "enumerate --sigma E7 --format json":
         "c35abbce2098249eb9aa047d85347513cdf39e3d5f6aaf686e305adc2b8d3c61",
+    "enumerate --sigma E8 --format json":
+        "dfc8826206ebaf31abf8fb5adbb82d768f08a6af92e14b272b80244dad102a5c",
 }
 
 PINNED_ERRORS = {

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (build_from_name, pairing_matrix, reflect,
-                     shape_match_type, vector)
+from oracles import (build_from_name, pairing_matrix, planche_roots,
+                     reflect, shape_match_type, vector)
 from rootproj import detect
 from rootproj.catalog import (FAMILIES, TypeLabel, build, cartan_matrix,
                               detection_targets, irreducible_labels,
@@ -82,11 +82,11 @@ def test_match_type_affine_cycle_rejected():
 
 def test_match_type_components():
     sys = build_from_name("A5")
-    basis = [sys.simple_root(1), sys.simple_root(3), sys.simple_root(5)]
+    basis = [sys.simple_roots[0], sys.simple_roots[2], sys.simple_roots[4]]
     decomp = match_type(basis)
     assert decomp is not None
     assert sorted(str(l) for l, _ in decomp) == ["A1", "A1", "A1"]
-    basis = [sys.simple_root(1), sys.simple_root(2), sys.simple_root(4)]
+    basis = [sys.simple_roots[0], sys.simple_roots[1], sys.simple_roots[3]]
     decomp = match_type(basis)
     assert sorted(str(l) for l, _ in decomp) == ["A1", "A2"]
 
@@ -143,7 +143,8 @@ def test_match_type_agrees_with_the_shape_walk():
     rng = random.Random(20261018)
     for _ in range(1500):
         sys = build(rng.choice(labels))
-        bases.append(_signed_sample(rng, sys.roots, rng.randint(1, sys.rank)))
+        bases.append(_signed_sample(rng, planche_roots(sys.label),
+                                    rng.randint(1, sys.rank)))
     for _ in range(300):
         sys = build(rng.choice([lab for lab in labels if lab.rank > 1]))
         theta = rng.sample(range(1, sys.rank + 1), rng.randint(1, sys.rank - 1))
@@ -196,9 +197,10 @@ def test_reflection_closure_single_vector():
 def test_reflection_closure_full_systems():
     for name in ["A3", "B3", "C3", "D4", "F4", "G2"]:
         sys = build_from_name(name)
-        res = reflection_closure(list(sys.simple_roots), frozenset(sys.roots),
-                                 max_size=len(sys.roots))
-        assert res == frozenset(sys.roots)
+        roots = frozenset(planche_roots(sys.label))
+        res = reflection_closure(list(sys.simple_roots), roots,
+                                 max_size=len(roots))
+        assert res == roots
 
 
 def test_reflection_closure_escape_is_named():
@@ -218,8 +220,8 @@ def test_reflection_closure_escape_is_named():
 
 def test_reflection_closure_oversize():
     sys = build_from_name("A3")
-    res = reflection_closure(list(sys.simple_roots), frozenset(sys.roots),
-                             max_size=5)
+    res = reflection_closure(list(sys.simple_roots),
+                             frozenset(planche_roots(sys.label)), max_size=5)
     assert isinstance(res, ClosureFailure)
     assert res.oversize
 
@@ -474,17 +476,18 @@ def test_norm_profiles_match_bourbaki(name, basis, roots):
 
 def test_norm_profiles_match_the_catalog():
     # the search reads the profiles from a table; count them off the
-    # catalog's simple roots and roots for every label up to rank 8
+    # catalog's simple roots and the planche roots for every label up to
+    # rank 8
     for family in ("A", "B", "C", "D", "E", "F", "G", "BC"):
         for rank in range(1, 9):
             try:
                 label = TypeLabel(family, rank)
             except ValueError:
                 continue
-            sys = build_from_name(str(label))
-            short = min(norm2(r) for r in sys.roots)
+            roots = planche_roots(label)
+            short = min(norm2(r) for r in roots)
             counted = tuple(dict(Counter(norm2(v) / short for v in vectors))
-                            for vectors in (sys.simple_roots, sys.roots))
+                            for vectors in (build(label).simple_roots, roots))
             assert detect._profiles(label) == counted, label
 
 
@@ -602,31 +605,33 @@ def test_certify_returns_the_catalog_roots(name):
     # the catalog builds each system from its own root formulas, so this
     # checks certify against an independent description of the same set
     sys = build_from_name(name)
-    universe = frozenset(sys.roots)
+    universe = frozenset(planche_roots(sys.label))
     assert certify(sys.label, sys.simple_roots, universe) == universe
 
 
 def test_certify_type_mismatch_and_escapes():
     c3 = build_from_name("C3")
-    res = certify(TypeLabel("B", 3), c3.simple_roots, frozenset(c3.roots))
+    res = certify(TypeLabel("B", 3), c3.simple_roots,
+                  frozenset(planche_roots(c3.label)))
     assert isinstance(res, ClosureFailure) and res.mistyped
     # a plain closure escape: one A2 root missing from the universe
     a2 = build_from_name("A2")
-    missing = max(a2.roots)
+    missing = max(planche_roots(a2.label))
     res = certify(TypeLabel("A", 2), a2.simple_roots,
-                  frozenset(a2.roots) - {missing})
+                  frozenset(planche_roots(a2.label)) - {missing})
     assert isinstance(res, ClosureFailure) and res.escaping == missing
     # BC needs the doubled short roots: the B2 roots alone do not hold them
     b2 = build_from_name("B2")
-    res = certify(TypeLabel("BC", 2), b2.simple_roots, frozenset(b2.roots))
-    doubles = sorted(scale(Fraction(2), v) for v in b2.roots if norm2(v) == 1)
+    roots = planche_roots(b2.label)
+    res = certify(TypeLabel("BC", 2), b2.simple_roots, frozenset(roots))
+    doubles = sorted(scale(Fraction(2), v) for v in roots if norm2(v) == 1)
     assert isinstance(res, ClosureFailure) and res.escaping == doubles[0]
 
 
 def test_revalidate_compares_labels_with_target():
     # C3 and B3 both have 18 roots; a C3 copy must not pass as a B3
     c3 = build_from_name("C3")
-    universe = frozenset(c3.roots)
+    universe = frozenset(planche_roots(c3.label))
     witness = ComponentWitness(TypeLabel("C", 3), c3.simple_roots, universe)
     assert revalidate(ClosureCertificate(parse_target("C3"), (witness,)),
                       universe)
@@ -637,7 +642,7 @@ def test_revalidate_compares_labels_with_target():
     # universe also holds a third
     half = Fraction(1, 2)
     basis = tuple(scale(half, v) for v in c3.simple_roots)
-    roots = frozenset(scale(half, v) for v in c3.roots)
+    roots = frozenset(scale(half, v) for v in planche_roots(c3.label))
     third = vector([Fraction(1, 3), 0, 0])
     universe = roots | {third}
     witness = ComponentWitness(TypeLabel("C", 3), basis, roots)

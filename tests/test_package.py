@@ -2,16 +2,28 @@
 
 import ast
 import importlib.util
+from collections import namedtuple
 from pathlib import Path
+from types import FunctionType
 
 import rootproj
+from test_values import _package_tuple_types
 
 SRC = Path(rootproj.__file__).resolve().parent
-TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = SRC.parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 # public entry points that no other package code calls: the tests and
 # library users are their only callers by design
 LIBRARY_ONLY = {"revalidate"}
+
+# members of the package's tuple types that no package or benchmark code
+# reads, each with its reason
+UNREAD_MEMBERS = {
+    # tells a library caller why certify refused a basis; the search
+    # needs only the refusal
+    "ClosureFailure.mistyped",
+}
 
 
 def _defined_names(stmt):
@@ -49,6 +61,38 @@ def test_no_library_code_only_tests_call():
         and not any(other is not stmt and name in names
                     for other, names in refs)]
     assert not unused, f"referenced by no other package code: {unused}"
+
+
+def _members(cls):
+    """Fields, properties and methods a tuple type defines itself, less
+    what namedtuple generates and dunder methods."""
+    generated = set(vars(namedtuple("_", ())))
+    return set(getattr(cls, "_fields", ())) | {
+        name for name, obj in vars(cls).items()
+        if isinstance(obj, (property, FunctionType, classmethod,
+                            staticmethod))
+        and name not in generated
+        and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_member_of_a_result_type_is_read():
+    """Every field, property and method of the package's tuple types is
+    read as an attribute somewhere in the package or in perfbench's
+    scripts, or is one of UNREAD_MEMBERS.
+
+    The check matches names, not types: a member whose name is read on
+    another type passes unseen.  ``roots``, say, is read as
+    ``ComponentWitness.roots``, so a ``roots`` field of another type
+    would pass unread.
+    """
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    read = {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = {f"{cls.__name__}.{name}" for cls in _package_tuple_types()
+              for name in _members(cls) if name not in read}
+    assert unread == UNREAD_MEMBERS
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

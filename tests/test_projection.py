@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (ExpansionConsistencyError, add, build_from_name,
-                     expansion_over_delta_theta, project_vector,
-                     simple_root_expansion, vector, zero)
+                     expansion_over_delta_theta, planche_roots,
+                     project_vector, simple_root_expansion, vector, zero)
 from rootproj.classify import proper_subsets
 from rootproj.linalg import (dot, from_ints, is_zero, neg, norm2, scale, sub,
                             to_ints)
@@ -30,7 +30,7 @@ def gram_schmidt_project(t, alphas):
 
 A3 = build_from_name("A3")
 HALF = Fraction(1, 2)
-A3_THETA_2 = (A3.simple_root(2),)
+A3_THETA_2 = (A3.simple_roots[1],)
 
 
 def test_project_a3_basis_vector():
@@ -40,7 +40,7 @@ def test_project_a3_basis_vector():
 
 
 def test_project_kills_span_theta():
-    assert is_zero(project_vector(A3_THETA_2, A3.simple_root(2)))
+    assert is_zero(project_vector(A3_THETA_2, A3.simple_roots[1]))
 
 
 def test_project_a3_root():
@@ -55,8 +55,9 @@ def test_project_matches_gram_schmidt_everywhere():
              ("E6", (1, 3)), ("E7", (2, 5, 7)), ("E8", (2, 3, 4, 5))]
     for name, theta in cases:
         sys = build_from_name(name)
-        alphas = [sys.simple_root(i) for i in theta]
-        for r in rng.sample(sys.roots, min(25, len(sys.roots))):
+        alphas = [sys.simple_roots[i - 1] for i in theta]
+        roots = planche_roots(sys.label)
+        for r in rng.sample(roots, min(25, len(roots))):
             assert project_vector(alphas, r) == gram_schmidt_project(r, alphas)
 
 
@@ -75,9 +76,9 @@ def test_project_all_matches_projecting_every_root():
     # project_all reads sigma_theta off the root coefficients; the
     # Euclidean projector applied to every root is the oracle
     for sys, theta in _oracle_thetas():
-        alphas = [sys.simple_root(i) for i in theta]
-        expect = {project_vector(alphas, r)
-                  for r in sys.roots} - {zero(sys.ambient_dim)}
+        alphas = [sys.simple_roots[i - 1] for i in theta]
+        expect = {project_vector(alphas, r) for r in planche_roots(
+            sys.label)} - {zero(len(alphas[0]))}
         pr = project_all(sys, theta)
         assert pr.sigma_theta_set == expect, (sys.label, theta)
         assert pr.census == dict(Counter(norm2(v) for v in expect))
@@ -98,8 +99,8 @@ def test_delta_theta_kernel_matches_the_fraction_projector(name):
     if name in KERNEL_SAMPLED:
         thetas = random.Random(name).sample(thetas, 16)
     for theta in thetas:
-        alphas = [sys.simple_root(i) for i in theta]
-        delta = tuple(project_vector(alphas, sys.simple_root(i))
+        alphas = [sys.simple_roots[i - 1] for i in theta]
+        delta = tuple(project_vector(alphas, sys.simple_roots[i - 1])
                       for i in range(1, sys.rank + 1) if i not in theta)
         pr = project_all(sys, theta)
         assert (pr.denominator, pr.delta_scaled) == to_ints(delta), theta
@@ -138,8 +139,8 @@ def test_project_all_e7_singleton_census_derived():
     # into 32 distinct projections of squared length 3/2
     e7 = build_from_name("E7")
     pr = project_all(e7, (1,))
-    alpha = e7.simple_root(1)
-    orthogonal = [r for r in e7.roots if dot(r, alpha) == 0]
+    alpha = e7.simple_roots[0]
+    orthogonal = [r for r in planche_roots(e7.label) if dot(r, alpha) == 0]
     assert len(orthogonal) == 60
     assert pr.census == {Fraction(2): 60, Fraction(3, 2): 32}
 
@@ -185,12 +186,13 @@ def test_projection_invariants_randomized():
         sys = build_from_name(name)
         for _ in range(3):
             theta = _random_theta(rng, sys.rank)
-            alphas = [sys.simple_root(i) for i in theta]
+            alphas = [sys.simple_roots[i - 1] for i in theta]
+            roots = planche_roots(sys.label)
             pr = project_all(sys, theta)
             # negation closure
             sources = set(pr.sigma_theta)
             assert all(neg(v) in sources for v in sources)
-            for r in rng.sample(sys.roots, min(12, len(sys.roots))):
+            for r in rng.sample(roots, min(12, len(roots))):
                 p = project_vector(alphas, r)
                 # idempotence and exact orthogonality
                 assert project_vector(alphas, p) == p
@@ -201,7 +203,7 @@ def test_projection_invariants_randomized():
                            if i not in theta]
                 assert is_zero(p) == all(c == 0 for c in outside)
             # linearity on random rational combinations
-            u, w = rng.sample(sys.roots, 2)
+            u, w = rng.sample(roots, 2)
             a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             combo = add(scale(a, u), scale(b, w))
