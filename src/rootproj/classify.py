@@ -1,17 +1,18 @@
 """Subset enumeration and table verification.
 
-``enumerate_records`` runs the detector over every proper theta of a
-system, one record per theta.  ``verify_paper`` compares its findings on
-an exceptional system against the bundled reference tables and reports
-the exact symmetric difference.
+``classify_theta`` runs the detector on one proper theta of a system;
+``enumerate`` writes one document per theta from it.  ``verify_paper``
+reads those documents for an exceptional system, from the command or
+from a saved ``enumerate --format json`` file, and reports the exact
+symmetric difference of their findings and the bundled reference tables.
 """
 
 from __future__ import annotations
 
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set,
                     Tuple)
 
-from .catalog import RealizedRootSystem, Target, TypeLabel, build, parse_target
+from .catalog import RealizedRootSystem, Target, TypeLabel, parse_target
 from .detect import DetectionReport, classify_max_rank
 from .projection import project_all
 
@@ -39,13 +40,6 @@ def classify_theta(sys: RealizedRootSystem,
     return ClassificationRecord(
         sigma=sys.label, theta=tuple(pr.theta), d=pr.d,
         reports=tuple(classify_max_rank(pr)))
-
-
-def enumerate_records(label: TypeLabel) -> Iterator[ClassificationRecord]:
-    """One record per proper theta, in deterministic order."""
-    sys = build(label)
-    for theta in proper_subsets(label.rank):
-        yield classify_theta(sys, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +119,10 @@ class VerificationReport(NamedTuple):
         return lines
 
 
-def verify_paper(label: TypeLabel,
-                 records: Optional[Sequence[ClassificationRecord]] = None
-                 ) -> VerificationReport:
-    """Compare detector findings with the reference tables, exactly.
-
-    Pass precomputed records to avoid re-running the enumeration.
-    """
+def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
+    """Compare the findings of label's enumerate documents, one per theta
+    and each a parsed line of ``enumerate --format json``, with the
+    reference tables, exactly.  A document of another system is refused."""
     if not label.is_exceptional or label.family == "G":
         raise ValueError("verification tables exist for E6, E7, E8, F4 only")
     golden = load_golden_tables().get(str(label), GoldenTable({}, {}))
@@ -141,16 +132,19 @@ def verify_paper(label: TypeLabel,
         TABLE_PRODUCT_RESTRICTED: set(),
     }
     records_checked = 0
-    for record in (records if records is not None else enumerate_records(label)):
+    for doc in docs:
+        if doc["sigma"] != str(label):
+            raise ValueError(f"a document of {doc['sigma']}, not of {label}")
         records_checked += 1
-        for rep in record.reports:
-            row = (record.theta, str(rep.target))
-            if rep.target.is_irreducible:
-                if rep.found:
+        for rep in doc["reports"]:
+            target = parse_target(rep["target"])
+            row = (tuple(doc["theta"]), str(target))
+            if target.is_irreducible:
+                if rep["found"]:
                     findings[TABLE_IRREDUCIBLE].add(row)
-                if rep.basis_from_delta_theta:
+                if rep["basis_from_delta_theta"]:
                     findings[TABLE_IRREDUCIBLE_RESTRICTED].add(row)
-            elif rep.found:
+            elif rep["found"]:
                 findings[TABLE_PRODUCT_RESTRICTED].add(row)
     missing: Dict[str, List[Row]] = {}
     unexpected: Dict[str, List[Row]] = {}

@@ -12,12 +12,12 @@ import csv as csv_mod
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import List, Optional
+from contextlib import closing, contextmanager
+from typing import Iterator, List, Optional
 
 from . import output
-from .catalog import build, parse_label, parse_target
-from .classify import (classify_theta, proper_subsets, verify_paper)
+from .catalog import TypeLabel, build, parse_label, parse_target
+from .classify import classify_theta, proper_subsets, verify_paper
 from .detect import find_subsystem
 from .linalg import norm2
 from .projection import project_all
@@ -109,6 +109,23 @@ def _one_record(task):
                                 record.reports)
 
 
+def _documents(label: TypeLabel, jobs: int) -> Iterator[dict]:
+    """The enumerate document of every proper theta of label, in order,
+    classified here or, with jobs above 1, in a process pool."""
+    tasks = ((str(label), t) for t in proper_subsets(label.rank))
+    # the pool forks all its workers when it starts: no more than CPUs
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers < 2:
+        yield from map(_one_record, tasks)
+        return
+    # imported here so that serial commands do not load multiprocessing
+    from multiprocessing import Pool
+    # closing the generator leaves the block, which terminates the
+    # workers, so a failed write does not wait for the theta they hold
+    with Pool(workers) as pool:
+        yield from pool.imap(_one_record, tasks, chunksize=4)
+
+
 def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -118,23 +135,12 @@ def cmd_enumerate(args) -> int:
         raise UsageError(
             f"{label} has {count} proper theta subsets, more than "
             f"{MAX_ENUMERATE_THETAS}; pass --force to enumerate them anyway")
-    tasks = ((args.sigma, t) for t in proper_subsets(label.rank))
-    # the pool forks all its workers when it starts: no more than CPUs
-    workers = min(args.jobs, os.cpu_count() or 1)
-    with _output(args.out) as out:
+    with _output(args.out) as out, \
+            closing(_documents(label, args.jobs)) as docs:
         if args.format == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)
-        if workers > 1:
-            # imported here so that serial commands do not load multiprocessing
-            from multiprocessing import Pool
-            # leaving the block terminates the workers, so a failed write
-            # does not wait for the theta they already hold
-            with Pool(workers) as pool:
-                for doc in pool.imap(_one_record, tasks, chunksize=4):
-                    _write_record(out, doc, args.format)
-        else:
-            for task in tasks:
-                _write_record(out, _one_record(task), args.format)
+        for doc in docs:
+            _write_record(out, doc, args.format)
     return EXIT_OK
 
 
@@ -154,7 +160,7 @@ def cmd_verify_paper(args) -> int:
         raise UsageError("verify-paper runs on E6, E7, E8 or F4")
     if args.format == "csv":
         raise UsageError("verify-paper writes text or json, not csv")
-    report = verify_paper(label)
+    report = verify_paper(label, _documents(label, 1))
     with _output(args.out) as out:
         if args.format == "json":
             doc = {

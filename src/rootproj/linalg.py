@@ -125,10 +125,9 @@ def from_ints(vectors: Iterable[IntVector], den: int) -> Tuple[Vector, ...]:
 
 
 def int_combine(coeffs: Iterable[Sequence[int]], basis: Sequence[IntVector]
-                ) -> List[Tuple[IntVector, Sequence[int]]]:
-    """(sum_i c_i b_i, c) for every integer coefficient row c over an int
-    basis, sorted by the vector, then by c."""
+                ) -> List[IntVector]:
+    """sum_i c_i b_i for every integer coefficient row c over an int
+    basis, sorted."""
     cols = tuple(zip(*basis))
-    return sorted((tuple(sum(map(mul, c, col)) for col in cols), c)
-                  for c in coeffs)
+    return sorted(tuple(sum(map(mul, c, col)) for col in cols) for c in coeffs)
 

@@ -106,7 +106,7 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     delta = from_ints(delta_scaled, den)
     restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
     restrictions.discard((0,) * len(outside))
-    sigma_scaled = tuple(v for v, _ in int_combine(restrictions, delta_scaled))
+    sigma_scaled = tuple(int_combine(restrictions, delta_scaled))
     sigma = from_ints(sigma_scaled, den)
     return ProjectionResult(sys, idx, len(outside), sigma, delta, *_views(sigma),
                             den, sigma_scaled, delta_scaled,

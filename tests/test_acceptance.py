@@ -18,8 +18,9 @@ from oracles import (add, build_from_name, classical_predicate,
 from rootproj import output
 from rootproj.catalog import Target, parse_label, parse_target
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
-                               TABLE_PRODUCT_RESTRICTED, enumerate_records,
-                               load_golden_tables, verify_paper)
+                               TABLE_PRODUCT_RESTRICTED, classify_theta,
+                               load_golden_tables, proper_subsets,
+                               verify_paper)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
                              find_subsystem, reflection_closure,
@@ -35,8 +36,18 @@ def records(request):
     """Full classification of every proper theta, one run per system."""
     cache = {}
     for name in EXCEPTIONAL:
-        cache[name] = list(enumerate_records(parse_label(name)))
+        sys = build_from_name(name)
+        cache[name] = [classify_theta(sys, theta)
+                       for theta in proper_subsets(sys.rank)]
     return cache
+
+
+@pytest.fixture(scope="module")
+def documents(records):
+    """The records as the documents `enumerate` writes, one per theta."""
+    return {name: [output.detection_doc(rec.sigma, rec.theta, rec.d,
+                                        rec.reports) for rec in recs]
+            for name, recs in records.items()}
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -160,7 +171,7 @@ def _basis_problems(sys, table, theta, target, factors):
     return []
 
 
-def _table_problems(table, records):
+def _table_problems(table, documents):
     """One table against the findings over every exceptional system.
 
     Nothing listed is missing, no listed negative is found, the rows found
@@ -170,7 +181,7 @@ def _table_problems(table, records):
     golden = load_golden_tables()
     problems = []
     for name in EXCEPTIONAL:
-        rep = verify_paper(parse_label(name), records=records[name])
+        rep = verify_paper(parse_label(name), documents[name])
         for row in rep.missing[table]:
             problems.append(f"{name}: listed row {row} not reproduced")
         for tab, row in rep.negatives_violated:
@@ -201,7 +212,7 @@ def _table_problems(table, records):
     return problems
 
 
-def test_criterion_1_thm_1_2_tables(records):
+def test_criterion_1_thm_1_2_tables(records, documents):
     """Unrestricted irreducible exceptional occurrences match the tables.
 
     Every listed row is found; each row found beyond the table is a proven
@@ -215,12 +226,12 @@ def test_criterion_1_thm_1_2_tables(records):
         assert (theta, "E6") in e8
     assert ((2, 3, 4, 5), "F4") in e8
     assert ((1, 2, 3, 4, 5, 6), "G2") in e8
-    problems = _table_problems(TABLE_IRREDUCIBLE, records)
+    problems = _table_problems(TABLE_IRREDUCIBLE, documents)
     conclude(1, "reference tables, any basis", not problems,
              "\n".join(problems))
 
 
-def test_criterion_2_thm_1_3_restricted(records):
+def test_criterion_2_thm_1_3_restricted(records, documents):
     """Delta_theta-basis findings match the restricted tables.
 
     Every listed row is found; each row found beyond the table is a proven
@@ -242,12 +253,12 @@ def test_criterion_2_thm_1_3_restricted(records):
     e8_restricted = _found_rows(records["E8"], restricted=True, irreducible=True)
     if ((8,), "E7") in e8_restricted:
         problems.append("E8 theta=8: E7 must not be restricted-reproducible")
-    problems += _table_problems(TABLE_IRREDUCIBLE_RESTRICTED, records)
+    problems += _table_problems(TABLE_IRREDUCIBLE_RESTRICTED, documents)
     conclude(2, "reference tables, basis from delta_theta",
              not problems, "\n".join(problems))
 
 
-def test_criterion_3_product_tables(records):
+def test_criterion_3_product_tables(records, documents):
     """Products with an exceptional component, restricted sense.
 
     Besides the named rows, the product table is checked like criteria 1
@@ -271,7 +282,7 @@ def test_criterion_3_product_tables(records):
     pr = project_all(build_from_name("E7"), (2, 4, 6, 7))
     if not census_admits(parse_target("G2xA1"), pr.census):
         problems.append("E7 (2,4,6,7) was expected to pass census pruning")
-    problems += _table_problems(TABLE_PRODUCT_RESTRICTED, records)
+    problems += _table_problems(TABLE_PRODUCT_RESTRICTED, documents)
     conclude(3, "product reference rows", not problems, "\n".join(problems))
 
 
@@ -485,17 +496,15 @@ def test_criterion_8_certificates(records):
              not problems, "\n".join(problems))
 
 
-def test_enumerate_json_bytes_match_reference(records):
-    """The records serialize to the bytes `enumerate --format json` wrote
+def test_enumerate_json_bytes_match_reference(documents):
+    """The documents serialize to the bytes `enumerate --format json` wrote
     when perfbench/reference.json was made (one sorted-key document per
     line), so a change to search or certificates that alters output shows
     here without running the benchmark."""
     ref_path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
     reference = json.loads(ref_path.read_text(encoding="utf-8"))
     for name in ("F4", "E7", "E8"):
-        text = "".join(
-            json.dumps(output.detection_doc(rec.sigma, rec.theta, rec.d,
-                                            rec.reports), sort_keys=True) + "\n"
-            for rec in records[name])
+        text = "".join(json.dumps(doc, sort_keys=True) + "\n"
+                       for doc in documents[name])
         got = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert got == reference[f"enumerate {name}"]["sha256"], name

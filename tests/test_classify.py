@@ -1,8 +1,9 @@
 import pytest
 
 from oracles import classical_predicate, oracle_equivalence
-from rootproj.catalog import parse_label
-from rootproj.classify import (enumerate_records, load_golden_tables,
+from rootproj import cli
+from rootproj.catalog import build, parse_label
+from rootproj.classify import (classify_theta, load_golden_tables,
                                proper_subsets, verify_paper)
 
 
@@ -65,6 +66,12 @@ def test_predicate_rejects_exceptional_input():
         pred("E6", (1,))
 
 
+def _records(name):
+    """One record per proper theta, in enumerate's order."""
+    sys = build(parse_label(name))
+    return [classify_theta(sys, theta) for theta in proper_subsets(sys.rank)]
+
+
 def test_proper_subset_count():
     assert len(list(proper_subsets(4))) == 2 ** 4 - 2
     subsets = list(proper_subsets(3))
@@ -72,7 +79,7 @@ def test_proper_subset_count():
 
 
 def test_enumerate_g2():
-    records = list(enumerate_records(parse_label("G2")))
+    records = _records("G2")
     assert len(records) == 2
     for rec in records:
         assert rec.d == 1
@@ -80,7 +87,7 @@ def test_enumerate_g2():
 
 
 def test_enumerate_f4_exactly_two_g2_rows():
-    records = list(enumerate_records(parse_label("F4")))
+    records = _records("F4")
     assert len(records) == 14
     hits = [rec.theta for rec in records
             for r in rec.reports
@@ -93,7 +100,7 @@ def test_enumerate_f4_exactly_two_g2_rows():
 
 
 def test_enumerate_e6_unique_g2_row():
-    records = list(enumerate_records(parse_label("E6")))
+    records = _records("E6")
     assert len(records) == 62
     hits = [rec.theta for rec in records
             for r in rec.reports
@@ -113,15 +120,23 @@ def test_golden_tables_parse():
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
 def test_verify_paper_small_systems_pass(name):
-    report = verify_paper(parse_label(name))
+    label = parse_label(name)
+    report = verify_paper(label, cli._documents(label, 1))
     assert report.ok, "\n".join(report.summary_lines())
+    assert report.records_checked == 2 ** label.rank - 2
 
 
 def test_verify_paper_rejects_classical():
     with pytest.raises(ValueError):
-        verify_paper(parse_label("A5"))
+        verify_paper(parse_label("A5"), [])
     with pytest.raises(ValueError):
-        verify_paper(parse_label("G2"))
+        verify_paper(parse_label("G2"), [])
+
+
+def test_verify_paper_refuses_another_systems_documents():
+    docs = cli._documents(parse_label("F4"), 1)
+    with pytest.raises(ValueError, match="F4"):
+        verify_paper(parse_label("E6"), docs)
 
 
 def test_oracle_equivalence_a_family():
@@ -151,7 +166,7 @@ def test_oracle_equivalence_selected_rows():
 
 def test_records_deterministic():
     a = [(r.theta, [(str(x.target), x.found) for x in r.reports])
-         for r in enumerate_records(parse_label("F4"))]
+         for r in _records("F4")]
     b = [(r.theta, [(str(x.target), x.found) for x in r.reports])
-         for r in enumerate_records(parse_label("F4"))]
+         for r in _records("F4")]
     assert a == b

@@ -1,11 +1,16 @@
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ from oracles import (build_from_name, planche_roots, project_vector,
                      reflect, shape_match_type)
 from rootproj import cli, output
 from rootproj.catalog import TypeLabel, parse_label, parse_target
+from rootproj.classify import verify_paper
 from rootproj.cli import main
 from rootproj.detect import (ClosureCertificate, ComponentWitness,
                              DetectionReport, find_subsystem, revalidate)
@@ -32,6 +38,38 @@ def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "rootproj.cli", *args],
                           capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    """(exit code, stdout, stderr) of main(command.split()), run in process
+    once per command and shared by the tests that hash its bytes and
+    re-check its documents.  verify-paper reads the documents of the
+    pinned enumerate run of its system, except on F4, where the
+    command's own enumeration is pinned too."""
+    runs = {}
+
+    def run(command):
+        if command not in runs:
+            argv = command.split()
+            text = None
+            if argv[0] == "verify-paper" and argv[2] != "F4":
+                text = run(f"enumerate --sigma {argv[2]} --format json")[1]
+
+            def documents(label, jobs):
+                assert (str(label), jobs) == (argv[2], 1)
+                return map(json.loads, text.splitlines())
+
+            with pytest.MonkeyPatch.context() as patch, \
+                    redirect_stdout(io.StringIO()) as out, \
+                    redirect_stderr(io.StringIO()) as err:
+                if text is not None:
+                    patch.setattr(cli, "_documents", documents)
+                code = main(argv)
+            runs[command] = (code, out.getvalue(), err.getvalue())
+        return runs[command]
+
+    return run
 
 
 def test_project_e8_census_line():
@@ -120,6 +158,19 @@ def test_verify_paper_refuses_csv(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: verify-paper writes text or json, not csv\n"
+
+
+def test_verify_paper_reads_a_saved_enumerate_file(tmp_path, pinned_run):
+    # the library check takes the parsed lines of a saved enumerate file
+    # and reaches the verdict the command prints from its own enumeration
+    saved = tmp_path / "f4.jsonl"
+    saved.write_text(pinned_run("enumerate --sigma F4 --format json")[1],
+                     encoding="utf-8")
+    with open(saved, encoding="utf-8") as lines:
+        report = verify_paper(parse_label("F4"), map(json.loads, lines))
+    assert report.records_checked == 14
+    code, out, _ = pinned_run("verify-paper --sigma F4 --format text")
+    assert (code, out) == (0, "\n".join(report.summary_lines()) + "\n")
 
 
 def test_enumerate_g2_stream(tmp_path):
@@ -252,33 +303,45 @@ def _recheck_found_report(report, sigma_theta, delta_theta):
     return problems
 
 
+def _oracle_projection(sys_, theta):
+    """(sigma_theta, delta_theta) of theta, projected by the Fraction
+    oracle from the planche roots, without the package's projection."""
+    alphas = [sys_.simple_roots[i - 1] for i in theta]
+    # projection is linear: project one root of each +-pair
+    images = {project_vector(alphas, r)
+              for r in planche_roots(sys_.label) if r > neg(r)}
+    sigma_theta = images | {neg(v) for v in images}
+    sigma_theta.discard(tuple(Fraction(0) for _ in alphas[0]))
+    delta_theta = {project_vector(alphas, a)
+                   for i, a in enumerate(sys_.simple_roots, 1)
+                   if i not in theta}
+    return sigma_theta, delta_theta
+
+
+def _enumerate_documents(name, pinned_run):
+    """The parsed lines of the pinned `enumerate --format json` run."""
+    command = f"enumerate --sigma {name} --format json"
+    code, text, err = pinned_run(command)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        PINNED_BYTES[command]
+    return [json.loads(line) for line in text.splitlines()]
+
+
 @pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
-def test_enumerate_json_rechecks_from_its_bytes(name, capsys):
+def test_enumerate_json_rechecks_from_its_bytes(name, pinned_run):
     # every found report of the pinned enumerate document is evidence on
     # its own: the Fraction oracles project the planche roots, and a
     # reflection closure written here rebuilds each component, BC ones
     # with their doubled roots, without the package's catalog roots or
     # detector
-    assert main(["enumerate", "--sigma", name, "--format", "json"]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        PINNED_BYTES[f"enumerate --sigma {name} --format json"]
     sys_ = build_from_name(name)
     found = problems = 0
-    for line in text.splitlines():
-        doc = json.loads(line)
+    for doc in _enumerate_documents(name, pinned_run):
         reports = [r for r in doc["reports"] if r["found"]]
         if not reports:
             continue
-        alphas = [sys_.simple_roots[i - 1] for i in doc["theta"]]
-        # projection is linear: project one root of each +-pair
-        images = {project_vector(alphas, r)
-                  for r in planche_roots(sys_.label) if r > neg(r)}
-        sigma_theta = images | {neg(v) for v in images}
-        sigma_theta.discard(tuple(Fraction(0) for _ in alphas[0]))
-        delta_theta = {project_vector(alphas, a)
-                       for i, a in enumerate(sys_.simple_roots, 1)
-                       if i not in doc["theta"]}
+        sigma_theta, delta_theta = _oracle_projection(sys_, doc["theta"])
         assert doc["d"] == len(delta_theta)
         for report in reports:
             found += 1
@@ -293,6 +356,85 @@ def test_enumerate_json_rechecks_from_its_bytes(name, capsys):
             assert _recheck_found_report(cut, sigma_theta, delta_theta)
     assert problems == 0
     assert found == {"F4": 2, "E6": 1, "E7": 4, "E8": 29}[name]
+
+
+@lru_cache(maxsize=None)
+def _root_profile(label):
+    """How many roots label has per squared norm over its shortest, read
+    off the planche roots."""
+    norms = Counter(dot(r, r) for r in planche_roots(label))
+    short = min(norms)
+    return {norm / short: count for norm, count in norms.items()}
+
+
+G2 = TypeLabel("G", 2)
+
+
+def _absence_reason(report, sigma_theta, delta_theta, census):
+    """Why a report's target cannot occur, read from its JSON and the
+    oracle projection alone, or None when neither reason holds.
+
+    "census": some component has no base scale at which the census of
+    sigma_theta (its vector count per squared norm) holds as many
+    vectors at each relative squared norm as the component has roots.
+    "delta": the G2 factor of a restricted product, which takes its
+    basis from delta_theta, has no pair of delta_theta that is a G2
+    simple system with its closure inside sigma_theta.
+    """
+    target = parse_target(report["target"])
+    for label in target.normalized():
+        profile = _root_profile(label)
+        if not any(all(census[base * rel] >= need
+                       for rel, need in profile.items()) for base in census):
+            return "census"
+    if report["restricted"] and not target.is_irreducible \
+            and G2 in target.components:
+        g2_pairs = [pair for pair in combinations(sorted(delta_theta), 2)
+                    if shape_match_type(pair) == [(G2, (0, 1))]
+                    and _reflection_closure(pair, sigma_theta, False)
+                    is not None]
+        if not g2_pairs:
+            return "delta"
+    return None
+
+
+# theta of each restricted product that the "delta" reason decides
+DELTA_ABSENCES = {
+    "F4": {(1,), (2,)},
+    "E6": set(),
+    "E7": {(1, 2, 5, 7), (1, 3, 6, 7), (2, 3, 5, 7), (2, 4, 6, 7),
+           (3, 4, 6, 7)},
+}
+
+
+@pytest.mark.parametrize("name", ["F4", "E6", "E7"])
+def test_enumerate_json_absences_recheck_from_its_bytes(name, pinned_run):
+    # every not-found report of the pinned enumerate document names a
+    # reason that its bytes and the oracle projection prove, without the
+    # detector, and neither reason holds for a found report
+    sys_ = build_from_name(name)
+    reasons = Counter()
+    delta_thetas, problems = set(), []
+    for doc in _enumerate_documents(name, pinned_run):
+        if not doc["reports"]:
+            continue
+        sigma_theta, delta_theta = _oracle_projection(sys_, doc["theta"])
+        census = Counter(dot(v, v) for v in sigma_theta)
+        for report in doc["reports"]:
+            reason = _absence_reason(report, sigma_theta, delta_theta, census)
+            if report["found"] != (reason is None):
+                problems.append(f"theta={doc['theta']} {report['target']} "
+                                f"found={report['found']} reason={reason}")
+            reasons[reason] += 1
+            if reason == "delta":
+                assert report["target"] in ("G2xA1", "G2xBC1")
+                delta_thetas.add(tuple(doc["theta"]))
+    assert problems == []
+    assert reasons == Counter({
+        None: {"F4": 2, "E6": 1, "E7": 4}[name],
+        "census": {"F4": 8, "E6": 309, "E7": 1214}[name],
+        "delta": {"F4": 4, "E6": 0, "E7": 7}[name]})
+    assert delta_thetas == DELTA_ABSENCES[name]
 
 
 def test_main_direct_exit_codes():
@@ -501,6 +643,18 @@ PINNED_BYTES = {
         "f74d99559438888b22a5ae2fce9669a88a2b4159b5918303b245cb9cd0ce90f4",
     "verify-paper --sigma F4 --format json":
         "899cbc5834492710435c8f231fa2ee9e8c31560add5f6f164bdf639215bdf7fe",
+    "verify-paper --sigma E6 --format text":
+        "8a3691a27a3da3880e270673aee66a123277ec2f78e8a823756cbadd74f42876",
+    "verify-paper --sigma E6 --format json":
+        "53ee663a60986580df5821fb64d3e9590f52b340c5af64271035220c7b026fea",
+    "verify-paper --sigma E7 --format text":
+        "7e53a3fbfa8bd0471b75ae806c2151756ec1bd959c35459d8df35ce537cc503f",
+    "verify-paper --sigma E7 --format json":
+        "2fee2ae1622b156e5dba3d89998d4a0d6aea73a3738511e2f4960d1dac7af9e2",
+    "verify-paper --sigma E8 --format text":
+        "c46354934e1b0f013e49842f65c0b25197f8d5d0e6c521269942a6f0a40d87ff",
+    "verify-paper --sigma E8 --format json":
+        "332001f996c92507409e5f7d6d64c234ca92069f36095e1a78a7d18cd7efc539",
     "enumerate --sigma F4 --format json":
         "60222c48fef32c2631a8b7658e75491e8395e175f618477c032d344c1b43c02c",
     "enumerate --sigma F4 --format json --jobs 2":
@@ -513,6 +667,12 @@ PINNED_BYTES = {
         "c35abbce2098249eb9aa047d85347513cdf39e3d5f6aaf686e305adc2b8d3c61",
     "enumerate --sigma E8 --format json":
         "dfc8826206ebaf31abf8fb5adbb82d768f08a6af92e14b272b80244dad102a5c",
+}
+
+# E8's rows found beyond the tables make verify-paper exit 1 there
+PINNED_EXITS = {
+    "verify-paper --sigma E8 --format text": 1,
+    "verify-paper --sigma E8 --format json": 1,
 }
 
 PINNED_ERRORS = {
@@ -532,12 +692,11 @@ PINNED_ERRORS = {
 }
 
 
-def test_command_bytes_are_pinned(capsys):
+def test_command_bytes_are_pinned(capsys, pinned_run):
     for command, digest in PINNED_BYTES.items():
-        assert main(command.split()) == 0, command
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        got = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        code, out, err = pinned_run(command)
+        assert (code, err) == (PINNED_EXITS.get(command, 0), ""), command
+        got = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert got == digest, command
     for command, err in PINNED_ERRORS.items():
         assert main(command.split()) == 2, command
