@@ -3,7 +3,7 @@
 from .catalog import (RealizedRootSystem, Target, TypeLabel, build,
                       cartan_matrix, detection_targets, parse_label,
                       parse_target)
-from .classify import ClassificationRecord, classify_theta, verify_paper
+from .classify import classify_theta, verify_paper
 from .detect import (ClosureCertificate, ClosureFailure, DetectionReport,
                      classify_max_rank, find_subsystem, match_type,
                      reflection_closure, revalidate)
@@ -13,7 +13,7 @@ from .projection import ProjectionResult, project_all
 __all__ = [
     "RealizedRootSystem", "Target", "TypeLabel", "build", "cartan_matrix",
     "detection_targets", "parse_label", "parse_target",
-    "ClassificationRecord", "classify_theta", "verify_paper",
+    "classify_theta", "verify_paper",
     "ClosureCertificate", "ClosureFailure", "DetectionReport",
     "classify_max_rank", "find_subsystem", "match_type", "reflection_closure",
     "revalidate",

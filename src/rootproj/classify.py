@@ -1,10 +1,10 @@
 """Subset enumeration and table verification.
 
-``classify_theta`` runs the detector on one proper theta of a system;
-``enumerate`` writes one document per theta from it.  ``verify_paper``
-reads those documents for an exceptional system, from the command or
-from a saved ``enumerate --format json`` file, and reports the exact
-symmetric difference of their findings and the bundled reference tables.
+``classify_theta`` runs the detector on one proper theta of a system and
+returns the document ``enumerate`` writes for it.  ``verify_paper`` reads
+those documents for an exceptional system, from the command or from a
+saved ``enumerate --format json`` file, and reports the exact symmetric
+difference of their findings and the bundled reference tables.
 """
 
 from __future__ import annotations
@@ -12,18 +12,10 @@ from __future__ import annotations
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set,
                     Tuple)
 
+from . import output
 from .catalog import RealizedRootSystem, Target, TypeLabel, parse_target
-from .detect import DetectionReport, classify_max_rank
+from .detect import classify_max_rank
 from .projection import project_all
-
-
-class ClassificationRecord(NamedTuple):
-    """Findings for one (sigma, theta) pair."""
-
-    sigma: TypeLabel
-    theta: Tuple[int, ...]
-    d: int
-    reports: Tuple[DetectionReport, ...]
 
 
 def proper_subsets(rank: int) -> Iterator[Tuple[int, ...]]:
@@ -34,12 +26,12 @@ def proper_subsets(rank: int) -> Iterator[Tuple[int, ...]]:
         yield from combinations(range(1, rank + 1), size)
 
 
-def classify_theta(sys: RealizedRootSystem,
-                   theta: Sequence[int]) -> ClassificationRecord:
+def classify_theta(sys: RealizedRootSystem, theta: Sequence[int]) -> dict:
+    """The enumerate document of one proper theta of sys: every report of
+    ``classify_max_rank`` on its projection, as ``output.detection_doc``."""
     pr = project_all(sys, theta)
-    return ClassificationRecord(
-        sigma=sys.label, theta=tuple(pr.theta), d=pr.d,
-        reports=tuple(classify_max_rank(pr)))
+    return output.detection_doc(sys.label, pr.theta, pr.d,
+                                classify_max_rank(pr))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +114,9 @@ class VerificationReport(NamedTuple):
 def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
     """Compare the findings of label's enumerate documents, one per theta
     and each a parsed line of ``enumerate --format json``, with the
-    reference tables, exactly.  A document of another system is refused."""
+    reference tables, exactly.  A document of another system is refused,
+    and so is a stream whose thetas are not every proper subset once, in
+    enumerate's order."""
     if not label.is_exceptional or label.family == "G":
         raise ValueError("verification tables exist for E6, E7, E8, F4 only")
     golden = load_golden_tables().get(str(label), GoldenTable({}, {}))
@@ -132,13 +126,18 @@ def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
         TABLE_PRODUCT_RESTRICTED: set(),
     }
     records_checked = 0
+    expected = proper_subsets(label.rank)
     for doc in docs:
         if doc["sigma"] != str(label):
             raise ValueError(f"a document of {doc['sigma']}, not of {label}")
+        theta = tuple(doc["theta"])
+        if theta != next(expected, None):
+            raise ValueError(f"theta={','.join(map(str, theta))} is out of "
+                             f"place: not the next proper theta of {label}")
         records_checked += 1
         for rep in doc["reports"]:
             target = parse_target(rep["target"])
-            row = (tuple(doc["theta"]), str(target))
+            row = (theta, str(target))
             if target.is_irreducible:
                 if rep["found"]:
                     findings[TABLE_IRREDUCIBLE].add(row)
@@ -146,6 +145,9 @@ def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
                     findings[TABLE_IRREDUCIBLE_RESTRICTED].add(row)
             elif rep["found"]:
                 findings[TABLE_PRODUCT_RESTRICTED].add(row)
+    left = next(expected, None)
+    if left is not None:
+        raise ValueError(f"no document of theta={','.join(map(str, left))}")
     missing: Dict[str, List[Row]] = {}
     unexpected: Dict[str, List[Row]] = {}
     negatives_violated: List[Tuple[str, Row]] = []

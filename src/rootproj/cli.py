@@ -103,10 +103,7 @@ def cmd_detect(args) -> int:
 
 def _one_record(task):
     sigma_name, theta = task
-    sys_ = build(parse_label(sigma_name))
-    record = classify_theta(sys_, theta)
-    return output.detection_doc(record.sigma, record.theta, record.d,
-                                record.reports)
+    return classify_theta(build(parse_label(sigma_name)), theta)
 
 
 def _documents(label: TypeLabel, jobs: int) -> Iterator[dict]:

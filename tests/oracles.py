@@ -14,6 +14,10 @@ diagram.
 coordinates from the explicit formulas of Bourbaki's planches, which the
 catalog never writes out: it keeps integer coefficients only.
 
+``certificate_of`` reads the certificate of a found report back from an
+enumerate document's "p/q" strings, so it can be revalidated without the
+search.
+
 ``classical_predicate`` holds the paper's block rules for the classical
 families, which name the rank-d types of the projection from the shape
 of theta alone; ``oracle_equivalence`` holds the detector to them in
@@ -28,9 +32,10 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 
 from rootproj.catalog import (RealizedRootSystem, TypeLabel, build,
                               check_theta, detection_targets,
-                              normalize_components, parse_label)
+                              normalize_components, parse_label, parse_target)
 from rootproj.classify import proper_subsets
-from rootproj.detect import find_subsystem
+from rootproj.detect import (ClosureCertificate, ComponentWitness,
+                             find_subsystem)
 from rootproj.linalg import (Matrix, Vector, dot, gram, is_zero, norm2, scale,
                              sub)
 from rootproj.projection import ProjectionResult, project_all
@@ -148,6 +153,16 @@ def add(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} != {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
+
+
+def certificate_of(report: dict) -> ClosureCertificate:
+    """The certificate of a found report dict of ``output.detection_doc``,
+    rebuilt from its target and components with Fraction and parse_label."""
+    return ClosureCertificate(parse_target(report["target"]), tuple(
+        ComponentWitness(parse_label(w["label"]),
+                         tuple(vector(v) for v in w["basis"]),
+                         frozenset(vector(v) for v in w["roots"]))
+        for w in report["components"]))
 
 
 def reflect(v: Vector, b: Vector) -> Vector:

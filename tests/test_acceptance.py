@@ -9,17 +9,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
-from oracles import (add, build_from_name, classical_predicate,
-                     expansion_over_delta_theta, oracle_equivalence,
-                     planche_roots, project_vector, reflect,
-                     simple_root_expansion, vector, zero)
-from rootproj import output
+from oracles import (add, build_from_name, certificate_of,
+                     classical_predicate, expansion_over_delta_theta,
+                     oracle_equivalence, planche_roots, project_vector,
+                     reflect, simple_root_expansion, vector, zero)
 from rootproj.catalog import Target, parse_label, parse_target
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
-                               TABLE_PRODUCT_RESTRICTED, classify_theta,
-                               load_golden_tables, proper_subsets,
+                               TABLE_PRODUCT_RESTRICTED, load_golden_tables,
                                verify_paper)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
@@ -28,26 +24,9 @@ from rootproj.detect import (ClosureCertificate, ClosureFailure,
 from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub
 from rootproj.projection import project_all
 
+# Criteria 1-3, 7 and 8 read the documents of the session's
+# `enumerate --format json` run of each system (tests/conftest.py).
 EXCEPTIONAL = ("F4", "E6", "E7", "E8")
-
-
-@pytest.fixture(scope="module")
-def records(request):
-    """Full classification of every proper theta, one run per system."""
-    cache = {}
-    for name in EXCEPTIONAL:
-        sys = build_from_name(name)
-        cache[name] = [classify_theta(sys, theta)
-                       for theta in proper_subsets(sys.rank)]
-    return cache
-
-
-@pytest.fixture(scope="module")
-def documents(records):
-    """The records as the documents `enumerate` writes, one per theta."""
-    return {name: [output.detection_doc(rec.sigma, rec.theta, rec.d,
-                                        rec.reports) for rec in recs]
-            for name, recs in records.items()}
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -55,17 +34,17 @@ def conclude(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} ({name}) failed\n{detail}"
 
 
-def _found_rows(recs, restricted: bool, irreducible: bool):
+def _found_rows(docs, restricted: bool, irreducible: bool):
     rows = set()
-    for rec in recs:
-        for rep in rec.reports:
-            if rep.target.is_irreducible != irreducible:
+    for doc in docs:
+        for rep in doc["reports"]:
+            if parse_target(rep["target"]).is_irreducible != irreducible:
                 continue
             # product reports carry the restricted answer in `found`
-            hit = rep.basis_from_delta_theta if (irreducible and restricted) \
-                else rep.found
+            hit = rep["basis_from_delta_theta"] \
+                if (irreducible and restricted) else rep["found"]
             if hit:
-                rows.add((rec.theta, str(rep.target)))
+                rows.add((tuple(doc["theta"]), rep["target"]))
     return rows
 
 
@@ -171,7 +150,7 @@ def _basis_problems(sys, table, theta, target, factors):
     return []
 
 
-def _table_problems(table, documents):
+def _table_problems(table, enumerated):
     """One table against the findings over every exceptional system.
 
     Nothing listed is missing, no listed negative is found, the rows found
@@ -181,7 +160,7 @@ def _table_problems(table, documents):
     golden = load_golden_tables()
     problems = []
     for name in EXCEPTIONAL:
-        rep = verify_paper(parse_label(name), documents[name])
+        rep = verify_paper(parse_label(name), enumerated(name).docs)
         for row in rep.missing[table]:
             problems.append(f"{name}: listed row {row} not reproduced")
         for tab, row in rep.negatives_violated:
@@ -212,26 +191,27 @@ def _table_problems(table, documents):
     return problems
 
 
-def test_criterion_1_thm_1_2_tables(records, documents):
+def test_criterion_1_thm_1_2_tables(enumerated):
     """Unrestricted irreducible exceptional occurrences match the tables.
 
     Every listed row is found; each row found beyond the table is a proven
     addition (PROVEN_ADDITIONS) whose proof re-checks.
     """
     # spot rows named by the criterion
-    e8 = _found_rows(records["E8"], restricted=False, irreducible=True)
+    e8 = _found_rows(enumerated("E8").docs, restricted=False,
+                     irreducible=True)
     for i in range(1, 9):
         assert ((i,), "E7") in e8
     for theta in [(2, 4), (1, 3), (7, 8)]:
         assert (theta, "E6") in e8
     assert ((2, 3, 4, 5), "F4") in e8
     assert ((1, 2, 3, 4, 5, 6), "G2") in e8
-    problems = _table_problems(TABLE_IRREDUCIBLE, documents)
+    problems = _table_problems(TABLE_IRREDUCIBLE, enumerated)
     conclude(1, "reference tables, any basis", not problems,
              "\n".join(problems))
 
 
-def test_criterion_2_thm_1_3_restricted(records, documents):
+def test_criterion_2_thm_1_3_restricted(enumerated):
     """Delta_theta-basis findings match the restricted tables.
 
     Every listed row is found; each row found beyond the table is a proven
@@ -246,26 +226,30 @@ def test_criterion_2_thm_1_3_restricted(records, documents):
     }
     problems = []
     for name, rows in listed.items():
-        found = _found_rows(records[name], restricted=True, irreducible=True)
+        found = _found_rows(enumerated(name).docs, restricted=True,
+                            irreducible=True)
         for row in rows:
             if row not in found:
                 problems.append(f"{name}: listed row {row} not reproduced")
-    e8_restricted = _found_rows(records["E8"], restricted=True, irreducible=True)
+    e8_restricted = _found_rows(enumerated("E8").docs, restricted=True,
+                                irreducible=True)
     if ((8,), "E7") in e8_restricted:
         problems.append("E8 theta=8: E7 must not be restricted-reproducible")
-    problems += _table_problems(TABLE_IRREDUCIBLE_RESTRICTED, documents)
+    problems += _table_problems(TABLE_IRREDUCIBLE_RESTRICTED, enumerated)
     conclude(2, "reference tables, basis from delta_theta",
              not problems, "\n".join(problems))
 
 
-def test_criterion_3_product_tables(records, documents):
+def test_criterion_3_product_tables(enumerated):
     """Products with an exceptional component, restricted sense.
 
     Besides the named rows, the product table is checked like criteria 1
     and 2: each row found beyond it is a proven addition.
     """
-    e8 = _found_rows(records["E8"], restricted=True, irreducible=False)
-    e7 = _found_rows(records["E7"], restricted=True, irreducible=False)
+    e8 = _found_rows(enumerated("E8").docs, restricted=True,
+                     irreducible=False)
+    e7 = _found_rows(enumerated("E7").docs, restricted=True,
+                     irreducible=False)
     problems = []
     for theta in [(1, 3, 5, 6, 8), (2, 4, 5, 6, 7)]:
         if (theta, "G2xA1") not in e8:
@@ -282,7 +266,7 @@ def test_criterion_3_product_tables(records, documents):
     pr = project_all(build_from_name("E7"), (2, 4, 6, 7))
     if not census_admits(parse_target("G2xA1"), pr.census):
         problems.append("E7 (2,4,6,7) was expected to pass census pruning")
-    problems += _table_problems(TABLE_PRODUCT_RESTRICTED, documents)
+    problems += _table_problems(TABLE_PRODUCT_RESTRICTED, enumerated)
     conclude(3, "product reference rows", not problems, "\n".join(problems))
 
 
@@ -417,24 +401,19 @@ def test_criterion_6_invariant_suite():
              not problems, "\n".join(problems[:20]))
 
 
-def test_criterion_7_weyl_conjugacy_of_singletons(records):
+def test_criterion_7_weyl_conjugacy_of_singletons(enumerated):
     """Equal-length singleton thetas give identical unrestricted findings."""
     problems = []
     for name in ("E6", "E7", "E8", "F4", "G2"):
         sys = build_from_name(name)
+        docs = {tuple(doc["theta"]): doc for doc in enumerated(name).docs}
         by_length = {}
         for i in range(1, sys.rank + 1):
             root_len = norm2(sys.simple_roots[i - 1])
-            pr = project_all(sys, (i,))
-            if name in records:
-                recs = {rec.theta: rec for rec in records[name]}
-                reps = recs[(i,)].reports
-            else:
-                from rootproj.detect import classify_max_rank
-                reps = classify_max_rank(pr)
-            found = tuple(sorted(str(r.target) for r in reps
-                                 if r.target.is_irreducible and r.found))
-            census = tuple(sorted(pr.census.items()))
+            found = tuple(sorted(
+                r["target"] for r in docs[(i,)]["reports"]
+                if parse_target(r["target"]).is_irreducible and r["found"]))
+            census = tuple(sorted(project_all(sys, (i,)).census.items()))
             by_length.setdefault(root_len, []).append((i, found, census))
         for root_len, entries in by_length.items():
             base = entries[0]
@@ -448,29 +427,31 @@ def test_criterion_7_weyl_conjugacy_of_singletons(records):
              "\n".join(problems))
 
 
-def test_criterion_8_certificates(records):
-    """Every found report re-validates from scratch; the escape case fails."""
+def test_criterion_8_certificates(enumerated):
+    """Every found report's certificate, rebuilt from the "p/q" strings of
+    its enumerate document, re-validates from scratch; the escape case
+    fails."""
     problems = []
     checked = 0
     for name in EXCEPTIONAL:
-        prs = {}
-        for rec in records[name]:
-            for rep in rec.reports:
-                if not rep.found:
-                    continue
-                if rec.theta not in prs:
-                    prs[rec.theta] = project_all(build_from_name(name), rec.theta)
-                pr = prs[rec.theta]
+        sys = build_from_name(name)
+        for doc in enumerated(name).docs:
+            found = [rep for rep in doc["reports"] if rep["found"]]
+            if not found:
+                continue
+            universe = project_all(sys, doc["theta"]).sigma_theta_set
+            for rep in found:
                 checked += 1
-                if rep.certificate is None:
-                    problems.append(f"{name} {rec.theta} {rep.target}: no certificate")
+                where = f"{name} {tuple(doc['theta'])} {rep['target']}"
+                if rep["basis"] is None:
+                    problems.append(f"{where}: no certificate")
                     continue
-                if not revalidate(rep.certificate, pr.sigma_theta_set):
-                    problems.append(
-                        f"{name} {rec.theta} {rep.target}: revalidation failed")
-                if rep.certificate.size != rep.target.root_count:
-                    problems.append(
-                        f"{name} {rec.theta} {rep.target}: wrong orbit size")
+                cert = certificate_of(rep)
+                if not revalidate(cert, universe):
+                    problems.append(f"{where}: revalidation failed")
+                if not cert.size == rep["closure_size"] == \
+                        cert.target.root_count:
+                    problems.append(f"{where}: wrong orbit size")
     # classical positives revalidate too
     for name, theta, target in [("B4", (1, 3), "BC2"), ("C4", (2, 3), "A2"),
                                 ("D4", (3, 4), "B2"), ("A5", (1, 3, 5), "A2"),
@@ -496,15 +477,13 @@ def test_criterion_8_certificates(records):
              not problems, "\n".join(problems))
 
 
-def test_enumerate_json_bytes_match_reference(documents):
-    """The documents serialize to the bytes `enumerate --format json` wrote
-    when perfbench/reference.json was made (one sorted-key document per
-    line), so a change to search or certificates that alters output shows
-    here without running the benchmark."""
+def test_enumerate_json_bytes_match_reference(enumerated):
+    """`enumerate --format json` writes the bytes it wrote when
+    perfbench/reference.json was made, so a change to search or
+    certificates that alters output shows here without running the
+    benchmark."""
     ref_path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
     reference = json.loads(ref_path.read_text(encoding="utf-8"))
     for name in ("F4", "E7", "E8"):
-        text = "".join(json.dumps(doc, sort_keys=True) + "\n"
-                       for doc in documents[name])
-        got = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        got = hashlib.sha256(enumerated(name).text.encode("utf-8")).hexdigest()
         assert got == reference[f"enumerate {name}"]["sha256"], name

@@ -1,7 +1,8 @@
+import json
+
 import pytest
 
 from oracles import classical_predicate, oracle_equivalence
-from rootproj import cli
 from rootproj.catalog import build, parse_label
 from rootproj.classify import (classify_theta, load_golden_tables,
                                proper_subsets, verify_paper)
@@ -66,46 +67,52 @@ def test_predicate_rejects_exceptional_input():
         pred("E6", (1,))
 
 
-def _records(name):
-    """One record per proper theta, in enumerate's order."""
-    sys = build(parse_label(name))
-    return [classify_theta(sys, theta) for theta in proper_subsets(sys.rank)]
-
-
 def test_proper_subset_count():
     assert len(list(proper_subsets(4))) == 2 ** 4 - 2
     subsets = list(proper_subsets(3))
     assert subsets == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
 
 
-def test_enumerate_g2():
-    records = _records("G2")
-    assert len(records) == 2
-    for rec in records:
-        assert rec.d == 1
-        assert not any(r.found for r in rec.reports)
+def test_enumerate_g2(enumerated):
+    docs = enumerated("G2").docs
+    assert len(docs) == 2
+    for doc in docs:
+        assert doc["d"] == 1
+        assert not any(r["found"] for r in doc["reports"])
 
 
-def test_enumerate_f4_exactly_two_g2_rows():
-    records = _records("F4")
-    assert len(records) == 14
-    hits = [rec.theta for rec in records
-            for r in rec.reports
-            if str(r.target) == "G2" and r.found]
-    assert hits == [(1, 2), (3, 4)]
-    restricted_hits = [rec.theta for rec in records
-                       for r in rec.reports
-                       if str(r.target) == "G2" and r.basis_from_delta_theta]
-    assert restricted_hits == [(1, 2), (3, 4)]
+def test_enumerate_f4_exactly_two_g2_rows(enumerated):
+    docs = enumerated("F4").docs
+    assert len(docs) == 14
+    hits = [doc["theta"] for doc in docs
+            for r in doc["reports"]
+            if r["target"] == "G2" and r["found"]]
+    assert hits == [[1, 2], [3, 4]]
+    restricted_hits = [doc["theta"] for doc in docs
+                       for r in doc["reports"]
+                       if r["target"] == "G2" and r["basis_from_delta_theta"]]
+    assert restricted_hits == [[1, 2], [3, 4]]
 
 
-def test_enumerate_e6_unique_g2_row():
-    records = _records("E6")
-    assert len(records) == 62
-    hits = [rec.theta for rec in records
-            for r in rec.reports
-            if str(r.target) == "G2" and r.basis_from_delta_theta]
-    assert hits == [(1, 3, 5, 6)]
+def test_enumerate_e6_unique_g2_row(enumerated):
+    docs = enumerated("E6").docs
+    assert len(docs) == 62
+    hits = [doc["theta"] for doc in docs
+            for r in doc["reports"]
+            if r["target"] == "G2" and r["basis_from_delta_theta"]]
+    assert hits == [[1, 3, 5, 6]]
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_classify_theta_returns_the_enumerate_line(name, enumerated):
+    # classify_theta is the library's one classification of a theta: its
+    # document serializes to the line enumerate writes for that theta
+    sys = build(parse_label(name))
+    lines = enumerated(name).text.splitlines()
+    thetas = list(proper_subsets(sys.rank))
+    assert len(lines) == len(thetas)
+    for theta, line in zip(thetas, lines):
+        assert json.dumps(classify_theta(sys, theta), sort_keys=True) == line
 
 
 def test_golden_tables_parse():
@@ -119,9 +126,9 @@ def test_golden_tables_parse():
 
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
-def test_verify_paper_small_systems_pass(name):
+def test_verify_paper_small_systems_pass(name, enumerated):
     label = parse_label(name)
-    report = verify_paper(label, cli._documents(label, 1))
+    report = verify_paper(label, enumerated(name).docs)
     assert report.ok, "\n".join(report.summary_lines())
     assert report.records_checked == 2 ** label.rank - 2
 
@@ -133,10 +140,38 @@ def test_verify_paper_rejects_classical():
         verify_paper(parse_label("G2"), [])
 
 
-def test_verify_paper_refuses_another_systems_documents():
-    docs = cli._documents(parse_label("F4"), 1)
+def test_verify_paper_refuses_another_systems_documents(enumerated):
     with pytest.raises(ValueError, match="F4"):
-        verify_paper(parse_label("E6"), docs)
+        verify_paper(parse_label("E6"), enumerated("F4").docs)
+
+
+def _theta_error(docs):
+    """The message verify_paper raises on E7's stream docs."""
+    with pytest.raises(ValueError) as info:
+        verify_paper(parse_label("E7"), docs)
+    return str(info.value)
+
+
+def test_verify_paper_refuses_a_stream_of_other_thetas(enumerated):
+    # every proper theta once, in enumerate's order, or no verdict: a
+    # truncated, padded or reordered stream, or one with a theta that is
+    # no proper subset of E7's simple roots, would pass the tables with
+    # other records than the system has
+    docs = enumerated("E7").docs
+    assert len(docs) == 126
+    assert _theta_error(docs[:-5]) == "no document of theta=1,2,3,4,6,7"
+    assert _theta_error([]) == "no document of theta=1"
+    assert _theta_error(docs + docs[:3]) == \
+        "theta=1 is out of place: not the next proper theta of E7"
+    assert _theta_error(docs[:1] + docs) == \
+        "theta=1 is out of place: not the next proper theta of E7"
+    assert _theta_error(docs[1:]) == \
+        "theta=2 is out of place: not the next proper theta of E7"
+    swapped = [docs[1], docs[0], *docs[2:]]
+    assert _theta_error(swapped).startswith("theta=2 is out of place")
+    foreign = dict(docs[7], theta=[9])
+    assert _theta_error([*docs[:7], foreign, *docs[8:]]) == \
+        "theta=9 is out of place: not the next proper theta of E7"
 
 
 def test_oracle_equivalence_a_family():
@@ -163,10 +198,3 @@ def test_oracle_equivalence_selected_rows():
     assert by_theta[(3, 4)].prediction == "B2"
     assert by_theta[(3, 4)].confirmed is True
 
-
-def test_records_deterministic():
-    a = [(r.theta, [(str(x.target), x.found) for x in r.reports])
-         for r in _records("F4")]
-    b = [(r.theta, [(str(x.target), x.found) for x in r.reports])
-         for r in _records("F4")]
-    assert a == b

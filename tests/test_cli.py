@@ -15,14 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (build_from_name, planche_roots, project_vector,
-                     reflect, shape_match_type)
+from oracles import (build_from_name, certificate_of, planche_roots,
+                     project_vector, reflect, shape_match_type)
 from rootproj import cli, output
 from rootproj.catalog import TypeLabel, parse_label, parse_target
 from rootproj.classify import verify_paper
 from rootproj.cli import main
-from rootproj.detect import (ClosureCertificate, ComponentWitness,
-                             DetectionReport, find_subsystem, revalidate)
+from rootproj.detect import DetectionReport, find_subsystem, revalidate
 from rootproj.linalg import dot, neg
 from rootproj.projection import project_all
 
@@ -41,29 +40,31 @@ def run_cli(*args):
 
 
 @pytest.fixture(scope="module")
-def pinned_run():
+def pinned_run(enumerated):
     """(exit code, stdout, stderr) of main(command.split()), run in process
     once per command and shared by the tests that hash its bytes and
-    re-check its documents.  verify-paper reads the documents of the
-    pinned enumerate run of its system, except on F4, where the
-    command's own enumeration is pinned too."""
+    re-check its documents.  A serial `enumerate --format json` is the
+    session's run of its system, and verify-paper reads the documents of
+    that run; test_verify_paper_f4_exit_zero runs the command's own
+    enumeration."""
     runs = {}
 
     def run(command):
+        argv = command.split()
+        if argv[0] == "enumerate" and argv[3:] == ["--format", "json"]:
+            return enumerated(argv[2])[:3]
         if command not in runs:
-            argv = command.split()
-            text = None
-            if argv[0] == "verify-paper" and argv[2] != "F4":
-                text = run(f"enumerate --sigma {argv[2]} --format json")[1]
+            verify = argv[0] == "verify-paper"
+            docs = enumerated(argv[2]).docs if verify else None
 
             def documents(label, jobs):
                 assert (str(label), jobs) == (argv[2], 1)
-                return map(json.loads, text.splitlines())
+                return iter(docs)
 
             with pytest.MonkeyPatch.context() as patch, \
                     redirect_stdout(io.StringIO()) as out, \
                     redirect_stderr(io.StringIO()) as err:
-                if text is not None:
+                if verify:
                     patch.setattr(cli, "_documents", documents)
                 code = main(argv)
             runs[command] = (code, out.getvalue(), err.getvalue())
@@ -137,10 +138,13 @@ def test_detect_bad_label_usage_error():
     assert code == 2
 
 
-def test_verify_paper_f4_exit_zero():
+def test_verify_paper_f4_exit_zero(pinned_run):
+    # the command's own enumeration gives the pinned verdict, which the
+    # pinned run reaches from the session's enumerate documents
     code, out, _ = run_cli("verify-paper", "--sigma", "F4")
     assert code == 0
     assert "PASS" in out
+    assert out == pinned_run("verify-paper --sigma F4 --format text")[1]
 
 
 def test_verify_paper_classical_usage_error():
@@ -213,17 +217,8 @@ def test_round_trip_detection_doc():
     assert (data["sigma"], tuple(data["theta"]), data["d"]) == \
         ("E6", (1, 3, 5, 6), 2)
     (report,) = data["reports"]
-
-    def vec(items):
-        return tuple(Fraction(x) for x in items)
-
-    target = parse_target(report["target"])
-    cert = ClosureCertificate(target, tuple(
-        ComponentWitness(parse_label(w["label"]),
-                         tuple(vec(v) for v in w["basis"]),
-                         frozenset(vec(v) for v in w["roots"]))
-        for w in report["components"]))
-    back = DetectionReport(target, report["found"], report["restricted"],
+    cert = certificate_of(report)
+    back = DetectionReport(cert.target, report["found"], report["restricted"],
                            report["basis_from_delta_theta"], cert)
     assert back == rep
     assert revalidate(back.certificate, pr.sigma_theta_set)
@@ -318,18 +313,17 @@ def _oracle_projection(sys_, theta):
     return sigma_theta, delta_theta
 
 
-def _enumerate_documents(name, pinned_run):
+def _enumerate_documents(name, enumerated):
     """The parsed lines of the pinned `enumerate --format json` run."""
-    command = f"enumerate --sigma {name} --format json"
-    code, text, err = pinned_run(command)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        PINNED_BYTES[command]
-    return [json.loads(line) for line in text.splitlines()]
+    run = enumerated(name)
+    assert (run.code, run.err) == (0, "")
+    assert hashlib.sha256(run.text.encode("utf-8")).hexdigest() == \
+        PINNED_BYTES[f"enumerate --sigma {name} --format json"]
+    return run.docs
 
 
 @pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
-def test_enumerate_json_rechecks_from_its_bytes(name, pinned_run):
+def test_enumerate_json_rechecks_from_its_bytes(name, enumerated):
     # every found report of the pinned enumerate document is evidence on
     # its own: the Fraction oracles project the planche roots, and a
     # reflection closure written here rebuilds each component, BC ones
@@ -337,7 +331,7 @@ def test_enumerate_json_rechecks_from_its_bytes(name, pinned_run):
     # detector
     sys_ = build_from_name(name)
     found = problems = 0
-    for doc in _enumerate_documents(name, pinned_run):
+    for doc in _enumerate_documents(name, enumerated):
         reports = [r for r in doc["reports"] if r["found"]]
         if not reports:
             continue
@@ -408,14 +402,14 @@ DELTA_ABSENCES = {
 
 
 @pytest.mark.parametrize("name", ["F4", "E6", "E7"])
-def test_enumerate_json_absences_recheck_from_its_bytes(name, pinned_run):
+def test_enumerate_json_absences_recheck_from_its_bytes(name, enumerated):
     # every not-found report of the pinned enumerate document names a
     # reason that its bytes and the oracle projection prove, without the
     # detector, and neither reason holds for a found report
     sys_ = build_from_name(name)
     reasons = Counter()
     delta_thetas, problems = set(), []
-    for doc in _enumerate_documents(name, pinned_run):
+    for doc in _enumerate_documents(name, enumerated):
         if not doc["reports"]:
             continue
         sigma_theta, delta_theta = _oracle_projection(sys_, doc["theta"])

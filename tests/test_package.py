@@ -2,11 +2,14 @@
 
 import ast
 import importlib.util
-from collections import namedtuple
+import io
+from collections import Counter, namedtuple
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import FunctionType
 
 import rootproj
+from rootproj import classify, cli, output
 from test_values import _package_tuple_types
 
 SRC = Path(rootproj.__file__).resolve().parent
@@ -117,3 +120,29 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     missing = [f"{mod}.{attr}" for mod, attr in sorted(wrapped)
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, f"wrapped by perfbench/tracing.py, gone: {missing}"
+
+
+def test_enumerate_reaches_the_names_the_tracer_times(monkeypatch):
+    # perfbench's traced pass times classification, projection, search
+    # and serialization by patching these module attributes; enumerate
+    # must look each of them up there at call time, once per theta, or
+    # a --trace 1 per-layer metric silently reads zero
+    calls = Counter()
+
+    def counting(mod, attr):
+        fn = getattr(mod, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mod, attr, wrapper)
+
+    for mod, attr in ((cli, "classify_theta"), (classify, "project_all"),
+                      (classify, "classify_max_rank"),
+                      (output, "detection_doc")):
+        counting(mod, attr)
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["enumerate", "--sigma", "F4", "--format", "json"]) == 0
+    assert out.getvalue().count("\n") == 14
+    assert calls == dict.fromkeys(("classify_theta", "project_all",
+                                   "classify_max_rank", "detection_doc"), 14)

@@ -12,7 +12,7 @@ import pytest
 
 import rootproj
 from oracles import build_from_name, classical_predicate, oracle_equivalence
-from rootproj import (ClosureFailure, Target, TypeLabel, classify_theta,
+from rootproj import (ClosureFailure, Target, TypeLabel, classify_max_rank,
                       find_subsystem, parse_label, parse_target, project_all,
                       verify_paper)
 from rootproj.classify import load_golden_tables
@@ -34,17 +34,17 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_resources():
     assert proc.stdout.endswith("result: PASS\n")
 
 
-def _values():
-    """One instance of every result type, named by its type."""
+def _values(f4_docs):
+    """One instance of every result type, named by its type; f4_docs are
+    the enumerate documents of F4."""
     f4 = build_from_name("F4")
     pr = project_all(f4, (1, 2))
-    record = classify_theta(f4, (1, 2))
-    found = next(r for r in record.reports if r.found)
+    found = next(r for r in classify_max_rank(pr) if r.found)
     values = [
         TypeLabel("A", 1), parse_target("E7xA1"), f4, pr,
         ClosureFailure(), found.certificate, found.certificate.components[0],
-        found, record, load_golden_tables()["F4"],
-        verify_paper(parse_label("F4"), []),
+        found, load_golden_tables()["F4"],
+        verify_paper(parse_label("F4"), f4_docs),
     ]
     return {type(v).__name__: v for v in values}
 
@@ -78,9 +78,9 @@ def _assert_immutable(values):
             value.cache = {}
 
 
-def test_every_result_type_is_immutable():
-    values = _values()
-    assert len(values) == 11
+def test_every_result_type_is_immutable(enumerated):
+    values = _values(enumerated("F4").docs)
+    assert len(values) == 10
     # every tuple type of the package has an instance here, its private
     # bases (catalog's _TypeLabel and _Target) through their subclasses
     types = _package_tuple_types()
@@ -97,10 +97,9 @@ def test_every_oracle_result_type_is_immutable():
     _assert_immutable(values)
 
 
-def test_results_survive_pickle():
-    values = _values()
-    for name in ("DetectionReport", "ClassificationRecord",
-                 "ProjectionResult"):
+def test_results_survive_pickle(enumerated):
+    values = _values(enumerated("F4").docs)
+    for name in ("DetectionReport", "ProjectionResult"):
         value = values[name]
         back = pickle.loads(pickle.dumps(value))
         assert type(back) is type(value) and back == value, name
