@@ -12,14 +12,13 @@ import csv as csv_mod
 import json
 import os
 import sys
-from contextlib import closing, contextmanager
+from contextlib import closing, nullcontext
 from typing import Iterator, List, Optional
 
 from . import output
 from .catalog import TypeLabel, build, parse_label, parse_target
 from .classify import classify_theta, proper_subsets, verify_paper
 from .detect import find_subsystem
-from .linalg import norm2
 from .projection import project_all
 
 EXIT_OK = 0
@@ -35,33 +34,25 @@ MAX_ENUMERATE_THETAS = 2 ** 12 - 2
 MAX_RANK = 40
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_theta(text: str) -> tuple:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"bad theta {text!r}: expected comma-separated indices")
+        raise ValueError(f"bad theta {text!r}: expected comma-separated indices")
 
 
 def _parse_sigma(text: str):
     label = parse_label(text)
     if label.rank > MAX_RANK:
-        raise UsageError(f"{label} has rank {label.rank}; the highest rank "
+        raise ValueError(f"{label} has rank {label.rank}; the highest rank "
                          f"supported is {MAX_RANK}")
     return label
 
 
-@contextmanager
 def _output(path: Optional[str]):
     """The file named by --out, closed on exit, or stdout when none."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8") as out:
-        yield out
+    return open(path, "w", encoding="utf-8") if path \
+        else nullcontext(sys.stdout)
 
 
 def cmd_project(args) -> int:
@@ -72,16 +63,7 @@ def cmd_project(args) -> int:
             json.dump(output.projection_doc(pr), out, sort_keys=True)
             out.write("\n")
         elif args.format == "csv":
-            writer = csv_mod.writer(out)
-            writer.writerow(["kind", "coords", "norm"])
-            for v in pr.sigma_theta:
-                writer.writerow(["sigma_theta", " ".join(output.vec_strs(v)),
-                                 str(norm2(v))])
-            for v in pr.delta_theta:
-                writer.writerow(["delta_theta", " ".join(output.vec_strs(v)),
-                                 str(norm2(v))])
-            for norm in sorted(pr.census):
-                writer.writerow(["census", str(norm), str(pr.census[norm])])
+            csv_mod.writer(out).writerows(output.projection_csv_rows(pr))
         else:
             out.write("\n".join(output.projection_text(pr)) + "\n")
     return EXIT_OK
@@ -125,11 +107,11 @@ def _documents(label: TypeLabel, jobs: int) -> Iterator[dict]:
 
 def cmd_enumerate(args) -> int:
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     label = _parse_sigma(args.sigma)
     count = 2 ** label.rank - 2
     if count > MAX_ENUMERATE_THETAS and not args.force:
-        raise UsageError(
+        raise ValueError(
             f"{label} has {count} proper theta subsets, more than "
             f"{MAX_ENUMERATE_THETAS}; pass --force to enumerate them anyway")
     with _output(args.out) as out, \
@@ -154,9 +136,9 @@ def _write_record(out, doc: dict, fmt: str) -> None:
 def cmd_verify_paper(args) -> int:
     label = parse_label(args.sigma)
     if not (label.is_exceptional and label.family != "G"):
-        raise UsageError("verify-paper runs on E6, E7, E8 or F4")
+        raise ValueError("verify-paper runs on E6, E7, E8 or F4")
     if args.format == "csv":
-        raise UsageError("verify-paper writes text or json, not csv")
+        raise ValueError("verify-paper writes text or json, not csv")
     report = verify_paper(label, _documents(label, 1))
     with _output(args.out) as out:
         if args.format == "json":
@@ -228,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # OSError: e.g. --out into a missing directory, which is bad
         # outside input, never a verification mismatch
         print(f"error: {exc}", file=sys.stderr)

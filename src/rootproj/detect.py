@@ -22,12 +22,12 @@ Exact rationals at the edge, integers inside, never floats.  Every test
 of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
 inside a finite set), so the search behind ``find_subsystem`` and
 ``classify_max_rank`` reads only the int fields of ``ProjectionResult``:
-the projection times its common denominator (``sigma_scaled``,
-``delta_scaled``) with its ``census_scaled``, ``sigma_scaled_set`` and
-``pool_scaled``.  Each certificate is mapped back onto the Fraction
-vectors of sigma_theta when its report is built, and ``revalidate``
-scales a certificate and its universe to ints the same way before it
-checks them.  Positive scaling keeps the (norm, coordinates)
+the projection times its common denominator, ``delta_scaled`` and the
+``census_scaled``, ``sigma_scaled_set`` and ``pool_scaled`` of sigma_theta.
+Each certificate is divided by the projection's ``denominator`` when its
+report is built, which gives its vectors in sigma_theta, and
+``revalidate`` scales a certificate and its universe to ints the same
+way before it checks them.  Positive scaling keeps the (norm, coordinates)
 order of the pool and of every closure frontier, so the first
 certificate is the one the Fraction search would find.  The
 functions here stay generic: ``certify``, ``match_type`` and
@@ -57,8 +57,8 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
-from .linalg import (IntVector, Vector, bareiss_minors, dot, norm2, scale, sub,
-                     to_ints)
+from .linalg import (IntVector, Vector, bareiss_minors, dot, from_ints, norm2,
+                     scale, sub, to_ints)
 from .projection import ProjectionResult
 
 
@@ -446,11 +446,11 @@ def _search(pr: ProjectionResult, target: Target, restricted: bool
 
 def _unscaled(cert: ClosureCertificate, pr: ProjectionResult
               ) -> ClosureCertificate:
-    """A certificate over pr's scaled vectors, read over pr.sigma_theta."""
-    frac = dict(zip(pr.sigma_scaled, pr.sigma_theta))
+    """A certificate over pr's scaled vectors, divided by pr.denominator."""
+    den = pr.denominator
     return ClosureCertificate(cert.target, tuple(
-        ComponentWitness(w.label, tuple(frac[v] for v in w.basis),
-                         frozenset(frac[v] for v in w.roots))
+        ComponentWitness(w.label, from_ints(w.basis, den),
+                         frozenset(from_ints(w.roots, den)))
         for w in cert.components))
 
 

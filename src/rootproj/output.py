@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .detect import DetectionReport, TypeLabel
-from .linalg import Vector
+from .linalg import Vector, norm2
 from .projection import ProjectionResult
 
 SCHEMA = "rootproj/1"
@@ -69,6 +69,18 @@ def projection_doc(pr: ProjectionResult) -> dict:
         "delta_theta": [vec_strs(v) for v in pr.delta_theta],
         "census": census_dict(pr.census),
     }
+
+
+def projection_csv_rows(pr: ProjectionResult) -> List[List[str]]:
+    """CSV rows of a projection, its header row first."""
+    rows = [["kind", "coords", "norm"]]
+    for kind, vectors in (("sigma_theta", pr.sigma_theta),
+                          ("delta_theta", pr.delta_theta)):
+        rows.extend([kind, " ".join(vec_strs(v)), str(norm2(v))]
+                    for v in vectors)
+    rows.extend(["census", str(norm), str(pr.census[norm])]
+                for norm in sorted(pr.census))
+    return rows
 
 
 def csv_rows(doc: dict) -> List[List[str]]:

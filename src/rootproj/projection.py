@@ -19,7 +19,7 @@ is integral, and dividing it and s*det by their gcd gives exactly
 combination of delta_theta, read off the root coefficients.  The result
 keeps those ints next to the Fractions, each kind with its census,
 member set and pool, which one helper (``_views``) builds for both;
-``detect`` searches the ints.
+``detect`` searches the ints, and ``output`` writes the Fractions.
 """
 
 from __future__ import annotations
@@ -42,13 +42,18 @@ class ProjectionResult(NamedTuple):
     order of the simple roots outside theta and is not deduplicated.  The
     census maps each squared length to the number of distinct vectors of
     that length in sigma_theta.  sigma_theta_set and pair_reps are views
-    of sigma_theta, built once by project_all.  sigma_scaled and
-    delta_scaled are sigma_theta and delta_theta times ``denominator``,
-    a common denominator of their coordinates, as int tuples in the same
+    of sigma_theta, built once by project_all.  delta_scaled is
+    delta_theta times ``denominator``, a common denominator of the
+    coordinates of sigma_theta and delta_theta, as int tuples in the same
     order; census_scaled, sigma_scaled_set and pool_scaled are the same
-    views of sigma_scaled, so the census keys are the Fraction ones times
-    ``denominator`` squared.  The fields from sigma_theta_set on are
-    functions of the ones before them.
+    views of sigma_theta times ``denominator``, so the census keys are
+    the Fraction ones times ``denominator`` squared.  The fields from
+    sigma_theta_set on are functions of the ones before them.
+
+    The search reads the int fields and ``denominator``; of the Fraction
+    views only ``output`` reads sigma_theta, delta_theta and census, and
+    no package code reads sigma_theta_set or pool(): they are kept for
+    library callers and for perfbench's sweep.
     """
 
     system: RealizedRootSystem
@@ -60,7 +65,6 @@ class ProjectionResult(NamedTuple):
     sigma_theta_set: frozenset
     pair_reps: Tuple[Vector, ...]
     denominator: int
-    sigma_scaled: Tuple[IntVector, ...]
     delta_scaled: Tuple[IntVector, ...]
     census_scaled: Dict[int, int]
     sigma_scaled_set: frozenset
@@ -109,5 +113,4 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     sigma_scaled = tuple(int_combine(restrictions, delta_scaled))
     sigma = from_ints(sigma_scaled, den)
     return ProjectionResult(sys, idx, len(outside), sigma, delta, *_views(sigma),
-                            den, sigma_scaled, delta_scaled,
-                            *_views(sigma_scaled))
+                            den, delta_scaled, *_views(sigma_scaled))

@@ -304,7 +304,7 @@ def naive_find_restricted(pr, target, certified):
     (label, subset) across the targets of one projection."""
     comps = list(target.normalized())
     has_exceptional = any(c.family in ("E", "F", "G") for c in comps)
-    universe = frozenset(pr.sigma_scaled)
+    universe = pr.sigma_scaled_set
     pool = sorted({max(v, neg(v)) for v in universe})
 
     def rec(ci, used):
@@ -668,8 +668,8 @@ def _hand_projection(vectors):
     sigma = tuple(sorted(vectors))
     den, sigma_scaled = to_ints(sigma)
     return ProjectionResult(
-        build_from_name("A2"), (), 2, sigma, (), *_views(sigma), den,
-        sigma_scaled, (), *_views(sigma_scaled))
+        build_from_name("A2"), (), 2, sigma, (), *_views(sigma), den, (),
+        *_views(sigma_scaled))
 
 
 def test_six_vectors_of_one_norm_that_are_no_a2():
@@ -691,7 +691,7 @@ def test_iter_bases_finds_the_pair_an_exact_census_class_holds():
     assert min(pr.census) == half and pr.census[half] == 2
     base = half * pr.denominator ** 2
     assert base.denominator == 1 and pr.census_scaled[int(base)] == 2
-    v = max(u for u in pr.sigma_scaled if norm2(u) == base)
+    v = max(u for u in pr.sigma_scaled_set if norm2(u) == base)
     assert from_ints([v], pr.denominator)[0] \
         == max(u for u in pr.sigma_theta if norm2(u) == half)
     hits = detect._iter_bases(TypeLabel("A", 1), list(pr.pool_scaled), pr)
@@ -717,8 +717,8 @@ def _check_int_core(pr, basis, label):
     the image of their Fraction results under scaling by the denominator."""
     den = pr.denominator
     ints = [tuple(int(x) for x in scale(den, v)) for v in basis]
-    assert set(ints) <= set(pr.sigma_scaled)
-    universe = frozenset(pr.sigma_scaled)
+    assert set(ints) <= pr.sigma_scaled_set
+    universe = pr.sigma_scaled_set
     assert match_type(ints) == match_type(basis)
     for max_size in (None, label.root_count):
         want = reflection_closure(basis, pr.sigma_theta_set, max_size)

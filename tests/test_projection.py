@@ -236,8 +236,8 @@ def test_pool_is_one_rep_per_pair():
     ("F4", 3), ("E6", 5), ("E7", 6), ("E8", 2)])
 def test_int_views_map_onto_the_fraction_ones(name, max_size):
     # project_all takes the census, member set and pool of sigma_theta and
-    # of sigma_scaled; divided by the denominator, the int views are the
-    # Fraction ones, the pool in the same order
+    # of sigma_theta times the denominator; divided by it, the int views
+    # are the Fraction ones, the pool in the same order
     sys = build_from_name(name)
     for theta in proper_subsets(sys.rank):
         if len(theta) > max_size:
@@ -253,8 +253,9 @@ def test_int_views_map_onto_the_fraction_ones(name, max_size):
             == pr.sigma_theta_set
         # sigma is sorted, closed under negation and zero-free, so its
         # lex-positive half, the pool's members, is its upper half
+        scaled = tuple(sorted(pr.sigma_scaled_set))
         for sigma, pool in ((pr.sigma_theta, pr.pair_reps),
-                            (pr.sigma_scaled, pr.pool_scaled)):
+                            (scaled, pr.pool_scaled)):
             assert list(sigma) == sorted(set(sigma))
             assert {neg(v) for v in sigma} == set(sigma)
             assert not any(is_zero(v) for v in sigma)

@@ -105,7 +105,8 @@ def test_results_survive_pickle(enumerated):
         assert type(back) is type(value) and back == value, name
     pr = values["ProjectionResult"]
     back = pickle.loads(pickle.dumps(pr))
-    assert back.pool() == pr.pool() and back.sigma_scaled == pr.sigma_scaled
+    assert back.pool() == pr.pool() \
+        and back.sigma_scaled_set == pr.sigma_scaled_set
     report = find_subsystem(back, parse_target("G2"))
     assert report.found and report == find_subsystem(pr, parse_target("G2"))
 
