@@ -143,10 +143,6 @@ class Target(_Target):
         return sum(c.rank for c in self.components)
 
     @property
-    def root_count(self) -> int:
-        return sum(c.root_count for c in self.components)
-
-    @property
     def is_irreducible(self) -> bool:
         return len(self.components) == 1
 

@@ -142,17 +142,7 @@ def cmd_verify_paper(args) -> int:
     report = verify_paper(label, _documents(label, 1))
     with _output(args.out) as out:
         if args.format == "json":
-            doc = {
-                "schema": output.SCHEMA,
-                "sigma": str(label),
-                "ok": report.ok,
-                "records_checked": report.records_checked,
-                "missing": {t: [[list(theta), target] for theta, target in rows]
-                            for t, rows in report.missing.items()},
-                "unexpected": {t: [[list(theta), target] for theta, target in rows]
-                               for t, rows in report.unexpected.items()},
-            }
-            json.dump(doc, out, sort_keys=True)
+            json.dump(output.verification_doc(report), out, sort_keys=True)
             out.write("\n")
         else:
             out.write("\n".join(report.summary_lines()) + "\n")

@@ -1,20 +1,25 @@
 """Detection of root systems of maximal rank inside a projection.
 
+``find_subsystem`` answers every query and builds every
+``DetectionReport``, found exactly when it carries a certificate;
+``classify_max_rank`` asks it per target.
+
 ``certify`` is the single definition of a certified copy of a label: the
-candidate basis must have the label's Dynkin type (BC_k read as B_k, BC_1
-as A_1), its reflection closure must stay inside the projected set, and
-for BC the doubles of the shortest roots must be there as well.  The
-search and ``revalidate`` both go through it.  ``_search`` is the single
-driver of both detection modes: it picks one factor of the target after
-another, the restricted mode pinning some of them to delta_theta.  Every
-factor's bases, pinned or not, come from one incremental backtracking,
-``_iter_bases``, over a pool: one representative per +-pair sorted by
-squared norm, or delta_theta for a pinned factor.  Partial bases are
-pruned with the norm census of the projection, integral pairings none
-positive and the target's node degrees.  Both pools lie in one open
-half-space, where obtuse vectors are linearly independent (Humphreys,
-10.1), so every partial basis with integral pairings is of finite type
-for ``match_type`` below without a further test.  Every factor the
+candidate basis must have the label's Dynkin type (BC_k read as B_k,
+then normalized: C2 is B2, D3 is A3, rank 1 is A_1), its reflection
+closure must stay inside the projected set, and for BC the doubles of
+the shortest roots must be there as well.  The search and ``revalidate``
+both go through it.  ``_search`` is the single driver of both detection
+modes: it picks one factor of the target after another, the restricted
+mode pinning some of them to delta_theta.  Every factor's bases, pinned
+or not, come from one incremental backtracking, ``_iter_bases``, over a
+pool: one representative per +-pair sorted by squared norm, or
+delta_theta for a pinned factor.  Partial bases are pruned with the norm
+census of the projection, integral pairings none positive and the
+target's node degrees.  Both pools lie in one open half-space, where
+obtuse vectors are linearly independent (Humphreys, 10.1), so every
+partial basis with integral pairings is of finite type for
+``match_type`` below without a further test.  Every factor the
 search finds lists its basis in pool order: by (squared norm, coords),
 or in delta_theta order for a pinned factor.
 
@@ -56,7 +61,8 @@ from fractions import Fraction
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
-from .catalog import Target, TypeLabel, cartan_matrix, detection_targets
+from .catalog import (Target, TypeLabel, cartan_matrix, detection_targets,
+                      normalize_components)
 from .linalg import (IntVector, Vector, bareiss_minors, dot, from_ints, norm2,
                      scale, sub, to_ints)
 from .projection import ProjectionResult
@@ -179,18 +185,20 @@ def reflection_closure(basis: Sequence[Vector], universe: frozenset,
     return frozenset(orbit)
 
 
-def _reduced(label: TypeLabel) -> TypeLabel:
-    """The reduced type whose simple system a basis of label must form."""
-    if label.rank == 1:
-        return TypeLabel("A", 1)
-    return TypeLabel("B", label.rank) if label.family == "BC" else label
+def _reduced(label: TypeLabel) -> Optional[TypeLabel]:
+    """The reduced type a basis of label must form: BC_k read as B_k, then
+    normalized (C2 is B2, D3 is A3); None for D2, which is A1 x A1."""
+    if label.family == "BC":
+        label = TypeLabel("B", label.rank)
+    inner = normalize_components([label])
+    return inner[0] if len(inner) == 1 else None
 
 
 def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
     """Root set of the copy of label that basis generates inside universe.
 
-    The basis must be a simple system of the reduced type (BC_k reads as
-    B_k, every rank-1 label as A_1) and its reflection closure must stay
+    The basis must be a simple system of the reduced type (see
+    ``_reduced``; D2 is refused) and its reflection closure must stay
     inside universe; for BC the doubles of the shortest roots must lie in
     universe too and join the root set.  A basis of finite type generates
     exactly the type's roots, so the result has label.root_count
@@ -236,11 +244,18 @@ class ClosureCertificate(NamedTuple):
 
 
 class DetectionReport(NamedTuple):
+    """Whether target occurs in sigma_theta: found exactly when a
+    certificate, whose vectors lie in sigma_theta, is attached.  The
+    flags are set by ``find_subsystem``; see ``classify_max_rank``."""
+
     target: Target
-    found: bool
     restricted: bool
     basis_from_delta_theta: bool
     certificate: Optional[ClosureCertificate] = None
+
+    @property
+    def found(self) -> bool:
+        return self.certificate is not None
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +459,6 @@ def _search(pr: ProjectionResult, target: Target, restricted: bool
     return None
 
 
-def _unscaled(cert: ClosureCertificate, pr: ProjectionResult
-              ) -> ClosureCertificate:
-    """A certificate over pr's scaled vectors, divided by pr.denominator."""
-    den = pr.denominator
-    return ClosureCertificate(cert.target, tuple(
-        ComponentWitness(w.label, from_ints(w.basis, den),
-                         frozenset(from_ints(w.roots, den)))
-        for w in cert.components))
-
-
-def _report(pr: ProjectionResult, target: Target,
-            cert: Optional[ClosureCertificate], restricted: bool
-            ) -> DetectionReport:
-    """The report of a search on pr's scaled vectors, over sigma_theta.
-
-    A found restricted report vouches for delta_theta (see ``_search``);
-    any other one says whether its whole basis lies in delta_theta."""
-    found = cert is not None
-    from_delta = found and (restricted
-                            or set(cert.basis) <= set(pr.delta_scaled))
-    if found:
-        cert = _unscaled(cert, pr)
-    return DetectionReport(target, found, restricted, from_delta, cert)
-
-
 def find_subsystem(pr: ProjectionResult, target: Target,
                    restrict_to_delta_theta: bool = False) -> DetectionReport:
     """Decide whether the target occurs in sigma_theta at maximal rank.
@@ -476,33 +466,45 @@ def find_subsystem(pr: ProjectionResult, target: Target,
     The search is exhaustive over the allowed basis pool (delta_theta
     for the pinned factors when restricted, see ``_search``, otherwise
     all of sigma_theta up to sign), so a not-found answer is a proof of
-    absence within that pool.
+    absence within that pool.  A found restricted report vouches for
+    delta_theta (see ``_search``); a found unrestricted one says whether
+    its whole basis lies in delta_theta.
     """
     if target.rank != pr.d:
         raise ValueError(
             f"target rank {target.rank} does not match d={pr.d}")
     cert = _search(pr, target, restrict_to_delta_theta)
-    return _report(pr, target, cert, restrict_to_delta_theta)
+    if cert is None:
+        return DetectionReport(target, restrict_to_delta_theta, False)
+    from_delta = restrict_to_delta_theta \
+        or set(cert.basis) <= set(pr.delta_scaled)
+    den = pr.denominator  # the certificate's vectors in sigma_theta
+    witnesses = tuple(ComponentWitness(w.label, from_ints(w.basis, den),
+                                       frozenset(from_ints(w.roots, den)))
+                      for w in cert.components)
+    return DetectionReport(target, restrict_to_delta_theta, from_delta,
+                           ClosureCertificate(target, witnesses))
 
 
 def classify_max_rank(pr: ProjectionResult) -> List[DetectionReport]:
-    """One report per rank-d target with an exceptional component.
+    """One ``find_subsystem`` report per rank-d target with an
+    exceptional component.
 
-    Irreducible targets carry the unrestricted answer in ``found``; a
-    restricted copy is tried first, and when it exists it is the
-    certificate and ``basis_from_delta_theta`` is true.  Product targets
-    are restricted reports, whose ``basis_from_delta_theta`` covers the
-    exceptional factors only (see ``_search``).
+    Irreducible targets are unrestricted reports; a restricted copy is
+    asked for first, and when it exists it is the certificate and
+    ``basis_from_delta_theta`` is true.  Product targets are restricted
+    reports, whose ``basis_from_delta_theta`` covers the exceptional
+    factors only (see ``_search``).
     """
     reports = []
     for target in detection_targets(pr.d, reducible=True,
                                     require_exceptional_component=True):
+        rep = find_subsystem(pr, target, True)
         if target.is_irreducible:
-            cert = _search(pr, target, True) or _search(pr, target, False)
-            reports.append(_report(pr, target, cert, False))
-        else:
-            reports.append(_report(
-                pr, target, _search(pr, target, True), True))
+            if not rep.found:
+                rep = find_subsystem(pr, target)
+            rep = rep._replace(restricted=False)
+        reports.append(rep)
     return reports
 
 

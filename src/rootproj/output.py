@@ -59,6 +59,17 @@ def detection_doc(sigma: TypeLabel, theta: Sequence[int], d: int,
     }
 
 
+def verification_doc(report) -> dict:
+    """The verify-paper JSON document of a classify.VerificationReport."""
+    def lists(tables):
+        return {t: [[list(theta), target] for theta, target in rows]
+                for t, rows in tables.items()}
+    return {"schema": SCHEMA, "sigma": str(report.sigma), "ok": report.ok,
+            "records_checked": report.records_checked,
+            "missing": lists(report.missing),
+            "unexpected": lists(report.unexpected)}
+
+
 def projection_doc(pr: ProjectionResult) -> dict:
     return {
         "schema": SCHEMA,
@@ -121,14 +132,13 @@ def detection_text(doc: dict) -> List[str]:
     for rep in doc["reports"]:
         status = "found" if rep["found"] else "not-found"
         mode = "restricted" if rep["restricted"] else "unrestricted"
-        certified = rep["found"] and rep["basis"] is not None
         extra = ""
-        if certified:
+        if rep["found"]:
             extra = (f" closure_size={rep['closure_size']}"
                      f" basis_from_delta_theta="
                      f"{str(rep['basis_from_delta_theta']).lower()}")
         lines.append(f"  target {rep['target']}: {status} ({mode}){extra}")
-        if certified:
+        if rep["found"]:
             for v in rep["basis"]:
                 lines.append("    basis (" + ", ".join(v) + ")")
     return lines

@@ -233,7 +233,7 @@ def test_parse_target_products():
     t = parse_target("g2xa1")
     assert str(t) == "G2xA1"
     assert t.rank == 3
-    assert t.root_count == 14
+    assert sum(c.root_count for c in t.components) == 14
     assert parse_target("A1xG2") == t
 
 

@@ -218,8 +218,9 @@ def test_round_trip_detection_doc():
         ("E6", (1, 3, 5, 6), 2)
     (report,) = data["reports"]
     cert = certificate_of(report)
-    back = DetectionReport(cert.target, report["found"], report["restricted"],
+    back = DetectionReport(cert.target, report["restricted"],
                            report["basis_from_delta_theta"], cert)
+    assert back.found is report["found"]
     assert back == rep
     assert revalidate(back.certificate, pr.sigma_theta_set)
 

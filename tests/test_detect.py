@@ -628,6 +628,24 @@ def test_certify_type_mismatch_and_escapes():
     assert isinstance(res, ClosureFailure) and res.escaping == doubles[0]
 
 
+def test_certify_reads_a_label_under_its_normalized_name():
+    # C2 is B2 and D3 is A3: match_type names such a basis B2 or A3, and
+    # certify must accept it under either name.  D2 is A1 x A1, which no
+    # basis of one connected component forms
+    for label, name in ((TypeLabel("C", 2), "B2"), (TypeLabel("D", 3), "A3"),
+                        (TypeLabel("B", 1), "A1"), (TypeLabel("BC", 1), "BC1")):
+        sys = build_from_name(name)
+        universe = frozenset(planche_roots(sys.label))
+        assert certify(label, sys.simple_roots, universe) == universe
+    a1a1 = [vector([1, 0]), vector([0, 1])]
+    a2 = build_from_name("A2")
+    for basis, universe in (
+            (a1a1, frozenset(a1a1) | {neg(v) for v in a1a1}),
+            (a2.simple_roots, frozenset(planche_roots(a2.label)))):
+        res = certify(TypeLabel("D", 2), basis, universe)
+        assert isinstance(res, ClosureFailure) and res.mistyped
+
+
 def test_revalidate_compares_labels_with_target():
     # C3 and B3 both have 18 roots; a C3 copy must not pass as a B3
     c3 = build_from_name("C3")

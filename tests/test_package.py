@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import io
+import json
 from collections import Counter, namedtuple
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 from types import FunctionType
 
 import rootproj
-from rootproj import classify, cli, output
+from rootproj import classify, cli, detect, output
 from test_values import _package_tuple_types
 
 SRC = Path(rootproj.__file__).resolve().parent
@@ -27,9 +28,6 @@ UNREAD_MEMBERS = {
     # tells a library caller why certify refused a basis; the search
     # needs only the refusal
     "ClosureFailure.mistyped",
-    # the sum of its components' root counts, for library callers and
-    # the tests; the package reads TypeLabel.root_count only
-    "Target.root_count",
 }
 
 # members whose name another tuple type of the package, or Fraction, also
@@ -37,22 +35,21 @@ UNREAD_MEMBERS = {
 # package function, as module.name or module.Class.name, that reads it on
 # its own type
 READ_ON_OWN_TYPE = {
-    "ClosureCertificate.basis": "detect._report",
+    "ClosureCertificate.basis": "detect.find_subsystem",
     "ClosureCertificate.components": "detect.ClosureCertificate.size",
-    "ClosureCertificate.target": "detect._unscaled",
+    "ClosureCertificate.target": "detect.revalidate",
     "ComponentWitness.basis": "detect._search",
     "ComponentWitness.label": "output.report_dict",
     "DetectionReport.found": "output.report_dict",
     "DetectionReport.target": "output.report_dict",
     "GoldenTable.found": "classify.verify_paper",
-    "ProjectionResult.denominator": "detect._unscaled",
+    "ProjectionResult.denominator": "detect.find_subsystem",
     "RealizedRootSystem.label": "classify.classify_theta",
     "RealizedRootSystem.rank": "projection.project_all",
     "Target.components": "catalog.Target.is_irreducible",
     "Target.rank": "detect.find_subsystem",
     "Target.sort_key": "catalog.detection_targets",
     "TypeLabel.rank": "cli._parse_sigma",
-    "TypeLabel.root_count": "detect.certify",
     "TypeLabel.sort_key": "catalog.normalize_components",
 }
 
@@ -207,7 +204,11 @@ def test_enumerate_reaches_the_names_the_tracer_times(monkeypatch):
     # perfbench's traced pass times classification, projection, search
     # and serialization by patching these module attributes; enumerate
     # must look each of them up there at call time, once per theta, or
-    # a --trace 1 per-layer metric silently reads zero
+    # a --trace 1 per-layer metric silently reads zero.  The search is
+    # timed in find_subsystem: once per report, and once more for an
+    # irreducible target with no restricted copy, which is one whose
+    # basis is not from delta_theta (the restricted search tries every
+    # subset of delta_theta)
     calls = Counter()
 
     def counting(mod, attr):
@@ -220,10 +221,17 @@ def test_enumerate_reaches_the_names_the_tracer_times(monkeypatch):
 
     for mod, attr in ((cli, "classify_theta"), (classify, "project_all"),
                       (classify, "classify_max_rank"),
+                      (detect, "find_subsystem"),
                       (output, "detection_doc")):
         counting(mod, attr)
     with redirect_stdout(io.StringIO()) as out:
         assert cli.main(["enumerate", "--sigma", "F4", "--format", "json"]) == 0
+    reports = [rep for line in out.getvalue().splitlines()
+               for rep in json.loads(line)["reports"]]
     assert out.getvalue().count("\n") == 14
+    searches = calls.pop("find_subsystem", 0)
     assert calls == dict.fromkeys(("classify_theta", "project_all",
                                    "classify_max_rank", "detection_doc"), 14)
+    assert searches == len(reports) + sum(
+        "x" not in rep["target"] and not rep["basis_from_delta_theta"]
+        for rep in reports) > len(reports)
