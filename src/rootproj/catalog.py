@@ -5,12 +5,13 @@ E types inside the 8-dimensional ambient of E8 (E7 and E6 spanned by the
 first seven and six E8 simple roots), F4 in dimension 4 and G2 in
 dimension 3.  Simple roots follow the Bourbaki numbering throughout.
 ``cartan_matrix`` is the one definition of the Cartan integers
-``n_ij = 2<b_i, b_j> / <b_j, b_j>`` of a basis, as ints.  Their
-determinants are A_n: n + 1; B_n, C_n: 2; D_n: 4; E6: 3; E7: 2; E8, F4,
-G2: 1 (Bourbaki, Lie Groups and Lie Algebras VI, planches I-IX).  The
-simple roots are the only hand-written root data: every root is kept as
-its integer coefficient vector over them, which is all ``project_all``
-reads, and no root is put in ambient coordinates.
+``n_ij = 2<b_i, b_j> / <b_j, b_j>`` of a basis, as ints.  The simple
+roots are the only hand-written root data: every root is kept as its
+integer coefficient vector over them, which is all ``project_all``
+reads, and no root is put in ambient coordinates.  ``_INVARIANTS`` is
+the one table of each type's norm profiles, root count, Cartan
+determinant and node degree (Bourbaki, Lie Groups and Lie Algebras VI,
+planches I-IX), read through ``TypeLabel`` properties.
 
 BC_n (the non-reduced system B_n plus the doubled short roots) is built
 the same way, from the simple roots of B_n; it serves as a detection
@@ -74,22 +75,40 @@ class TypeLabel(_TypeLabel):
     def is_exceptional(self) -> bool:
         return self.family in ("E", "F", "G")
 
+    # the label's row of _INVARIANTS, below
+    basis_profile = property(lambda self: _invariants(self)[0])
+    root_profile = property(lambda self: _invariants(self)[1])
+    cartan_det = property(lambda self: _invariants(self)[2])
+    max_degree = property(lambda self: _invariants(self)[3])
+
     @property
     def root_count(self) -> int:
-        n = self.rank
-        if self.family == "A":
-            return n * (n + 1)
-        if self.family in ("B", "C"):
-            return 2 * n * n
-        if self.family == "D":
-            return 2 * n * (n - 1)
-        if self.family == "BC":
-            return 2 * n * n + 2 * n
-        if self.family == "E":
-            return {6: 72, 7: 126, 8: 240}[n]
-        if self.family == "F":
-            return 48
-        return 12  # G2
+        return sum(self.root_profile.values())
+
+
+# Per family, at rank k: how many simple roots and how many roots have each
+# squared length over the shortest root's, the Cartan determinant and the
+# most links at one node (exact from rank 3 on and for G2).  Building the
+# labels instead would cost a fresh --jobs worker some 12 ms on E8.
+_INVARIANTS = {
+    "A": lambda k: ({1: k}, {1: k * (k + 1)}, k + 1, 2),
+    "B": lambda k: ({1: 1, 2: k - 1}, {1: 2 * k, 2: 2 * k * (k - 1)}, 2, 2),
+    "C": lambda k: ({1: k - 1, 2: 1}, {1: 2 * k * (k - 1), 2: 2 * k}, 2, 2),
+    "D": lambda k: ({1: k}, {1: 2 * k * (k - 1)}, 4, min(k - 1, 3)),
+    "E": lambda k: ({1: k}, {1: (72, 126, 240)[k - 6]}, 9 - k, 3),
+    "F": lambda k: ({1: 2, 2: 2}, {1: 24, 2: 24}, 1, 2),
+    "G": lambda k: ({1: 1, 3: 1}, {1: 6, 3: 6}, 1, 1),
+}
+
+
+def _invariants(label: TypeLabel) -> tuple:
+    """The ``_INVARIANTS`` row of a label.  B1 and C1 are A1, and BC_k is
+    B_k plus its 2k doubled short roots, four times as long."""
+    family, k = label
+    if family == "BC":
+        basis, roots, det, degree = _invariants(TypeLabel("B", k))
+        return basis, {**roots, 4: 2 * k}, det, degree
+    return _INVARIANTS["A" if k == 1 else family](k)
 
 
 def parse_label(text: str) -> TypeLabel:

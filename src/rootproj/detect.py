@@ -48,21 +48,23 @@ diagonal, is a simple system exactly when its Cartan matrix C is
 positive definite.  C = 2 G N^-1 for the Gram matrix G and the diagonal
 N of squared norms, so every Bareiss pivot of C is positive exactly when
 G is positive definite (Sylvester), i.e. when the basis is linearly
-independent: no collinear pair, cycle or affine diagram.  Then the rank
-k, det C (the last pivot) and the norms fix the type.  Simply laced,
-det C is k + 1 for A_k, 4 for D_k and 9 - k for E_k (Bourbaki, planches
-I-VII); a long to short ratio of 3 is G2; at ratio 2, one short simple
-root is B_k, k - 1 of them C_k, and two at k = 4 F4.
+independent: no collinear pair, cycle or affine diagram.  Then the type
+is looked up by (rank k, det C (the last pivot), simple-root profile) in
+``catalog``'s table of invariants, in ``irreducible_labels(k)`` order:
+B2 comes before C2 and B_k before BC_k, which share both, so no
+component types as C2 or BC_k.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import (Target, TypeLabel, cartan_matrix, detection_targets,
-                      normalize_components)
+                      irreducible_labels, normalize_components)
 from .linalg import (IntVector, Vector, bareiss_minors, dot, from_ints, norm2,
                      scale, sub, to_ints)
 from .projection import ProjectionResult
@@ -75,17 +77,17 @@ def _finite_type(cartan: List[List[int]], norms: List) -> Optional[TypeLabel]:
     det = bareiss_minors(cartan, k)[-1]
     if det <= 0:
         return None
-    short, long_ = min(norms), max(norms)
-    if long_ == short:
-        if det == k + 1:
-            return TypeLabel("A", k)
-        return TypeLabel("D", k) if det == 4 else TypeLabel("E", k)
-    if long_ == 3 * short:
-        return TypeLabel("G", 2)
-    nshort = norms.count(short)
-    if nshort == 1:
-        return TypeLabel("B", k)
-    return TypeLabel("C", k) if nshort == k - 1 else TypeLabel("F", 4)
+    short = min(norms)  # every ratio to it is 1, 2 or 3 in a finite type
+    return _type_of(k, det, tuple(sorted(n // short for n in norms)))
+
+
+@lru_cache(maxsize=None)
+def _type_of(k: int, det: int, relative_norms: Tuple[int, ...]) -> TypeLabel:
+    """First label of ``irreducible_labels(k)`` with this Cartan determinant
+    and simple-root norms over the shortest; a finite type has one."""
+    key = (det, Counter(relative_norms))
+    return next(lab for lab in irreducible_labels(k)
+                if (lab.cartan_det, lab.basis_profile) == key)
 
 
 def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[int, ...]]]]:
@@ -259,34 +261,7 @@ class DetectionReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# norm profiles and census conditions
-
-
-def _profiles(label: TypeLabel) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Relative squared-norm multisets (shortest root = 1).
-
-    Returns (basis_profile, root_profile): how many simple roots and how
-    many roots the label has at each squared length relative to its
-    shortest root (Bourbaki, planches); BC_k is B_k plus its 2k doubled
-    short roots.  The tests check every entry against the catalog.  Read
-    off ``build`` here instead, the profiles would cost each fresh
-    ``enumerate --jobs`` worker some 12 ms of catalog builds: the 23
-    labels an E8 enumeration reads, built in a fresh CPython 3.11
-    process.
-    """
-    f, k = label.family, label.rank
-    if f == "BC":
-        basis, roots = _profiles(TypeLabel("B", k))
-        return basis, {**roots, 4: 2 * k}
-    if f in ("A", "D", "E") or k == 1:
-        return {1: k}, {1: label.root_count}
-    if f == "B":
-        return {1: 1, 2: k - 1}, {1: 2 * k, 2: 2 * k * (k - 1)}
-    if f == "C":
-        return {1: k - 1, 2: 1}, {1: 2 * k * (k - 1), 2: 2 * k}
-    if f == "F":
-        return {1: 2, 2: 2}, {1: 24, 2: 24}
-    return {1: 1, 3: 1}, {1: 6, 3: 6}  # G2
+# census conditions
 
 
 def census_scales(label: TypeLabel, census: dict) -> list:
@@ -297,7 +272,7 @@ def census_scales(label: TypeLabel, census: dict) -> list:
     the projection can exist only at these scales.  This is the pruning
     that eliminates most candidates before any search runs.
     """
-    prof = _profiles(label)[1]
+    prof = label.root_profile
     out = []
     for base in sorted(census):
         if all(census.get(base * rel, 0) >= need for rel, need in prof.items()):
@@ -312,9 +287,6 @@ def census_admits(target: Target, census: dict) -> bool:
 
 # ---------------------------------------------------------------------------
 # basis search
-
-
-_MAX_DEGREE = {"A": 2, "B": 2, "C": 2, "D": 3, "E": 3, "F": 2, "G": 1}
 
 
 def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
@@ -339,53 +311,55 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
     len(picks) - edges components that the remaining steps must join.
     """
     inner = _reduced(label)
-    basis_prof = _profiles(inner)[0]
     universe = pr.sigma_scaled_set
     pool_norms = [(v, norm2(v)) for v in pool]
-    maxdeg = _MAX_DEGREE[inner.family]
-    k = label.rank
-
     for base in census_scales(label, pr.census_scaled):
-        need = {base * rel: cnt for rel, cnt in basis_prof.items()}
+        need = {base * rel: cnt for rel, cnt in inner.basis_profile.items()}
         picked = [(v, n) for v, n in pool_norms if n in need]
-        sub_pool = [v for v, _ in picked]
-        norms = [n for _, n in picked]
+        yield from _grow(label, inner.max_degree, universe,
+                         [v for v, _ in picked], [n for _, n in picked],
+                         0, [], need, [], 0)
 
-        def dfs(start: int, picks: List[int], remaining: Dict[int, int],
-                deg: List[int], ncomp: int):
-            if len(picks) == k:
-                basis = tuple(sub_pool[i] for i in picks)
-                roots = certify(label, basis, universe)
-                if not isinstance(roots, ClosureFailure):
-                    yield basis, roots
-                return
-            slots = k - len(picks)
-            if ncomp - (maxdeg - 1) * slots > 1:
-                return  # cannot reconnect in the remaining steps
-            for idx in range(start, len(sub_pool)):
-                if len(sub_pool) - idx < slots:
-                    break
-                v = sub_pool[idx]
-                nv = norms[idx]
-                if remaining.get(nv, 0) == 0:
-                    continue
-                dots = []
-                for i, n in zip(picks, deg):
-                    x = dot(sub_pool[i], v)
-                    if x > 0 or 2 * x % nv or 2 * x % norms[i] \
-                            or x and n == maxdeg:
-                        break
-                    dots.append(x)
-                links = len(dots) - dots.count(0)
-                if len(dots) < len(picks) or links > maxdeg:
-                    continue
-                remaining[nv] -= 1
-                yield from dfs(idx + 1, picks + [idx], remaining,
-                               [n + (x != 0) for n, x in zip(deg, dots)]
-                               + [links], ncomp + 1 - links)
-                remaining[nv] += 1
 
-        yield from dfs(0, [], dict(need), [], 0)
+def _grow(label: TypeLabel, maxdeg: int, universe: frozenset,
+          sub_pool: List[IntVector], norms: List[int], start: int,
+          picks: List[int], remaining: Dict[int, int], deg: List[int],
+          ncomp: int) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
+    """``_iter_bases``'s backtracking at one census scale: extend the
+    partial basis ``picks`` of ``sub_pool`` from index ``start`` on."""
+    k = label.rank
+    if len(picks) == k:
+        basis = tuple(sub_pool[i] for i in picks)
+        roots = certify(label, basis, universe)
+        if not isinstance(roots, ClosureFailure):
+            yield basis, roots
+        return
+    slots = k - len(picks)
+    if ncomp - (maxdeg - 1) * slots > 1:
+        return  # cannot reconnect in the remaining steps
+    for idx in range(start, len(sub_pool)):
+        if len(sub_pool) - idx < slots:
+            break
+        v = sub_pool[idx]
+        nv = norms[idx]
+        if remaining.get(nv, 0) == 0:
+            continue
+        dots = []
+        for i, n in zip(picks, deg):
+            x = dot(sub_pool[i], v)
+            if x > 0 or 2 * x % nv or 2 * x % norms[i] \
+                    or x and n == maxdeg:
+                break
+            dots.append(x)
+        links = len(dots) - dots.count(0)
+        if len(dots) < len(picks) or links > maxdeg:
+            continue
+        remaining[nv] -= 1
+        yield from _grow(label, maxdeg, universe, sub_pool, norms, idx + 1,
+                         picks + [idx], remaining,
+                         [n + (x != 0) for n, x in zip(deg, dots)] + [links],
+                         ncomp + 1 - links)
+        remaining[nv] += 1
 
 
 def _orthogonal(pool: List[IntVector], basis: Sequence[IntVector]
@@ -429,34 +403,35 @@ def _search(pr: ProjectionResult, target: Target, restricted: bool
     if not census_admits(target, pr.census_scaled):
         return None
     pin_all = not target.has_exceptional_component
-
-    def pinned(label: TypeLabel) -> bool:
-        return restricted and (pin_all or label.is_exceptional)
-
-    ordered = sorted(target.normalized(),
-                     key=lambda c: (not pinned(c), c.sort_key))
+    factors = sorted(((lab, restricted and (pin_all or lab.is_exceptional))
+                      for lab in target.normalized()),
+                     key=lambda factor: (not factor[1], factor[0].sort_key))
     witnesses: List[ComponentWitness] = []
-
-    def search(ci: int, delta_pool: List[IntVector],
-               pool: List[IntVector]) -> bool:
-        if ci == len(ordered):
-            return True
-        label = ordered[ci]
-        for basis, roots in _iter_bases(
-                label, delta_pool if pinned(label) else pool, pr):
-            if ci > 0 and ordered[ci - 1] == label \
-                    and basis <= witnesses[-1].basis:
-                continue  # identical factors: enforce an order, halve the work
-            witnesses.append(ComponentWitness(label, basis, roots))
-            if search(ci + 1, _orthogonal(delta_pool, basis),
-                      _orthogonal(pool, basis)):
-                return True
-            witnesses.pop()
-        return False
-
-    if search(0, list(pr.delta_scaled), list(pr.pool_scaled)):
+    if _place(pr, factors, witnesses, list(pr.delta_scaled),
+              list(pr.pool_scaled)):
         return ClosureCertificate(target, tuple(witnesses))
     return None
+
+
+def _place(pr: ProjectionResult, factors: List[Tuple[TypeLabel, bool]],
+           witnesses: List[ComponentWitness], delta_pool: List[IntVector],
+           pool: List[IntVector]) -> bool:
+    """``_search``'s backtracking: append to ``witnesses`` a copy of each
+    further (label, pinned) factor, orthogonal to the ones before."""
+    if len(witnesses) == len(factors):
+        return True
+    label, pinned = factors[len(witnesses)]
+    for basis, roots in _iter_bases(label, delta_pool if pinned else pool,
+                                    pr):
+        if witnesses and witnesses[-1].label == label \
+                and basis <= witnesses[-1].basis:
+            continue  # identical factors: enforce an order, halve the work
+        witnesses.append(ComponentWitness(label, basis, roots))
+        if _place(pr, factors, witnesses, _orthogonal(delta_pool, basis),
+                  _orthogonal(pool, basis)):
+            return True
+        witnesses.pop()
+    return False
 
 
 def find_subsystem(pr: ProjectionResult, target: Target,

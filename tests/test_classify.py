@@ -1,9 +1,10 @@
+import gc
 import json
 
 import pytest
 
 from oracles import classical_predicate, oracle_equivalence
-from rootproj.catalog import build, parse_label
+from rootproj.catalog import build, detection_targets, parse_label
 from rootproj.classify import (classify_theta, load_golden_tables,
                                proper_subsets, verify_paper)
 
@@ -101,6 +102,25 @@ def test_enumerate_e6_unique_g2_row(enumerated):
             for r in doc["reports"]
             if r["target"] == "G2" and r["basis_from_delta_theta"]]
     assert hits == [[1, 3, 5, 6]]
+
+
+def test_classify_theta_leaves_no_cyclic_garbage():
+    # the basis search recurses through module-level functions, so a
+    # projection and its pools are freed when classify_theta returns, not
+    # at the cyclic collector's next run.  detection_targets' recursion
+    # leaves its garbage once per rank, as its result is cached, so every
+    # rank is built first
+    e8 = build(parse_label("E8"))
+    gc.disable()
+    try:
+        for d in range(1, e8.rank):
+            detection_targets(d, reducible=True,
+                              require_exceptional_component=True)
+        gc.collect()
+        classify_theta(e8, (1,))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["F4", "E6"])

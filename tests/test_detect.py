@@ -14,13 +14,14 @@ from oracles import (build_from_name, pairing_matrix, planche_roots,
 from rootproj import detect
 from rootproj.catalog import (FAMILIES, TypeLabel, build, cartan_matrix,
                               detection_targets, irreducible_labels,
-                              parse_target)
+                              normalize_components, parse_target)
 from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, census_scales,
                              certify, classify_max_rank, find_subsystem,
                              match_type, reflection_closure, revalidate)
-from rootproj.linalg import dot, from_ints, neg, norm2, scale, sub, to_ints
+from rootproj.linalg import (bareiss_minors, dot, from_ints, neg, norm2,
+                             scale, sub, to_ints)
 from rootproj.projection import ProjectionResult, _views, project_all
 
 
@@ -52,11 +53,16 @@ def test_cartan_matrix_rejects_zero():
 
 
 def test_match_type_self_identification():
-    for name in ["A4", "B3", "C3", "D4", "D5", "F4", "G2", "E6", "E7", "E8"]:
-        sys = build_from_name(name)
-        decomp = match_type(list(sys.simple_roots))
-        assert decomp is not None and len(decomp) == 1
-        assert str(decomp[0][0]) == name
+    # the simple roots of every label of rank 1 to 8 type as the label's
+    # normalized name, BC_k as B_k: C2 as B2, D3 as A3, B1 and C1 as A1,
+    # and D2 as two A1
+    for label in _labels_up_to_rank(8):
+        family = "B" if label.family == "BC" else label.family
+        decomp = match_type(list(build(label).simple_roots))
+        assert decomp is not None, label
+        assert sorted((lab for lab, _ in decomp), key=lambda l: l.sort_key) \
+            == list(normalize_components([TypeLabel(family, label.rank)])), \
+            label
 
 
 def test_match_type_g2_from_pairing():
@@ -394,7 +400,8 @@ def brute_bases(label, pr, pool):
     every k-subset of the pool at the label's norms there that certify
     accepts, in combinations order.  Where the census classes are exact,
     that is at most one basis."""
-    basis_prof, root_prof = detect._profiles(detect._reduced(label))
+    inner = detect._reduced(label)
+    basis_prof, root_prof = inner.basis_profile, inner.root_profile
     out = []
     for base in census_scales(label, pr.census_scaled):
         norms = {base * rel for rel in basis_prof}
@@ -471,24 +478,32 @@ def test_census_pruning_is_consistent():
     ("BC3", {1: 1, 2: 2}, {1: 6, 2: 12, 4: 6}),
 ])
 def test_norm_profiles_match_bourbaki(name, basis, roots):
-    assert detect._profiles(build_from_name(name).label) == (basis, roots)
+    label = build_from_name(name).label
+    assert (label.basis_profile, label.root_profile) == (basis, roots)
 
 
 def test_norm_profiles_match_the_catalog():
-    # the search reads the profiles from a table; count them off the
-    # catalog's simple roots and the planche roots for every label up to
-    # rank 8
-    for family in ("A", "B", "C", "D", "E", "F", "G", "BC"):
-        for rank in range(1, 9):
-            try:
-                label = TypeLabel(family, rank)
-            except ValueError:
-                continue
-            roots = planche_roots(label)
-            short = min(norm2(r) for r in roots)
-            counted = tuple(dict(Counter(norm2(v) / short for v in vectors))
-                            for vectors in (build(label).simple_roots, roots))
-            assert detect._profiles(label) == counted, label
+    # the search reads the profiles, root counts, Cartan determinants and
+    # node degrees from a table; count them off the catalog's simple
+    # roots, its roots and the planche roots for every label up to rank 8
+    for label in _labels_up_to_rank(8):
+        system = build(label)
+        roots = planche_roots(label)
+        short = min(norm2(r) for r in roots)
+        counted = tuple(dict(Counter(norm2(v) / short for v in vectors))
+                        for vectors in (system.simple_roots, roots))
+        assert (label.basis_profile, label.root_profile) == counted, label
+        assert label.root_count == len(system.coefficients), label
+        cartan = cartan_matrix(to_ints(system.simple_roots)[1])
+        k = label.rank
+        assert label.cartan_det \
+            == bareiss_minors([list(row) for row in cartan], k)[-1], label
+        degree = max(sum(1 for j in range(k) if j != i and row[j])
+                     for i, row in enumerate(cartan))
+        if k >= 3 or label.family == "G":
+            assert label.max_degree == degree, label
+        else:
+            assert label.max_degree >= degree, label
 
 
 def test_census_conditions_for_g2_and_f4():

@@ -38,7 +38,7 @@ READ_ON_OWN_TYPE = {
     "ClosureCertificate.basis": "detect.find_subsystem",
     "ClosureCertificate.components": "detect.ClosureCertificate.size",
     "ClosureCertificate.target": "detect.revalidate",
-    "ComponentWitness.basis": "detect._search",
+    "ComponentWitness.basis": "detect._place",
     "ComponentWitness.label": "output.report_dict",
     "DetectionReport.found": "output.report_dict",
     "DetectionReport.target": "output.report_dict",
