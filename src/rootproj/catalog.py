@@ -13,6 +13,15 @@ the one table of each type's norm profiles, root count, Cartan
 determinant and node degree (Bourbaki, Lie Groups and Lie Algebras VI,
 planches I-IX), read through ``TypeLabel`` properties.
 
+This module alone knows which labels name the same system.  The one
+rule reads that table in ``irreducible_labels`` order: a type is the
+first label of its rank with its Cartan determinant and simple-root
+profile.  So ``TypeLabel.reduced`` reads C2 as B2, D3 as A3, B1, C1 and
+BC1 as A1 and BC_k as B_k (D2 has none), ``finite_type`` names the type
+of a connected Cartan matrix for ``detect.match_type``,
+``normalize_components`` maps every label but BC to its reduced type,
+and ``detection_targets`` lists its targets in the same label order.
+
 BC_n (the non-reduced system B_n plus the doubled short roots) is built
 the same way, from the simple roots of B_n; it serves as a detection
 target and, like every other label, as the ambient system of ``project``,
@@ -22,12 +31,14 @@ target and, like every other label, as the ambient system of ``project``,
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
-from .linalg import IntVector, Vector, gram, is_zero, to_ints
+from .linalg import IntVector, Vector, bareiss_minors, gram, is_zero, to_ints
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -80,6 +91,8 @@ class TypeLabel(_TypeLabel):
     root_profile = property(lambda self: _invariants(self)[1])
     cartan_det = property(lambda self: _invariants(self)[2])
     max_degree = property(lambda self: _invariants(self)[3])
+    # the type a basis of this label forms; None for D2, which is A1 x A1
+    reduced = property(lambda self: _reduced(self))
 
     @property
     def root_count(self) -> int:
@@ -118,24 +131,17 @@ def parse_label(text: str) -> TypeLabel:
     return TypeLabel(m.group(1).upper(), int(m.group(2)))
 
 
-def normalize_components(labels: Sequence[TypeLabel]) -> Tuple[TypeLabel, ...]:
-    """Canonical equivalence form of a component multiset.
-
-    B1 and C1 are A1, C2 is B2 (same system, rescaled), D2 splits into
-    A1 x A1 and D3 is A3.  The result is sorted canonically.
-    """
+@lru_cache(maxsize=None)
+def normalize_components(labels: Tuple[TypeLabel, ...]) -> Tuple[TypeLabel, ...]:
+    """Canonical equivalence form of a tuple of component labels, sorted
+    canonically: every label but BC as its ``reduced`` type, and D2 split
+    into A1 x A1.  Built once per tuple, as every query reads it."""
     out: List[TypeLabel] = []
     for lab in labels:
-        if lab.family in ("B", "C") and lab.rank == 1:
-            out.append(TypeLabel("A", 1))
-        elif lab.family == "C" and lab.rank == 2:
-            out.append(TypeLabel("B", 2))
-        elif lab.family == "D" and lab.rank == 2:
-            out.extend([TypeLabel("A", 1), TypeLabel("A", 1)])
-        elif lab.family == "D" and lab.rank == 3:
-            out.append(TypeLabel("A", 3))
-        else:
+        if lab.family == "BC":
             out.append(lab)
+        else:  # D2 alone has no reduced type
+            out += [lab.reduced] if lab.reduced else [TypeLabel("A", 1)] * 2
     return tuple(sorted(out, key=lambda l: l.sort_key))
 
 
@@ -171,11 +177,6 @@ class Target(_Target):
 
     def normalized(self) -> Tuple[TypeLabel, ...]:
         return normalize_components(self.components)
-
-    @property
-    def sort_key(self):
-        return (len(self.components) > 1,
-                tuple(c.sort_key for c in self.components))
 
 
 def parse_target(text: str) -> Target:
@@ -344,6 +345,34 @@ def irreducible_labels(rank: int) -> List[TypeLabel]:
 
 
 @lru_cache(maxsize=None)
+def _type_of(rank: int, det: int, norms: Tuple[int, ...]
+             ) -> Optional[TypeLabel]:
+    """First label of ``irreducible_labels(rank)`` with this Cartan
+    determinant and these simple-root norms over the shortest, sorted;
+    None when no label has them."""
+    key = (det, Counter(norms))
+    return next((lab for lab in irreducible_labels(rank)
+                 if (lab.cartan_det, lab.basis_profile) == key), None)
+
+
+@lru_cache(maxsize=None)
+def _reduced(label: TypeLabel) -> Optional[TypeLabel]:
+    return _type_of(label.rank, label.cartan_det,
+                    tuple(sorted(Counter(label.basis_profile).elements())))
+
+
+def finite_type(cartan: List[List[int]], norms: List) -> Optional[TypeLabel]:
+    """Type of a connected Cartan matrix whose simple roots have these
+    squared norms, or None unless the matrix is positive definite: every
+    Bareiss pivot positive, the last being its determinant."""
+    k = len(cartan)
+    det = bareiss_minors(cartan, k)[-1]
+    if det <= 0:
+        return None
+    short = min(norms)  # every ratio to it is 1, 2 or 3 in a finite type
+    return _type_of(k, det, tuple(sorted(n // short for n in norms)))
+
+
 def detection_targets(d: int, reducible: bool = False,
                       require_exceptional_component: bool = False
                       ) -> Tuple[Target, ...]:
@@ -352,30 +381,33 @@ def detection_targets(d: int, reducible: bool = False,
     With ``reducible`` the result is every multiset of irreducible labels
     whose ranks sum to d (the single-label ones included); the
     exceptional flag keeps only targets with at least one component among
-    E, F, G.  The tuple is built once per arguments and shared by every
-    caller.
+    E, F, G.  The irreducible targets come first, then the products, each
+    in the lexicographic order of its components' ``sort_key``.  The
+    tuple is built once per argument values and shared by every caller.
     """
+    return _targets(d, reducible, require_exceptional_component)
+
+
+@lru_cache(maxsize=None)
+def _targets(d: int, reducible: bool, exceptional: bool) -> Tuple[Target, ...]:
     if d < 1:
         raise ValueError("rank must be positive")
-    if not reducible:
-        targets = [Target((lab,)) for lab in irreducible_labels(d)]
-    else:
-        seen = set()
-        targets = []
+    labels = [lab for r in (range(d, 0, -1) if reducible else (d,))
+              for lab in irreducible_labels(r)]
+    targets = (Target(parts) for parts in _multisets(d, labels, 0))
+    return tuple(t for t in targets
+                 if t.has_exceptional_component or not exceptional)
 
-        def extend(remaining: int, parts: Tuple[TypeLabel, ...], max_rank: int):
-            if remaining == 0:
-                t = Target(parts)
-                if t.components not in seen:
-                    seen.add(t.components)
-                    targets.append(t)
-                return
-            for r in range(min(remaining, max_rank), 0, -1):
-                for lab in irreducible_labels(r):
-                    extend(remaining - r, parts + (lab,), r)
 
-        extend(d, (), d)
-    if require_exceptional_component:
-        targets = [t for t in targets if t.has_exceptional_component]
-    targets.sort(key=lambda t: t.sort_key)
-    return tuple(targets)
+def _multisets(d: int, labels: List[TypeLabel], start: int
+               ) -> Iterator[Tuple[TypeLabel, ...]]:
+    """Every multiset of ``labels[start:]`` whose ranks sum to d, once, as
+    a tuple in the order of labels, in the lexicographic order of those
+    tuples."""
+    for i in range(start, len(labels)):
+        lab = labels[i]
+        if lab.rank == d:
+            yield (lab,)
+        elif lab.rank < d:
+            for rest in _multisets(d - lab.rank, labels, i):
+                yield (lab, *rest)

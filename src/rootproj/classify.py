@@ -94,26 +94,6 @@ class VerificationReport(NamedTuple):
         return not any(self.missing.values()) and \
             not any(self.unexpected.values()) and not self.negatives_violated
 
-    def summary_lines(self) -> List[str]:
-        lines = [f"verify {self.sigma}: {self.records_checked} theta subsets checked"]
-        for table in (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
-                      TABLE_PRODUCT_RESTRICTED):
-            miss = self.missing.get(table, [])
-            extra = self.unexpected.get(table, [])
-            status = "ok" if not miss and not extra else "MISMATCH"
-            lines.append(f"  [{table}] {status}")
-            for theta, target in miss:
-                lines.append(f"    missing: theta={','.join(map(str, theta))} "
-                             f"target={target} (expected found, detector disagrees)")
-            for theta, target in extra:
-                lines.append(f"    unexpected: theta={','.join(map(str, theta))} "
-                             f"target={target} (detector found, table omits)")
-        for table, (theta, target) in self.negatives_violated:
-            lines.append(f"  negative violated [{table}]: "
-                         f"theta={','.join(map(str, theta))} target={target}")
-        lines.append("result: " + ("PASS" if self.ok else "FAIL"))
-        return lines
-
 
 def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
     """Compare the findings of label's enumerate documents, one per theta

@@ -135,17 +135,16 @@ def _write_record(out, doc: dict, fmt: str) -> None:
 
 def cmd_verify_paper(args) -> int:
     label = parse_label(args.sigma)
-    if not (label.is_exceptional and label.family != "G"):
-        raise ValueError("verify-paper runs on E6, E7, E8 or F4")
     if args.format == "csv":
         raise ValueError("verify-paper writes text or json, not csv")
+    # verify_paper refuses a system with no tables before any document
     report = verify_paper(label, _documents(label, 1))
     with _output(args.out) as out:
         if args.format == "json":
             json.dump(output.verification_doc(report), out, sort_keys=True)
             out.write("\n")
         else:
-            out.write("\n".join(report.summary_lines()) + "\n")
+            out.write("\n".join(output.verification_text(report)) + "\n")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 

@@ -5,9 +5,9 @@
 ``classify_max_rank`` asks it per target.
 
 ``certify`` is the single definition of a certified copy of a label: the
-candidate basis must have the label's Dynkin type (BC_k read as B_k,
-then normalized: C2 is B2, D3 is A3, rank 1 is A_1), its reflection
-closure must stay inside the projected set, and for BC the doubles of
+candidate basis must have the label's ``reduced`` type (``catalog``'s
+one rule: BC_k reads as B_k, C2 as B2, D3 as A3, rank 1 as A_1), its
+reflection closure must stay inside the projected set, and for BC the doubles of
 the shortest roots must be there as well.  The search and ``revalidate``
 both go through it.  ``_search`` is the single driver of both detection
 modes: it picks one factor of the target after another, the restricted
@@ -48,46 +48,24 @@ diagonal, is a simple system exactly when its Cartan matrix C is
 positive definite.  C = 2 G N^-1 for the Gram matrix G and the diagonal
 N of squared norms, so every Bareiss pivot of C is positive exactly when
 G is positive definite (Sylvester), i.e. when the basis is linearly
-independent: no collinear pair, cycle or affine diagram.  Then the type
-is looked up by (rank k, det C (the last pivot), simple-root profile) in
-``catalog``'s table of invariants, in ``irreducible_labels(k)`` order:
-B2 comes before C2 and B_k before BC_k, which share both, so no
-component types as C2 or BC_k.
+independent: no collinear pair, cycle or affine diagram.
+``catalog.finite_type`` makes that test and names the type by (rank k,
+det C (the last pivot), simple-root profile) with ``catalog``'s one
+rule, the rule of ``TypeLabel.reduced``: no component types as C2, D3
+or BC_k.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .catalog import (Target, TypeLabel, cartan_matrix, detection_targets,
-                      irreducible_labels, normalize_components)
-from .linalg import (IntVector, Vector, bareiss_minors, dot, from_ints, norm2,
-                     scale, sub, to_ints)
+                      finite_type)
+from .linalg import (IntVector, Vector, dot, from_ints, norm2, scale, sub,
+                     to_ints)
 from .projection import ProjectionResult
-
-
-def _finite_type(cartan: List[List[int]], norms: List) -> Optional[TypeLabel]:
-    """Type of a connected component from its Cartan matrix and squared
-    norms, or None unless the matrix is positive definite (see above)."""
-    k = len(cartan)
-    det = bareiss_minors(cartan, k)[-1]
-    if det <= 0:
-        return None
-    short = min(norms)  # every ratio to it is 1, 2 or 3 in a finite type
-    return _type_of(k, det, tuple(sorted(n // short for n in norms)))
-
-
-@lru_cache(maxsize=None)
-def _type_of(k: int, det: int, relative_norms: Tuple[int, ...]) -> TypeLabel:
-    """First label of ``irreducible_labels(k)`` with this Cartan determinant
-    and simple-root norms over the shortest; a finite type has one."""
-    key = (det, Counter(relative_norms))
-    return next(lab for lab in irreducible_labels(k)
-                if (lab.cartan_det, lab.basis_profile) == key)
 
 
 def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[int, ...]]]]:
@@ -122,8 +100,8 @@ def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[
                     comp.append(j)
                     queue.append(j)
         comp.sort()
-        label = _finite_type([[n[i][j] for j in comp] for i in comp],
-                             [norms[i] for i in comp])
+        label = finite_type([[n[i][j] for j in comp] for i in comp],
+                            [norms[i] for i in comp])
         if label is None:
             return None
         out.append((label, tuple(comp)))
@@ -187,26 +165,17 @@ def reflection_closure(basis: Sequence[Vector], universe: frozenset,
     return frozenset(orbit)
 
 
-def _reduced(label: TypeLabel) -> Optional[TypeLabel]:
-    """The reduced type a basis of label must form: BC_k read as B_k, then
-    normalized (C2 is B2, D3 is A3); None for D2, which is A1 x A1."""
-    if label.family == "BC":
-        label = TypeLabel("B", label.rank)
-    inner = normalize_components([label])
-    return inner[0] if len(inner) == 1 else None
-
-
 def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
     """Root set of the copy of label that basis generates inside universe.
 
-    The basis must be a simple system of the reduced type (see
-    ``_reduced``; D2 is refused) and its reflection closure must stay
-    inside universe; for BC the doubles of the shortest roots must lie in
-    universe too and join the root set.  A basis of finite type generates
+    The basis must be a simple system of ``label.reduced`` (D2 has none
+    and is refused) and its reflection closure must stay inside universe;
+    for BC the doubles of the shortest roots must lie in universe too and
+    join the root set.  A basis of finite type generates
     exactly the type's roots, so the result has label.root_count
     elements.  Returns a frozenset, or a ClosureFailure saying why not.
     """
-    inner = _reduced(label)
+    inner = label.reduced
     decomp = match_type(basis)
     if decomp is None or len(decomp) != 1 or decomp[0][0] != inner:
         return ClosureFailure(mistyped=True)
@@ -310,7 +279,7 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
     finite type for ``match_type``: its diagram is a forest of
     len(picks) - edges components that the remaining steps must join.
     """
-    inner = _reduced(label)
+    inner = label.reduced
     universe = pr.sigma_scaled_set
     pool_norms = [(v, norm2(v)) for v in pool]
     for base in census_scales(label, pr.census_scaled):

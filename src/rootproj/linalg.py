@@ -12,7 +12,7 @@ denominator (``to_ints``); every ratio test is unchanged by that
 scaling, and the vector helpers here (``dot``, ``sub``, ``scale``, ...)
 work on either kind.  One fraction-free elimination, ``bareiss_minors``,
 gives the leading principal minors of an int matrix: ``bareiss_solve``
-solves with it, and ``detect`` tests a Cartan matrix for finite type
+solves with it, and ``catalog`` tests a Cartan matrix for finite type
 with it (every minor positive; Kac, Infinite-dimensional Lie Algebras,
 Thm 4.3), the last minor being the Cartan determinant of ``catalog``'s
 table.  ``detect``'s basis search needs no elimination of its own: its

@@ -70,6 +70,26 @@ def verification_doc(report) -> dict:
             "unexpected": lists(report.unexpected)}
 
 
+def verification_text(report) -> List[str]:
+    """The verify-paper text lines of a classify.VerificationReport."""
+    lines = [f"verify {report.sigma}: {report.records_checked} theta "
+             "subsets checked"]
+    for table, miss in report.missing.items():
+        extra = report.unexpected[table]
+        lines.append(f"  [{table}] {'MISMATCH' if miss or extra else 'ok'}")
+        for theta, target in miss:
+            lines.append(f"    missing: theta={','.join(map(str, theta))} "
+                         f"target={target} (expected found, detector disagrees)")
+        for theta, target in extra:
+            lines.append(f"    unexpected: theta={','.join(map(str, theta))} "
+                         f"target={target} (detector found, table omits)")
+    for table, (theta, target) in report.negatives_violated:
+        lines.append(f"  negative violated [{table}]: "
+                     f"theta={','.join(map(str, theta))} target={target}")
+    lines.append("result: " + ("PASS" if report.ok else "FAIL"))
+    return lines
+
+
 def projection_doc(pr: ProjectionResult) -> dict:
     return {
         "schema": SCHEMA,

@@ -490,7 +490,8 @@ def classical_predicate(label: TypeLabel, theta: Sequence[int]
 
 def _names(labels: Iterable[TypeLabel]) -> Tuple[str, ...]:
     """Distinct names of labels in canonical form (C2 is B2, D3 is A3)."""
-    return tuple(sorted({str(lab) for lab in normalize_components(labels)}))
+    return tuple(sorted({str(lab)
+                         for lab in normalize_components(tuple(labels))}))
 
 
 def predicted_labels(label: Optional[TypeLabel]) -> Tuple[str, ...]:

@@ -1,12 +1,16 @@
+import gc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from oracles import (add, build_from_name, matrix, planche_roots,
                      simple_root_expansion, vector, zero)
-from rootproj.catalog import (FAMILIES, TypeLabel, build, cartan_matrix,
-                              check_theta, detection_targets,
-                              normalize_components, parse_label, parse_target)
+from rootproj import catalog
+from rootproj.catalog import (FAMILIES, Target, TypeLabel, build,
+                              cartan_matrix, check_theta, detection_targets,
+                              irreducible_labels, normalize_components,
+                              parse_label, parse_target)
 from rootproj.detect import match_type, reflection_closure
 from rootproj.linalg import scale
 
@@ -252,6 +256,21 @@ def test_normalization():
     assert normalize_components((TypeLabel("BC", 2),)) == (TypeLabel("BC", 2),)
 
 
+def test_reduced_type():
+    # the first label of irreducible_labels(rank) with the same Cartan
+    # determinant and simple-root profile (Bourbaki VI, planches I-IX)
+    for text, reduced in [("B1", "A1"), ("C1", "A1"), ("BC1", "A1"),
+                          ("C2", "B2"), ("BC2", "B2"), ("D3", "A3"),
+                          ("BC5", "B5"), ("C3", "C3"), ("D4", "D4")]:
+        assert parse_label(text).reduced == parse_label(reduced), text
+    assert TypeLabel("D", 2).reduced is None
+    # every other label of irreducible_labels is its own reduced type
+    for rank in range(1, 13):
+        for lab in irreducible_labels(rank):
+            if lab.family != "BC" and str(lab) != "C2":
+                assert lab.reduced == lab
+
+
 def test_detection_targets_rank2():
     names = {str(t) for t in detection_targets(2)}
     assert names == {"A2", "B2", "C2", "G2", "BC2"}
@@ -294,6 +313,62 @@ def test_detection_targets_deterministic():
     # irreducible entries come before products
     kinds = [t.is_irreducible for t in a]
     assert kinds == sorted(kinds, reverse=True)
+
+
+def _reference_targets(d, reducible, exceptional):
+    """detection_targets the long way: every tuple of irreducible labels
+    of non-increasing rank summing to d (only single labels unless
+    reducible), as a Target, deduplicated, then sorted with the
+    irreducible targets first and the rest by their components'
+    sort keys."""
+    def tuples(remaining, max_rank):
+        if remaining == 0:
+            yield ()
+        for r in range(min(remaining, max_rank), 0, -1):
+            for lab in irreducible_labels(r):
+                for rest in tuples(remaining - r, r):
+                    yield (lab,) + rest
+
+    targets = {Target(parts) for parts in tuples(d, d)
+               if reducible or len(parts) == 1}
+    return sorted((t for t in targets
+                   if t.has_exceptional_component or not exceptional),
+                  key=lambda t: (not t.is_irreducible,
+                                 [lab.sort_key for lab in t.components]))
+
+
+@pytest.mark.parametrize("reducible, exceptional",
+                         product((False, True), repeat=2))
+def test_detection_targets_match_the_reference(reducible, exceptional):
+    # the same targets in the same order, every rank the E types reach
+    for d in range(1, 9):
+        assert list(detection_targets(d, reducible, exceptional)) \
+            == _reference_targets(d, reducible, exceptional), d
+
+
+def test_detection_targets_one_object_per_argument_values():
+    # the cache is keyed on the values, not on how they are passed
+    first = detection_targets(7, True, True)
+    assert detection_targets(7, reducible=True,
+                             require_exceptional_component=True) is first
+    assert detection_targets(d=7, require_exceptional_component=True,
+                             reducible=True) is first
+    assert detection_targets(7) is detection_targets(7, False, False)
+
+
+def test_detection_targets_leave_no_cyclic_garbage():
+    # the targets come from a module-level recursion: building every rank
+    # afresh leaves nothing for the cyclic collector
+    catalog._targets.cache_clear()
+    gc.disable()
+    try:
+        gc.collect()
+        for d in range(1, 9):
+            for flags in product((False, True), repeat=2):
+                detection_targets(d, *flags)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_type_label_invariants():

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from oracles import classical_predicate, oracle_equivalence
-from rootproj.catalog import build, detection_targets, parse_label
+from rootproj import output
+from rootproj.catalog import build, parse_label
 from rootproj.classify import (classify_theta, load_golden_tables,
                                proper_subsets, verify_paper)
 
@@ -107,15 +108,10 @@ def test_enumerate_e6_unique_g2_row(enumerated):
 def test_classify_theta_leaves_no_cyclic_garbage():
     # the basis search recurses through module-level functions, so a
     # projection and its pools are freed when classify_theta returns, not
-    # at the cyclic collector's next run.  detection_targets' recursion
-    # leaves its garbage once per rank, as its result is cached, so every
-    # rank is built first
+    # at the cyclic collector's next run
     e8 = build(parse_label("E8"))
     gc.disable()
     try:
-        for d in range(1, e8.rank):
-            detection_targets(d, reducible=True,
-                              require_exceptional_component=True)
         gc.collect()
         classify_theta(e8, (1,))
         assert gc.collect() == 0
@@ -149,7 +145,7 @@ def test_golden_tables_parse():
 def test_verify_paper_small_systems_pass(name, enumerated):
     label = parse_label(name)
     report = verify_paper(label, enumerated(name).docs)
-    assert report.ok, "\n".join(report.summary_lines())
+    assert report.ok, "\n".join(output.verification_text(report))
     assert report.records_checked == 2 ** label.rank - 2
 
 

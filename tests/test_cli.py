@@ -174,7 +174,8 @@ def test_verify_paper_reads_a_saved_enumerate_file(tmp_path, pinned_run):
         report = verify_paper(parse_label("F4"), map(json.loads, lines))
     assert report.records_checked == 14
     code, out, _ = pinned_run("verify-paper --sigma F4 --format text")
-    assert (code, out) == (0, "\n".join(report.summary_lines()) + "\n")
+    assert (code, out) == (0, "\n".join(output.verification_text(report))
+                           + "\n")
 
 
 def test_enumerate_g2_stream(tmp_path):

@@ -61,7 +61,7 @@ def test_match_type_self_identification():
         decomp = match_type(list(build(label).simple_roots))
         assert decomp is not None, label
         assert sorted((lab for lab, _ in decomp), key=lambda l: l.sort_key) \
-            == list(normalize_components([TypeLabel(family, label.rank)])), \
+            == list(normalize_components((TypeLabel(family, label.rank),))), \
             label
 
 
@@ -347,10 +347,8 @@ def test_restricted_find_agrees_with_naive_pinning():
             d = sys.rank - size
             if d > 3 and not every_irreducible:
                 continue
-            targets = set(detection_targets(d)) if every_irreducible else set()
-            if d <= 3:
-                targets.update(detection_targets(d, reducible=True))
-            targets = sorted(targets, key=lambda t: t.sort_key)
+            # d <= 3: every target, which includes the irreducible ones
+            targets = detection_targets(d, reducible=d <= 3)
             for theta in combinations(range(1, sys.rank + 1), size):
                 pr = project_all(sys, theta)
                 certified = {}
@@ -400,7 +398,7 @@ def brute_bases(label, pr, pool):
     every k-subset of the pool at the label's norms there that certify
     accepts, in combinations order.  Where the census classes are exact,
     that is at most one basis."""
-    inner = detect._reduced(label)
+    inner = label.reduced
     basis_prof, root_prof = inner.basis_profile, inner.root_profile
     out = []
     for base in census_scales(label, pr.census_scaled):

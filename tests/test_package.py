@@ -48,9 +48,7 @@ READ_ON_OWN_TYPE = {
     "RealizedRootSystem.rank": "projection.project_all",
     "Target.components": "catalog.Target.is_irreducible",
     "Target.rank": "detect.find_subsystem",
-    "Target.sort_key": "catalog.detection_targets",
     "TypeLabel.rank": "cli._parse_sigma",
-    "TypeLabel.sort_key": "catalog.normalize_components",
 }
 
 # the Fraction views of a projection: only the module that builds them
@@ -58,6 +56,13 @@ READ_ON_OWN_TYPE = {
 FRACTION_VIEWS = {"sigma_theta", "delta_theta", "census", "sigma_theta_set",
                   "pair_reps", "pool"}
 FRACTION_VIEW_READERS = {"projection", "output"}
+
+# which labels name the same system, and in which order the targets come:
+# the label list, the normalization, the type lookup and the reduced type
+# it gives a label are catalog's, which no other module names
+LABEL_RULES = {"irreducible_labels", "normalize_components", "_type_of",
+               "_reduced"}
+LABEL_RULE_OWNER = "catalog"
 
 
 def _defined_names(stmt):
@@ -174,6 +179,20 @@ def test_only_the_byte_layer_reads_the_fraction_views():
              and isinstance(node.ctx, ast.Load)
              and node.attr in FRACTION_VIEWS]
     assert not reads, f"Fraction views read outside the byte layer: {reads}"
+
+
+def test_only_the_catalog_applies_the_label_rules():
+    # detect reads a label's reduced type and a Cartan matrix's type off
+    # catalog (TypeLabel.reduced, finite_type) and keeps no rule of its
+    # own: it neither defines, imports nor calls a LABEL_RULES name
+    uses = [f"{path.stem}:{node.lineno} {name}"
+            for path in sorted(SRC.glob("*.py"))
+            if path.stem != LABEL_RULE_OWNER
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in (getattr(node, field, None)
+                         for field in ("id", "attr", "name"))
+            if name in LABEL_RULES]
+    assert not uses, f"label rules outside {LABEL_RULE_OWNER}: {uses}"
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
