@@ -30,8 +30,7 @@ def classify_theta(sys: RealizedRootSystem, theta: Sequence[int]) -> dict:
     """The enumerate document of one proper theta of sys: every report of
     ``classify_max_rank`` on its projection, as ``output.detection_doc``."""
     pr = project_all(sys, theta)
-    return output.detection_doc(sys.label, pr.theta, pr.d,
-                                classify_max_rank(pr))
+    return output.detection_doc(pr, classify_max_rank(pr))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def cmd_detect(args) -> int:
     pr = project_all(sys_, _parse_theta(args.theta))
     report = find_subsystem(pr, parse_target(args.target),
                             restrict_to_delta_theta=args.restricted)
-    doc = output.detection_doc(sys_.label, pr.theta, pr.d, [report])
+    doc = output.detection_doc(pr, [report])
     with _output(args.out) as out:
         if args.format == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)

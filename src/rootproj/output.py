@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .detect import DetectionReport, TypeLabel
+from .detect import DetectionReport
 from .linalg import Vector, norm2
 from .projection import ProjectionResult
 
@@ -48,13 +48,14 @@ def report_dict(rep: DetectionReport) -> dict:
     return out
 
 
-def detection_doc(sigma: TypeLabel, theta: Sequence[int], d: int,
+def detection_doc(pr: ProjectionResult,
                   reports: Sequence[DetectionReport]) -> dict:
+    """The detect and enumerate document of reports on one projection."""
     return {
         "schema": SCHEMA,
-        "sigma": str(sigma),
-        "theta": list(theta),
-        "d": d,
+        "sigma": str(pr.system.label),
+        "theta": list(pr.theta),
+        "d": pr.d,
         "reports": [report_dict(r) for r in reports],
     }
 

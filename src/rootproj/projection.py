@@ -17,9 +17,9 @@ outside root a_i at once; s*det*delta_i = det*(s*a_i) - sum_j x_ij (s*a_j)
 is integral, and dividing it and s*det by their gcd gives exactly
 ``to_ints`` of delta_theta.  Every other projection is an integer
 combination of delta_theta, read off the root coefficients.  The result
-keeps those ints next to the Fractions, each kind with its census,
-member set and pool, which one helper (``_views``) builds for both;
-``detect`` searches the ints, and ``output`` writes the Fractions.
+stores sigma_theta as Fractions and as ints, each with its census and pool
+(``_views`` builds both); d, delta_theta and the Fraction member set are
+derived.  ``detect`` searches the ints, and ``output`` writes the Fractions.
 """
 
 from __future__ import annotations
@@ -38,17 +38,15 @@ from .linalg import (IntVector, Vector, bareiss_solve, dot, from_ints, gram,
 class ProjectionResult(NamedTuple):
     """All nonzero projections of the roots, plus those of the simple roots.
 
-    sigma_theta is deduplicated and sorted; delta_theta keeps the index
-    order of the simple roots outside theta and is not deduplicated.  The
-    census maps each squared length to the number of distinct vectors of
-    that length in sigma_theta.  sigma_theta_set and pair_reps are views
-    of sigma_theta, built once by project_all.  delta_scaled is
-    delta_theta times ``denominator``, a common denominator of the
-    coordinates of sigma_theta and delta_theta, as int tuples in the same
-    order; census_scaled, sigma_scaled_set and pool_scaled are the same
-    views of sigma_theta times ``denominator``, so the census keys are
-    the Fraction ones times ``denominator`` squared.  The fields from
-    sigma_theta_set on are functions of the ones before them.
+    Ten fields are stored.  sigma_theta is deduplicated and sorted; census
+    maps each squared length to the number of its vectors there, and
+    pair_reps holds one vector of each +-pair.  delta_scaled is
+    delta_theta (the projected simple roots outside theta, in index order,
+    not deduplicated) times ``denominator``, a common denominator of both,
+    as int tuples; census_scaled, sigma_scaled_set and pool_scaled are the
+    views of sigma_theta times ``denominator``, so the census keys are the
+    Fraction ones times its square.  d, delta_theta and sigma_theta_set
+    are derived from these on each read.
 
     The search reads the int fields and ``denominator``; of the Fraction
     views only ``output`` reads sigma_theta, delta_theta and census, and
@@ -58,11 +56,8 @@ class ProjectionResult(NamedTuple):
 
     system: RealizedRootSystem
     theta: Tuple[int, ...]
-    d: int
     sigma_theta: Tuple[Vector, ...]
-    delta_theta: Tuple[Vector, ...]
     census: Dict[Fraction, int]
-    sigma_theta_set: frozenset
     pair_reps: Tuple[Vector, ...]
     denominator: int
     delta_scaled: Tuple[IntVector, ...]
@@ -70,18 +65,23 @@ class ProjectionResult(NamedTuple):
     sigma_scaled_set: frozenset
     pool_scaled: Tuple[IntVector, ...]
 
+    d = property(lambda self: len(self.delta_scaled))
+    delta_theta = property(
+        lambda self: from_ints(self.delta_scaled, self.denominator))
+    sigma_theta_set = property(lambda self: frozenset(self.sigma_theta))
+
     def pool(self) -> Tuple[Vector, ...]:
         """One representative per +-pair, sorted by (squared norm, coords)."""
         return self.pair_reps
 
 
-def _views(vectors: tuple) -> Tuple[dict, frozenset, tuple]:
-    """(census, member set, pool) of a sorted, negation-closed tuple of
-    Fraction or int vectors; the pool holds the lex-larger vector of each
-    +-pair, sorted by (squared norm, coords)."""
+def _views(vectors: tuple) -> Tuple[dict, tuple]:
+    """(census, pool) of a sorted, negation-closed tuple of Fraction or
+    int vectors; the pool holds the lex-larger vector of each +-pair,
+    sorted by (squared norm, coords)."""
     norms = {v: norm2(v) for v in vectors}
     reps = {max(v, linalg.neg(v)) for v in vectors}
-    return (dict(Counter(norms.values())), frozenset(vectors),
+    return (dict(Counter(norms.values())),
             tuple(sorted(reps, key=lambda v: (norms[v], v))))
 
 
@@ -107,10 +107,10 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     g = gcd(s * det, *(y for row in rows for y in row))
     den = s * det // g
     delta_scaled = tuple(tuple(y // g for y in row) for row in rows)
-    delta = from_ints(delta_scaled, den)
     restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
     restrictions.discard((0,) * len(outside))
     sigma_scaled = tuple(int_combine(restrictions, delta_scaled))
     sigma = from_ints(sigma_scaled, den)
-    return ProjectionResult(sys, idx, len(outside), sigma, delta, *_views(sigma),
-                            den, delta_scaled, *_views(sigma_scaled))
+    census_scaled, pool_scaled = _views(sigma_scaled)
+    return ProjectionResult(sys, idx, sigma, *_views(sigma), den, delta_scaled,
+                            census_scaled, frozenset(sigma_scaled), pool_scaled)

@@ -213,7 +213,7 @@ def test_round_trip_detection_doc():
     # it with Fraction and parse_label, then revalidate it
     pr = project_all(build_from_name("E6"), (1, 3, 5, 6))
     rep = find_subsystem(pr, parse_target("G2"), restrict_to_delta_theta=True)
-    doc = output.detection_doc(pr.system.label, pr.theta, pr.d, [rep])
+    doc = output.detection_doc(pr, [rep])
     data = json.loads(json.dumps(doc))
     assert (data["sigma"], tuple(data["theta"]), data["d"]) == \
         ("E6", (1, 3, 5, 6), 2)

@@ -695,12 +695,16 @@ def test_revalidate_compares_labels_with_target():
             ClosureCertificate(parse_target("C3"), (witness,)), short)
 
 
-def _hand_projection(vectors):
+def _hand_projection(vectors, delta):
+    """A projection of the given sigma_theta whose delta_theta is delta,
+    a tuple of members of vectors."""
     sigma = tuple(sorted(vectors))
     den, sigma_scaled = to_ints(sigma)
+    census_scaled, pool_scaled = _views(sigma_scaled)
     return ProjectionResult(
-        build_from_name("A2"), (), 2, sigma, (), *_views(sigma), den, (),
-        *_views(sigma_scaled))
+        build_from_name("A2"), (), sigma, *_views(sigma), den,
+        tuple(sigma_scaled[sigma.index(v)] for v in delta), census_scaled,
+        frozenset(sigma_scaled), pool_scaled)
 
 
 def test_six_vectors_of_one_norm_that_are_no_a2():
@@ -708,7 +712,8 @@ def test_six_vectors_of_one_norm_that_are_no_a2():
     # (7/5, 1/5) makes no 120 degree angle with the other two
     vecs = [vector(v) for v in
             [(1, 1), (1, -1), (Fraction(7, 5), Fraction(1, 5))]]
-    pr = _hand_projection(vecs + [neg(v) for v in vecs])
+    pr = _hand_projection(vecs + [neg(v) for v in vecs], vecs[:2])
+    assert pr.d == 2 and pr.delta_theta == tuple(vecs[:2])
     assert pr.census == {Fraction(2): 6}
     assert pr.denominator == 5 and pr.census_scaled == {50: 6}
     assert not find_subsystem(pr, parse_target("A2")).found

@@ -44,7 +44,7 @@ READ_ON_OWN_TYPE = {
     "DetectionReport.target": "output.report_dict",
     "GoldenTable.found": "classify.verify_paper",
     "ProjectionResult.denominator": "detect.find_subsystem",
-    "RealizedRootSystem.label": "classify.classify_theta",
+    "RealizedRootSystem.label": "output.detection_doc",
     "RealizedRootSystem.rank": "projection.project_all",
     "Target.components": "catalog.Target.is_irreducible",
     "Target.rank": "detect.find_subsystem",

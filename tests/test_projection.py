@@ -7,10 +7,11 @@ import pytest
 from oracles import (ExpansionConsistencyError, add, build_from_name,
                      expansion_over_delta_theta, planche_roots,
                      project_vector, simple_root_expansion, vector, zero)
+from rootproj import projection
 from rootproj.classify import proper_subsets
 from rootproj.linalg import (dot, from_ints, is_zero, neg, norm2, scale, sub,
                             to_ints)
-from rootproj.projection import project_all
+from rootproj.projection import ProjectionResult, project_all
 
 
 def gram_schmidt_project(t, alphas):
@@ -118,6 +119,33 @@ def test_project_all_leaves_the_fraction_solve_out(monkeypatch):
     monkeypatch.setattr(Fraction, "__rtruediv__", no_fraction_division)
     for theta in proper_subsets(e6.rank):
         assert project_all(e6, theta).d == e6.rank - len(theta)
+
+
+def test_a_projection_stores_only_what_it_cannot_derive():
+    # d, delta_theta and sigma_theta_set are properties over these
+    assert ProjectionResult._fields == (
+        "system", "theta", "sigma_theta", "census", "pair_reps",
+        "denominator", "delta_scaled", "census_scaled", "sigma_scaled_set",
+        "pool_scaled")
+    for name in ("d", "delta_theta", "sigma_theta_set"):
+        assert isinstance(vars(ProjectionResult)[name], property), name
+
+
+def test_project_all_builds_one_fraction_view(monkeypatch):
+    # project_all turns only sigma_theta into Fractions; delta_theta is
+    # built on read
+    e6 = build_from_name("E6")
+    calls = Counter()
+
+    def counting(*args):
+        calls["from_ints"] += 1
+        return from_ints(*args)
+
+    monkeypatch.setattr(projection, "from_ints", counting)
+    thetas = list(proper_subsets(e6.rank))
+    for theta in thetas:
+        project_all(e6, theta)
+    assert calls["from_ints"] == len(thetas)
 
 
 def test_project_all_a3():
@@ -244,6 +272,11 @@ def test_int_views_map_onto_the_fraction_ones(name, max_size):
             break
         pr = project_all(sys, theta)
         den = pr.denominator
+        # d, delta_theta and the Fraction member set are read off the
+        # stored fields
+        assert pr.d == len(pr.delta_scaled)
+        assert pr.delta_theta == from_ints(pr.delta_scaled, den)
+        assert pr.sigma_theta_set == frozenset(pr.sigma_theta)
         assert from_ints(pr.pool_scaled, den) == pr.pair_reps == pr.pool()
         assert all(type(n) is int for n in pr.census_scaled)
         assert {Fraction(n, den * den): c
