@@ -126,9 +126,11 @@ def _invariants(label: TypeLabel) -> tuple:
 
 def parse_label(text: str) -> TypeLabel:
     m = _LABEL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse type label {text!r}")
-    return TypeLabel(m.group(1).upper(), int(m.group(2)))
+    try:  # no match, or more rank digits than int() converts
+        family, rank = m.group(1).upper(), int(m.group(2))
+    except (AttributeError, ValueError):
+        raise ValueError(f"cannot parse type label {text!r}") from None
+    return TypeLabel(family, rank)
 
 
 @lru_cache(maxsize=None)

@@ -17,9 +17,9 @@ outside root a_i at once; s*det*delta_i = det*(s*a_i) - sum_j x_ij (s*a_j)
 is integral, and dividing it and s*det by their gcd gives exactly
 ``to_ints`` of delta_theta.  Every other projection is an integer
 combination of delta_theta, read off the root coefficients.  The result
-stores sigma_theta as Fractions and as ints, each with its census and pool
-(``_views`` builds both); d, delta_theta and the Fraction member set are
-derived.  ``detect`` searches the ints, and ``output`` writes the Fractions.
+stores sigma_theta as ints, with its census and pool, and the Fraction
+pool (``_views`` builds both); every other Fraction view is derived.
+``detect`` searches the ints, and ``output`` writes the Fractions.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from .linalg import (IntVector, Vector, bareiss_solve, dot, from_ints, gram,
 class ProjectionResult(NamedTuple):
     """All nonzero projections of the roots, plus those of the simple roots.
 
-    Ten fields are stored.  sigma_theta is deduplicated and sorted; census
-    maps each squared length to the number of its vectors there, and
-    pair_reps holds one vector of each +-pair.  delta_scaled is
-    delta_theta (the projected simple roots outside theta, in index order,
-    not deduplicated) times ``denominator``, a common denominator of both,
-    as int tuples; census_scaled, sigma_scaled_set and pool_scaled are the
-    views of sigma_theta times ``denominator``, so the census keys are the
-    Fraction ones times its square.  d, delta_theta and sigma_theta_set
+    Eight fields are stored.  pair_reps holds one vector of each +-pair
+    of sigma_theta.  delta_scaled is delta_theta (the projected simple
+    roots outside theta, in index order, not deduplicated) times
+    ``denominator``, a common denominator of both, as int tuples;
+    census_scaled, sigma_scaled_set and pool_scaled are the views of
+    sigma_theta times ``denominator``: the census counts the vectors of
+    each squared length, the keys scaled by its square.  d, delta_theta,
+    sigma_theta (deduplicated and sorted), census and sigma_theta_set
     are derived from these on each read.
 
     The search reads the int fields and ``denominator``; of the Fraction
@@ -56,8 +56,6 @@ class ProjectionResult(NamedTuple):
 
     system: RealizedRootSystem
     theta: Tuple[int, ...]
-    sigma_theta: Tuple[Vector, ...]
-    census: Dict[Fraction, int]
     pair_reps: Tuple[Vector, ...]
     denominator: int
     delta_scaled: Tuple[IntVector, ...]
@@ -68,6 +66,10 @@ class ProjectionResult(NamedTuple):
     d = property(lambda self: len(self.delta_scaled))
     delta_theta = property(
         lambda self: from_ints(self.delta_scaled, self.denominator))
+    sigma_theta = property(
+        lambda self: from_ints(sorted(self.sigma_scaled_set), self.denominator))
+    census = property(lambda self: {Fraction(k, self.denominator ** 2): c
+                                    for k, c in self.census_scaled.items()})
     sigma_theta_set = property(lambda self: frozenset(self.sigma_theta))
 
     def pool(self) -> Tuple[Vector, ...]:
@@ -110,7 +112,8 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     restrictions = {tuple(c[i] for i in outside) for c in sys.coefficients}
     restrictions.discard((0,) * len(outside))
     sigma_scaled = tuple(int_combine(restrictions, delta_scaled))
-    sigma = from_ints(sigma_scaled, den)
+    # mapping pool_scaled to pair_reps (ROADMAP item 2) waits for item 1
+    _, pair_reps = _views(from_ints(sigma_scaled, den))
     census_scaled, pool_scaled = _views(sigma_scaled)
-    return ProjectionResult(sys, idx, sigma, *_views(sigma), den, delta_scaled,
+    return ProjectionResult(sys, idx, pair_reps, den, delta_scaled,
                             census_scaled, frozenset(sigma_scaled), pool_scaled)

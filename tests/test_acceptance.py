@@ -13,13 +13,14 @@ from oracles import (add, build_from_name, certificate_of,
                      classical_predicate, expansion_over_delta_theta,
                      oracle_equivalence, planche_roots, project_vector,
                      reflect, simple_root_expansion, vector, zero)
-from rootproj.catalog import Target, parse_label, parse_target
+from rootproj.catalog import (Target, detection_targets, parse_label,
+                              parse_target)
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
                                TABLE_PRODUCT_RESTRICTED, load_golden_tables,
-                               verify_paper)
+                               proper_subsets, verify_paper)
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, certify,
-                             find_subsystem, reflection_closure,
+                             find_subsystem, match_type, reflection_closure,
                              revalidate)
 from rootproj.linalg import dot, is_zero, neg, norm2, scale, sub
 from rootproj.projection import project_all
@@ -487,3 +488,33 @@ def test_enumerate_json_bytes_match_reference(enumerated):
     for name in ("F4", "E7", "E8"):
         got = hashlib.sha256(enumerated(name).text.encode("utf-8")).hexdigest()
         assert got == reference[f"enumerate {name}"]["sha256"], name
+
+
+def _holds_a_product_of_a(pr) -> bool:
+    return any(find_subsystem(pr, t).found
+               for t in detection_targets(pr.d, reducible=True)
+               if all(c.family == "A" for c in t.components))
+
+
+def test_sigma_theta_holds_a_root_system_of_rank_d():
+    """The abstract's first claim asks when sigma_theta contains a root
+    system of rank d.  Removing nodes of extended Dynkin diagrams
+    (Borel-de Siebenthal 1949, Dynkin 1952) gives B_n > D_n,
+    D_n > A1^2 x D_(n-2), C_n > A1^n, G2 > A2, F4 > A2^2, E6 > A2^3,
+    E7 > A7 and E8 > A8, so every rank-d root system contains a rank-d
+    product of type-A factors (BC contains B): the unrestricted search
+    for those products alone answers it.  Every theta of F4 and E7 holds
+    one; on E6, exactly the theta whose simple roots form an A3 hold
+    none.  E8 (about 24 s) is left out.
+    """
+    missing = {}
+    for name in ("F4", "E6", "E7"):
+        sys = build_from_name(name)
+        missing[name] = [theta for theta in proper_subsets(sys.rank)
+                         if not _holds_a_product_of_a(project_all(sys, theta))]
+    e6 = build_from_name("E6")
+    a3 = [theta for theta in proper_subsets(e6.rank)
+          if [label for label, _ in match_type(
+              [e6.simple_roots[i - 1] for i in theta])] == [parse_label("A3")]]
+    assert len(a3) == 5
+    assert missing == {"F4": [], "E6": a3, "E7": []}

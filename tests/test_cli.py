@@ -565,6 +565,17 @@ def test_enumerate_refuses_an_oversized_system(monkeypatch, capsys):
 
 
 def test_oversized_rank_is_refused_before_build(monkeypatch, capsys):
+    # a rank of more digits than int() converts is a label that does not
+    # parse, not advice to raise the interpreter's limit
+    nines = "A" + "9" * 5000
+    for argv in (["project", "--sigma", nines, "--theta", "1"],
+                 ["detect", "--sigma", "A2", "--theta", "1",
+                  "--target", nines]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse type label") \
+            and err.count("\n") == 1, argv[0]
+
     # building the roots of A99999999 would not end: refused from the label
     def no_build(*args):
         raise AssertionError("build started")

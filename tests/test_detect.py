@@ -702,7 +702,7 @@ def _hand_projection(vectors, delta):
     den, sigma_scaled = to_ints(sigma)
     census_scaled, pool_scaled = _views(sigma_scaled)
     return ProjectionResult(
-        build_from_name("A2"), (), sigma, *_views(sigma), den,
+        build_from_name("A2"), (), _views(sigma)[1], den,
         tuple(sigma_scaled[sigma.index(v)] for v in delta), census_scaled,
         frozenset(sigma_scaled), pool_scaled)
 

@@ -122,18 +122,19 @@ def test_project_all_leaves_the_fraction_solve_out(monkeypatch):
 
 
 def test_a_projection_stores_only_what_it_cannot_derive():
-    # d, delta_theta and sigma_theta_set are properties over these
+    # d, delta_theta, sigma_theta, census and sigma_theta_set are
+    # properties over these
     assert ProjectionResult._fields == (
-        "system", "theta", "sigma_theta", "census", "pair_reps",
-        "denominator", "delta_scaled", "census_scaled", "sigma_scaled_set",
-        "pool_scaled")
-    for name in ("d", "delta_theta", "sigma_theta_set"):
+        "system", "theta", "pair_reps", "denominator", "delta_scaled",
+        "census_scaled", "sigma_scaled_set", "pool_scaled")
+    for name in ("d", "delta_theta", "sigma_theta", "census",
+                 "sigma_theta_set"):
         assert isinstance(vars(ProjectionResult)[name], property), name
 
 
 def test_project_all_builds_one_fraction_view(monkeypatch):
-    # project_all turns only sigma_theta into Fractions; delta_theta is
-    # built on read
+    # project_all turns only sigma_theta into Fractions, for pair_reps;
+    # every other Fraction view is built on read
     e6 = build_from_name("E6")
     calls = Counter()
 
@@ -144,7 +145,7 @@ def test_project_all_builds_one_fraction_view(monkeypatch):
     monkeypatch.setattr(projection, "from_ints", counting)
     thetas = list(proper_subsets(e6.rank))
     for theta in thetas:
-        project_all(e6, theta)
+        assert project_all(e6, theta).pair_reps
     assert calls["from_ints"] == len(thetas)
 
 
@@ -272,15 +273,14 @@ def test_int_views_map_onto_the_fraction_ones(name, max_size):
             break
         pr = project_all(sys, theta)
         den = pr.denominator
-        # d, delta_theta and the Fraction member set are read off the
-        # stored fields
+        # d, delta_theta, sigma_theta, its census and member set are read
+        # off the stored fields
         assert pr.d == len(pr.delta_scaled)
         assert pr.delta_theta == from_ints(pr.delta_scaled, den)
         assert pr.sigma_theta_set == frozenset(pr.sigma_theta)
         assert from_ints(pr.pool_scaled, den) == pr.pair_reps == pr.pool()
         assert all(type(n) is int for n in pr.census_scaled)
-        assert {Fraction(n, den * den): c
-                for n, c in pr.census_scaled.items()} == pr.census
+        assert pr.census == Counter(norm2(v) for v in pr.sigma_theta)
         assert len(pr.sigma_scaled_set) == len(pr.sigma_theta_set)
         assert frozenset(from_ints(pr.sigma_scaled_set, den)) \
             == pr.sigma_theta_set

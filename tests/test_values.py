@@ -108,8 +108,9 @@ def test_results_survive_pickle(enumerated):
     assert back.pool() == pr.pool() \
         and back.sigma_scaled_set == pr.sigma_scaled_set
     # the derived views read the same off the round-tripped fields
-    assert (back.d, back.delta_theta, back.sigma_theta_set) \
-        == (pr.d, pr.delta_theta, pr.sigma_theta_set)
+    assert (back.d, back.delta_theta, back.sigma_theta, back.census,
+            back.sigma_theta_set) == (pr.d, pr.delta_theta, pr.sigma_theta,
+                                      pr.census, pr.sigma_theta_set)
     report = find_subsystem(back, parse_target("G2"))
     assert report.found and report == find_subsystem(pr, parse_target("G2"))
 
