@@ -92,8 +92,10 @@ def _documents(label: TypeLabel, jobs: int) -> Iterator[dict]:
     """The enumerate document of every proper theta of label, in order,
     classified here or, with jobs above 1, in a process pool."""
     tasks = ((str(label), t) for t in proper_subsets(label.rank))
-    # the pool forks all its workers when it starts: no more than CPUs
-    workers = min(jobs, os.cpu_count() or 1)
+    # the pool forks all its workers when it starts: no more than the CPUs
+    # this process may run on (its affinity mask, where the OS has one)
+    workers = min(jobs, len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers < 2:
         yield from map(_one_record, tasks)
         return

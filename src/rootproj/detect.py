@@ -7,19 +7,19 @@
 ``certify`` is the single definition of a certified copy of a label: the
 candidate basis must have the label's ``reduced`` type (``catalog``'s
 one rule: BC_k reads as B_k, C2 as B2, D3 as A3, rank 1 as A_1), its
-reflection closure must stay inside the projected set, and for BC the doubles of
-the shortest roots must be there as well.  The search and ``revalidate``
-both go through it.  ``_search`` is the single driver of both detection
-modes: it picks one factor of the target after another, the restricted
-mode pinning some of them to delta_theta.  Every factor's bases, pinned
-or not, come from one incremental backtracking, ``_iter_bases``, over a
-pool: one representative per +-pair sorted by squared norm, or
-delta_theta for a pinned factor.  Partial bases are pruned with the norm
-census of the projection, integral pairings none positive and the
-target's node degrees.  Both pools lie in one open half-space, where
-obtuse vectors are linearly independent (Humphreys, 10.1), so every
-partial basis with integral pairings is of finite type for
-``match_type`` below without a further test.  Every factor the
+reflection closure must stay inside the projected set, and for BC the
+doubles of the shortest roots must be there as well.  The search and
+``revalidate`` both go through it.  ``find_subsystem`` is the single
+driver of both detection modes: it picks one factor of the target after
+another, the restricted mode pinning some of them to delta_theta.  Every
+factor's bases, pinned or not, come from one incremental backtracking,
+``_iter_bases``, over a pool: one representative per +-pair sorted by
+squared norm, or delta_theta for a pinned factor.  Partial bases are
+pruned with the norm census of the projection, integral pairings none
+positive and the target's node degrees.  Both pools lie in one open
+half-space, where obtuse vectors are linearly independent (Humphreys,
+10.1), so every partial basis with integral pairings is of finite type
+for ``match_type`` below without a further test.  Every factor the
 search finds lists its basis in pool order: by (squared norm, coords),
 or in delta_theta order for a pinned factor.
 
@@ -270,8 +270,8 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
 
     Precondition: the pool lies in one open half-space, where obtuse
     vectors are linearly independent (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 10.1).  ``_search`` hands it two
-    such pools, each narrowed by ``_orthogonal``: the lex-positive
+    Algebras and Representation Theory, 10.1).  ``find_subsystem`` hands
+    it two such pools, each narrowed by ``_orthogonal``: the lex-positive
     +-pair representatives ``pool_scaled``, and ``delta_scaled``, whose
     vectors are linearly independent, and so is every subset of them.
     So a partial basis that keeps the label's norms, integral pairings
@@ -336,57 +336,12 @@ def _orthogonal(pool: List[IntVector], basis: Sequence[IntVector]
     return [v for v in pool if all(dot(v, b) == 0 for b in basis)]
 
 
-def _search(pr: ProjectionResult, target: Target, restricted: bool
-            ) -> Optional[ClosureCertificate]:
-    """First certified copy of the target, one factor after another.
-
-    Every factor's bases come from ``_iter_bases`` on a pool orthogonal
-    to the factors picked before it.  Unrestricted, that pool is
-    ``pool_scaled``, sigma_theta up to sign: a subsystem always owns a
-    simple system made of lexicographically positive vectors (positivity
-    in the lex order is additive), so nothing is lost.  Restricted, the
-    pinned factors take their basis from ``delta_scaled``: every factor
-    of an irreducible or all-classical target, but only the exceptional
-    factors of a product with an exceptional component, whose classical
-    factors may sit anywhere in sigma_theta orthogonal to the rest.  That
-    is the reading under which the bundled product tables are stated, so
-    on product rows ``basis_from_delta_theta`` vouches for the
-    exceptional factors only.  Pinning every factor would make the basis
-    all of delta_theta, whose pairing matrix is of no finite type for
-    five listed rows: E7 (1,3,5,6) G2xA1 and E8 (1,3,5,6) G2xA1xA1,
-    (1,3,5,6,8) G2xA1, (2,4,5,6,7) G2xA1 and (2,5,7) F4xA1.
-
-    The projected simple roots are taken exactly as they come: if some
-    sign-flipped selection formed a simple system, the vectors as given
-    would too, because mixed signs inside a connected component would
-    contradict the one-signed integral expansion of the projected roots.
-    So a pinned factor's bases are the k-subsets of delta_theta that
-    ``certify`` accepts.  They are tried census scale by census scale in
-    ascending order and, within a scale, in delta_theta order, so a
-    subset of shorter vectors comes first even when a subset of longer
-    ones comes earlier in delta_theta (an A1 or A2 factor on a
-    projection with two norms).  A free factor's bases come by (squared
-    norm, coords).  The census condition is necessary in both modes and
-    is checked first.
-    """
-    if not census_admits(target, pr.census_scaled):
-        return None
-    pin_all = not target.has_exceptional_component
-    factors = sorted(((lab, restricted and (pin_all or lab.is_exceptional))
-                      for lab in target.normalized()),
-                     key=lambda factor: (not factor[1], factor[0].sort_key))
-    witnesses: List[ComponentWitness] = []
-    if _place(pr, factors, witnesses, list(pr.delta_scaled),
-              list(pr.pool_scaled)):
-        return ClosureCertificate(target, tuple(witnesses))
-    return None
-
-
 def _place(pr: ProjectionResult, factors: List[Tuple[TypeLabel, bool]],
            witnesses: List[ComponentWitness], delta_pool: List[IntVector],
            pool: List[IntVector]) -> bool:
-    """``_search``'s backtracking: append to ``witnesses`` a copy of each
-    further (label, pinned) factor, orthogonal to the ones before."""
+    """``find_subsystem``'s backtracking: append to ``witnesses`` a copy
+    of each further (label, pinned) factor, orthogonal to the ones
+    before."""
     if len(witnesses) == len(factors):
         return True
     label, pinned = factors[len(witnesses)]
@@ -407,26 +362,58 @@ def find_subsystem(pr: ProjectionResult, target: Target,
                    restrict_to_delta_theta: bool = False) -> DetectionReport:
     """Decide whether the target occurs in sigma_theta at maximal rank.
 
-    The search is exhaustive over the allowed basis pool (delta_theta
-    for the pinned factors when restricted, see ``_search``, otherwise
-    all of sigma_theta up to sign), so a not-found answer is a proof of
-    absence within that pool.  A found restricted report vouches for
-    delta_theta (see ``_search``); a found unrestricted one says whether
-    its whole basis lies in delta_theta.
+    The first copy found, factor by factor, is the certificate; the
+    search is exhaustive, so a not-found answer is a proof of absence.
+    Unrestricted, every factor's pool is ``pool_scaled``, sigma_theta up
+    to sign: a subsystem always owns a simple system made of
+    lexicographically positive vectors (positivity in the lex order is
+    additive), so nothing is lost.  A found unrestricted report says
+    whether its whole basis lies in delta_theta.
+
+    Restricted, the pinned factors take their basis from delta_theta:
+    every factor of an irreducible or all-classical target, but only the
+    exceptional factors of a product with an exceptional component,
+    whose classical factors may sit anywhere in sigma_theta orthogonal
+    to the rest.  That is the reading under which the bundled product
+    tables are stated, so on product rows ``basis_from_delta_theta``
+    vouches for the exceptional factors only.  Pinning every factor
+    would make the basis all of delta_theta, whose pairing matrix is of
+    no finite type for five listed rows: E7 (1,3,5,6) G2xA1 and E8
+    (1,3,5,6) G2xA1xA1, (1,3,5,6,8) G2xA1, (2,4,5,6,7) G2xA1 and
+    (2,5,7) F4xA1.  The projected simple roots are taken exactly as they
+    come: if some sign-flipped selection formed a simple system, the
+    vectors as given would too, because mixed signs inside a connected
+    component would contradict the one-signed integral expansion of the
+    projected roots.
+
+    A pinned factor's bases come census scale by census scale in
+    ascending order and, within a scale, in delta_theta order, so a
+    subset of shorter vectors comes first even when a subset of longer
+    ones comes earlier in delta_theta (an A1 or A2 factor on a
+    projection with two norms); a free factor's come by (squared norm,
+    coords).
     """
     if target.rank != pr.d:
         raise ValueError(
             f"target rank {target.rank} does not match d={pr.d}")
-    cert = _search(pr, target, restrict_to_delta_theta)
-    if cert is None:
-        return DetectionReport(target, restrict_to_delta_theta, False)
-    from_delta = restrict_to_delta_theta \
-        or set(cert.basis) <= set(pr.delta_scaled)
+    restricted = restrict_to_delta_theta
+    if not census_admits(target, pr.census_scaled):
+        return DetectionReport(target, restricted, False)
+    pin_all = not target.has_exceptional_component
+    factors = sorted(((lab, restricted and (pin_all or lab.is_exceptional))
+                      for lab in target.normalized()),
+                     key=lambda factor: (not factor[1], factor[0].sort_key))
+    found: List[ComponentWitness] = []
+    if not _place(pr, factors, found, list(pr.delta_scaled),
+                  list(pr.pool_scaled)):
+        return DetectionReport(target, restricted, False)
+    from_delta = restricted or all(v in pr.delta_scaled
+                                   for w in found for v in w.basis)
     den = pr.denominator  # the certificate's vectors in sigma_theta
     witnesses = tuple(ComponentWitness(w.label, from_ints(w.basis, den),
                                        frozenset(from_ints(w.roots, den)))
-                      for w in cert.components)
-    return DetectionReport(target, restrict_to_delta_theta, from_delta,
+                      for w in found)
+    return DetectionReport(target, restricted, from_delta,
                            ClosureCertificate(target, witnesses))
 
 
@@ -438,7 +425,7 @@ def classify_max_rank(pr: ProjectionResult) -> List[DetectionReport]:
     asked for first, and when it exists it is the certificate and
     ``basis_from_delta_theta`` is true.  Product targets are restricted
     reports, whose ``basis_from_delta_theta`` covers the exceptional
-    factors only (see ``_search``).
+    factors only (see ``find_subsystem``).
     """
     reports = []
     for target in detection_targets(pr.d, reducible=True,

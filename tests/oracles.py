@@ -509,6 +509,22 @@ def predicted_labels(label: Optional[TypeLabel]) -> Tuple[str, ...]:
     return _names(out)
 
 
+def maximal_rank_step(label: TypeLabel) -> Optional[Tuple[TypeLabel, ...]]:
+    """Components of a proper subsystem of the label's roots of the same
+    rank, or None for A_n, which has none.  Removing one node of the
+    extended Dynkin diagram (Borel-de Siebenthal 1949, Dynkin 1952) gives
+    B_n > D_n, D_n > A1^2 x D_(n-2) (n >= 4), C_n > A1^n, G2 > A2,
+    F4 > A2^2, E6 > A2^3, E7 > A7 and E8 > A8; BC_n holds B_n."""
+    n = label.rank
+    steps = {"BC": [("B", n)], "B": [("D", n)], "C": [("A", 1)] * n,
+             "D": [("A", 1), ("A", 1), ("D", n - 2)], "G": [("A", 2)],
+             "F": [("A", 2)] * 2,
+             "E": [("A", 2)] * 3 if n == 6 else [("A", n)]}
+    if label.family not in steps:
+        return None
+    return tuple(TypeLabel(f, k) for f, k in steps[label.family])
+
+
 class OracleEntry(NamedTuple):
     """One theta: the block rules' types against the detector's."""
 

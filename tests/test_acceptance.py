@@ -11,10 +11,11 @@ from pathlib import Path
 
 from oracles import (add, build_from_name, certificate_of,
                      classical_predicate, expansion_over_delta_theta,
-                     oracle_equivalence, planche_roots, project_vector,
-                     reflect, simple_root_expansion, vector, zero)
-from rootproj.catalog import (Target, detection_targets, parse_label,
-                              parse_target)
+                     maximal_rank_step, oracle_equivalence, planche_roots,
+                     project_vector, reflect, simple_root_expansion, vector,
+                     zero)
+from rootproj.catalog import (Target, detection_targets, normalize_components,
+                              parse_label, parse_target)
 from rootproj.classify import (TABLE_IRREDUCIBLE, TABLE_IRREDUCIBLE_RESTRICTED,
                                TABLE_PRODUCT_RESTRICTED, load_golden_tables,
                                proper_subsets, verify_paper)
@@ -518,3 +519,33 @@ def test_sigma_theta_holds_a_root_system_of_rank_d():
               [e6.simple_roots[i - 1] for i in theta])] == [parse_label("A3")]]
     assert len(a3) == 5
     assert missing == {"F4": [], "E6": a3, "E7": []}
+
+
+def test_the_unrestricted_found_set_is_closed_downward():
+    """If sigma_theta holds X, it holds every Y of the same rank inside X,
+    because the copy of Y sits inside the copy of X.  So one maximal-rank
+    step (``oracles.maximal_rank_step``) on one factor of a target found
+    unrestricted must give a found target again.  B5 is the system here
+    where a D degree bound of 2 shows: theta=(5) would then hold B4 but
+    not D4.  E7 (about 9 s) is left out.
+    """
+    implications = {}
+    for name in ("F4", "E6", "B5", "C5", "BC4"):
+        sys = build_from_name(name)
+        implications[name] = 0
+        for theta in proper_subsets(sys.rank):
+            pr = project_all(sys, theta)
+            found = [t for t in detection_targets(pr.d, reducible=True)
+                     if find_subsystem(pr, t).found]
+            held = {t.normalized() for t in found}
+            for t in found:
+                for i, label in enumerate(t.components):
+                    step = maximal_rank_step(label)
+                    if step is None:
+                        continue
+                    implications[name] += 1
+                    smaller = normalize_components(
+                        t.components[:i] + step + t.components[i + 1:])
+                    assert smaller in held, (name, theta, str(t), label)
+    assert implications == {"F4": 64, "E6": 14, "B5": 142, "C5": 169,
+                            "BC4": 91}

@@ -490,7 +490,8 @@ def test_enumerate_rejects_jobs_below_one(monkeypatch, capsys):
 
 def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
     # the pool forks every worker it is given when it starts, so
-    # --jobs asks for no more than the CPUs; this fake starts none
+    # --jobs asks for no more than the CPUs this process may use; this
+    # fake starts none
     started = []
 
     class SerialPool:
@@ -511,16 +512,27 @@ def test_enumerate_jobs_are_bounded_by_the_cpu_count(monkeypatch, capsys):
     serial = capsys.readouterr().out
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     for jobs in ("2", "100000"):
         assert main(argv + ["--jobs", jobs]) == 0
         assert capsys.readouterr().out == serial
     assert started == [2, 2]
-    # one CPU (or an unknown count) takes the serial path
-    for count in (1, None):
+    # two CPUs of which this process may use one (`taskset -c 0`) take
+    # the serial path
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert started == [2, 2]
+    # without an affinity mask the host's count bounds the pool, and one
+    # CPU (or an unknown count) takes the serial path
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count in (2, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert main(argv + ["--jobs", "4"]) == 0
         assert capsys.readouterr().out == serial
-    assert started == [2, 2]
+    assert started == [2, 2, 2]
 
 
 # seconds that each theta takes in the workers of the test below
@@ -543,6 +555,8 @@ def test_enumerate_jobs_stop_workers_when_output_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_one_record", _slow_record)
     monkeypatch.setattr(cli, "_write_record", closed_pipe)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     start = time.perf_counter()
     assert main(["enumerate", "--sigma", "F4", "--jobs", "2"]) == 2
     elapsed = time.perf_counter() - start

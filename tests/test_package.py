@@ -35,7 +35,7 @@ UNREAD_MEMBERS = {
 # package function, as module.name or module.Class.name, that reads it on
 # its own type
 READ_ON_OWN_TYPE = {
-    "ClosureCertificate.basis": "detect.find_subsystem",
+    "ClosureCertificate.basis": "output.report_dict",
     "ClosureCertificate.components": "detect.ClosureCertificate.size",
     "ClosureCertificate.target": "detect.revalidate",
     "ComponentWitness.basis": "detect._place",
