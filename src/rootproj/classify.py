@@ -4,7 +4,9 @@
 returns the document ``enumerate`` writes for it.  ``verify_paper`` reads
 those documents for an exceptional system, from the command or from a
 saved ``enumerate --format json`` file, and reports the exact symmetric
-difference of their findings and the bundled reference tables.
+difference of their findings and the bundled reference tables.  One rule,
+``_table_of``, files bundled reference rows and enumerate verdicts alike
+into the tables of ``TABLES``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ def classify_theta(sys: RealizedRootSystem, theta: Sequence[int]) -> dict:
 # ---------------------------------------------------------------------------
 # reference tables
 
-TABLE_IRREDUCIBLE = "irreducible"
-TABLE_IRREDUCIBLE_RESTRICTED = "irreducible-restricted"
-TABLE_PRODUCT_RESTRICTED = "product-restricted"
+TABLES = ("irreducible", "irreducible-restricted", "product-restricted")
 
 Row = Tuple[Tuple[int, ...], str]  # (theta, target)
 
@@ -49,9 +49,11 @@ class GoldenTable(NamedTuple):
 
 
 def _table_of(target: Target, restricted: bool) -> str:
+    """The table of TABLES filing target's rows, restricted to delta_theta
+    or not: a product has product-restricted alone."""
     if target.is_irreducible:
-        return TABLE_IRREDUCIBLE_RESTRICTED if restricted else TABLE_IRREDUCIBLE
-    return TABLE_PRODUCT_RESTRICTED
+        return TABLES[1] if restricted else TABLES[0]
+    return TABLES[2]
 
 
 def load_golden_tables() -> Dict[str, GoldenTable]:
@@ -69,8 +71,7 @@ def load_golden_tables() -> Dict[str, GoldenTable]:
         sigma_s, theta_s, target_s, restricted_s, expected = line.split(";")
         theta = tuple(int(x) for x in theta_s.split(","))
         target = parse_target(target_s)
-        restricted = restricted_s.lower() == "true"
-        table = _table_of(target, restricted)
+        table = _table_of(target, restricted_s.lower() == "true")
         found, not_found = sides.setdefault(sigma_s, ({}, {}))
         side = found if expected == "found" else not_found
         side.setdefault(table, set()).add((theta, str(target)))
@@ -103,11 +104,7 @@ def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
     if not label.is_exceptional or label.family == "G":
         raise ValueError("verification tables exist for E6, E7, E8, F4 only")
     golden = load_golden_tables().get(str(label), GoldenTable({}, {}))
-    findings: Dict[str, Set[Row]] = {
-        TABLE_IRREDUCIBLE: set(),
-        TABLE_IRREDUCIBLE_RESTRICTED: set(),
-        TABLE_PRODUCT_RESTRICTED: set(),
-    }
+    findings: Dict[str, Set[Row]] = {table: set() for table in TABLES}
     expected = proper_subsets(label.rank)
     for doc in docs:
         if doc["sigma"] != str(label):
@@ -119,21 +116,18 @@ def verify_paper(label: TypeLabel, docs: Iterable[dict]) -> VerificationReport:
         for rep in doc["reports"]:
             target = parse_target(rep["target"])
             row = (theta, str(target))
-            if target.is_irreducible:
-                if rep["found"]:
-                    findings[TABLE_IRREDUCIBLE].add(row)
-                if rep["basis_from_delta_theta"]:
-                    findings[TABLE_IRREDUCIBLE_RESTRICTED].add(row)
-            elif rep["found"]:
-                findings[TABLE_PRODUCT_RESTRICTED].add(row)
+            if rep["found"]:
+                findings[_table_of(target, False)].add(row)
+            if rep["basis_from_delta_theta"]:
+                findings[_table_of(target, True)].add(row)
     left = next(expected, None)
     if left is not None:
         raise ValueError(f"no document of theta={','.join(map(str, left))}")
     missing: Dict[str, List[Row]] = {}
     unexpected: Dict[str, List[Row]] = {}
     negatives_violated: List[Tuple[str, Row]] = []
-    for table, found in findings.items():
-        gold = golden.found.get(table, set())
+    for table in TABLES:
+        found, gold = findings[table], golden.found.get(table, set())
         missing[table] = sorted(gold - found)
         unexpected[table] = sorted(found - gold)
         negatives_violated.extend(

@@ -111,14 +111,13 @@ def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[
 class ClosureFailure(NamedTuple):
     """Why a candidate basis did not certify a root system.
 
-    ``escaping`` names a generated vector outside the universe,
-    ``oversize`` flags an orbit past the size bound, and ``mistyped``
-    says the basis is not a simple system of the requested type.
+    ``escaping`` names a generated vector outside the universe and
+    ``oversize`` flags an orbit past the size bound; with neither set,
+    certify refused a basis that is no simple system of the asked type.
     """
 
     escaping: Optional[Vector] = None
     oversize: bool = False
-    mistyped: bool = False
 
     def __bool__(self) -> bool:
         return False
@@ -171,14 +170,15 @@ def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
     The basis must be a simple system of ``label.reduced`` (D2 has none
     and is refused) and its reflection closure must stay inside universe;
     for BC the doubles of the shortest roots must lie in universe too and
-    join the root set.  A basis of finite type generates
-    exactly the type's roots, so the result has label.root_count
-    elements.  Returns a frozenset, or a ClosureFailure saying why not.
+    join the root set.  A basis of finite type generates exactly the
+    type's roots, so the result has label.root_count elements.  Returns a
+    frozenset, or a ClosureFailure saying why not: ``ClosureFailure()``
+    for a basis of another type.
     """
     inner = label.reduced
     decomp = match_type(basis)
     if decomp is None or len(decomp) != 1 or decomp[0][0] != inner:
-        return ClosureFailure(mistyped=True)
+        return ClosureFailure()
     orbit = reflection_closure(basis, universe, max_size=inner.root_count)
     if isinstance(orbit, ClosureFailure) or label.family != "BC":
         return orbit

@@ -166,8 +166,9 @@ def certificate_of(report: dict) -> ClosureCertificate:
 
 
 def reflect(v: Vector, b: Vector) -> Vector:
-    """Image of v under the reflection through the hyperplane normal to b."""
-    c = 2 * dot(v, b) / norm2(b)
+    """Image of v under the reflection through the hyperplane normal to b,
+    exact for int and Fraction coordinates alike."""
+    c = Fraction(2 * dot(v, b), norm2(b))
     return sub(v, scale(c, b)) if c != 0 else v
 
 

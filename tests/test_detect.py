@@ -626,7 +626,7 @@ def test_certify_type_mismatch_and_escapes():
     c3 = build_from_name("C3")
     res = certify(TypeLabel("B", 3), c3.simple_roots,
                   frozenset(planche_roots(c3.label)))
-    assert isinstance(res, ClosureFailure) and res.mistyped
+    assert res == ClosureFailure()
     # a plain closure escape: one A2 root missing from the universe
     a2 = build_from_name("A2")
     missing = max(planche_roots(a2.label))
@@ -656,7 +656,7 @@ def test_certify_reads_a_label_under_its_normalized_name():
             (a1a1, frozenset(a1a1) | {neg(v) for v in a1a1}),
             (a2.simple_roots, frozenset(planche_roots(a2.label)))):
         res = certify(TypeLabel("D", 2), basis, universe)
-        assert isinstance(res, ClosureFailure) and res.mistyped
+        assert res == ClosureFailure()
 
 
 def test_revalidate_compares_labels_with_target():
@@ -743,8 +743,7 @@ def _image(result, den):
     int and Fraction coordinates by value."""
     if isinstance(result, ClosureFailure):
         esc = result.escaping
-        return (None if esc is None else scale(den, esc),
-                result.oversize, result.mistyped)
+        return (None if esc is None else scale(den, esc), result.oversize)
     return frozenset(scale(den, v) for v in result)
 
 
@@ -870,7 +869,7 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
 
     def record(label, basis, universe):
         leaves.append(tuple(basis))
-        return ClosureFailure(mistyped=True)
+        return ClosureFailure()
 
     monkeypatch.setattr(detect, "certify", record)
     e7 = build_from_name("E7")

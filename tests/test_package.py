@@ -23,12 +23,8 @@ TRACING = PERFBENCH / "tracing.py"
 LIBRARY_ONLY = {"revalidate"}
 
 # members of the package's tuple types that no package or benchmark code
-# reads, each with its reason
-UNREAD_MEMBERS = {
-    # tells a library caller why certify refused a basis; the search
-    # needs only the refusal
-    "ClosureFailure.mistyped",
-}
+# reads, each with its reason: none today
+UNREAD_MEMBERS: set = set()
 
 # members whose name another tuple type of the package, or Fraction, also
 # defines, so that a read of the name alone proves nothing: each with a
