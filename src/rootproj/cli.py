@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from contextlib import closing, nullcontext
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from . import output
 from .catalog import TypeLabel, build, parse_label, parse_target
@@ -55,17 +55,24 @@ def _output(path: Optional[str]):
         else nullcontext(sys.stdout)
 
 
+def _write(out, doc: dict, fmt: str, csv_rows, text) -> None:
+    """Write doc to out as one JSON line, or as the CSV rows csv_rows(doc)
+    or the text lines text(doc), then flush."""
+    if fmt == "json":
+        out.write(json.dumps(doc, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        csv_mod.writer(out).writerows(csv_rows(doc))
+    else:
+        out.write("\n".join(text(doc)) + "\n")
+    out.flush()
+
+
 def cmd_project(args) -> int:
     sys_ = build(_parse_sigma(args.sigma))
-    pr = project_all(sys_, _parse_theta(args.theta))
+    doc = output.projection_doc(project_all(sys_, _parse_theta(args.theta)))
     with _output(args.out) as out:
-        if args.format == "json":
-            json.dump(output.projection_doc(pr), out, sort_keys=True)
-            out.write("\n")
-        elif args.format == "csv":
-            csv_mod.writer(out).writerows(output.projection_csv_rows(pr))
-        else:
-            out.write("\n".join(output.projection_text(pr)) + "\n")
+        _write(out, doc, args.format, output.projection_csv_rows,
+               output.projection_text)
     return EXIT_OK
 
 
@@ -75,12 +82,8 @@ def cmd_detect(args) -> int:
     pr = project_all(sys_, _parse_theta(args.theta))
     report = find_subsystem(pr, parse_target(args.target),
                             restrict_to_delta_theta=args.restricted)
-    doc = output.detection_doc(pr, [report])
-    with _output(args.out) as out:
-        if args.format == "csv":
-            csv_mod.writer(out).writerow(output.CSV_COLUMNS)
-        _write_record(out, doc, args.format)
-    return EXIT_OK
+    return _write_records(args.out, [output.detection_doc(pr, [report])],
+                          args.format)
 
 
 def _one_record(task):
@@ -116,23 +119,22 @@ def cmd_enumerate(args) -> int:
         raise ValueError(
             f"{label} has {count} proper theta subsets, more than "
             f"{MAX_ENUMERATE_THETAS}; pass --force to enumerate them anyway")
-    with _output(args.out) as out, \
-            closing(_documents(label, args.jobs)) as docs:
-        if args.format == "csv":
+    with closing(_documents(label, args.jobs)) as docs:
+        return _write_records(args.out, docs, args.format)
+
+
+def _write_records(path: Optional[str], docs: Iterable[dict], fmt: str) -> int:
+    """Write detection documents to --out, a CSV header row first."""
+    with _output(path) as out:
+        if fmt == "csv":
             csv_mod.writer(out).writerow(output.CSV_COLUMNS)
         for doc in docs:
-            _write_record(out, doc, args.format)
+            _write_record(out, doc, fmt)
     return EXIT_OK
 
 
 def _write_record(out, doc: dict, fmt: str) -> None:
-    if fmt == "json":
-        out.write(json.dumps(doc, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        csv_mod.writer(out).writerows(output.csv_rows(doc))
-    else:
-        out.write("\n".join(output.detection_text(doc)) + "\n")
-    out.flush()
+    _write(out, doc, fmt, output.csv_rows, output.detection_text)
 
 
 def cmd_verify_paper(args) -> int:
@@ -141,12 +143,10 @@ def cmd_verify_paper(args) -> int:
         raise ValueError("verify-paper writes text or json, not csv")
     # verify_paper refuses a system with no tables before any document
     report = verify_paper(label, _documents(label, 1))
+    # the JSON document is a summary: the text renders the whole report
     with _output(args.out) as out:
-        if args.format == "json":
-            json.dump(output.verification_doc(report), out, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("\n".join(output.verification_text(report)) + "\n")
+        _write(out, output.verification_doc(report), args.format, None,
+               lambda _: output.verification_text(report))
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 

@@ -258,7 +258,8 @@ def census_admits(target: Target, census: dict) -> bool:
 # basis search
 
 
-def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
+def _iter_bases(label: TypeLabel, pool: Sequence[IntVector],
+                pr: ProjectionResult
                 ) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """Yield (basis, roots) realizations of an irreducible label.
 
@@ -270,10 +271,11 @@ def _iter_bases(label: TypeLabel, pool: List[IntVector], pr: ProjectionResult
 
     Precondition: the pool lies in one open half-space, where obtuse
     vectors are linearly independent (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 10.1).  ``find_subsystem`` hands
-    it two such pools, each narrowed by ``_orthogonal``: the lex-positive
-    +-pair representatives ``pool_scaled``, and ``delta_scaled``, whose
-    vectors are linearly independent, and so is every subset of them.
+    Algebras and Representation Theory, 10.1).  ``_place`` hands it two
+    such pools, each narrowed to the vectors orthogonal to the factors
+    placed before: the lex-positive +-pair representatives
+    ``pool_scaled``, and ``delta_scaled``, whose vectors are linearly
+    independent, and so is every subset of them.
     So a partial basis that keeps the label's norms, integral pairings
     none positive and the label's node degrees is independent, hence of
     finite type for ``match_type``: its diagram is a forest of
@@ -331,28 +333,26 @@ def _grow(label: TypeLabel, maxdeg: int, universe: frozenset,
         remaining[nv] += 1
 
 
-def _orthogonal(pool: List[IntVector], basis: Sequence[IntVector]
-                ) -> List[IntVector]:
-    return [v for v in pool if all(dot(v, b) == 0 for b in basis)]
-
-
 def _place(pr: ProjectionResult, factors: List[Tuple[TypeLabel, bool]],
-           witnesses: List[ComponentWitness], delta_pool: List[IntVector],
-           pool: List[IntVector]) -> bool:
+           witnesses: List[ComponentWitness], pool: Sequence[IntVector]
+           ) -> bool:
     """``find_subsystem``'s backtracking: append to ``witnesses`` a copy
     of each further (label, pinned) factor, orthogonal to the ones
-    before."""
+    before.  ``pool`` is ``pool_scaled`` narrowed to them; a pinned
+    factor takes the vectors of ``delta_scaled`` orthogonal to them."""
     if len(witnesses) == len(factors):
         return True
     label, pinned = factors[len(witnesses)]
-    for basis, roots in _iter_bases(label, delta_pool if pinned else pool,
-                                    pr):
+    if pinned:
+        delta = [v for v in pr.delta_scaled if all(
+            dot(v, b) == 0 for w in witnesses for b in w.basis)]
+    for basis, roots in _iter_bases(label, delta if pinned else pool, pr):
         if witnesses and witnesses[-1].label == label \
                 and basis <= witnesses[-1].basis:
             continue  # identical factors: enforce an order, halve the work
         witnesses.append(ComponentWitness(label, basis, roots))
-        if _place(pr, factors, witnesses, _orthogonal(delta_pool, basis),
-                  _orthogonal(pool, basis)):
+        if _place(pr, factors, witnesses,
+                  [v for v in pool if all(dot(v, b) == 0 for b in basis)]):
             return True
         witnesses.pop()
     return False
@@ -404,8 +404,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
                       for lab in target.normalized()),
                      key=lambda factor: (not factor[1], factor[0].sort_key))
     found: List[ComponentWitness] = []
-    if not _place(pr, factors, found, list(pr.delta_scaled),
-                  list(pr.pool_scaled)):
+    if not _place(pr, factors, found, pr.pool_scaled):
         return DetectionReport(target, restricted, False)
     from_delta = restricted or all(v in pr.delta_scaled
                                    for w in found for v in w.basis)

@@ -3,12 +3,18 @@
 Floats never appear in any output format; a fraction renders as "3/2" or
 "2", which ``fractions.Fraction`` reads back exactly, so a JSON
 certificate can be rebuilt and revalidated from the document alone.
+
+Each command's JSON document is its output: ``projection_doc`` for
+project, ``detection_doc`` for detect and enumerate.  Their text and CSV
+render that document and read nothing else, so the three formats cannot
+disagree.  verify-paper's JSON document is a summary, so its text
+renders the ``classify.VerificationReport`` instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from .detect import DetectionReport
 from .linalg import Vector, norm2
@@ -24,8 +30,12 @@ def vec_strs(v: Vector) -> List[str]:
     return [str(x) for x in v]
 
 
-def census_dict(census: Dict[Fraction, int]) -> Dict[str, int]:
-    return {str(norm): census[norm] for norm in sorted(census)}
+def _theta(theta: Sequence[int]) -> str:
+    return ",".join(map(str, theta))
+
+
+def _headline(doc: dict) -> str:
+    return f"sigma={doc['sigma']} theta={_theta(doc['theta'])} d={doc['d']}"
 
 
 def report_dict(rep: DetectionReport) -> dict:
@@ -79,19 +89,20 @@ def verification_text(report) -> List[str]:
         extra = report.unexpected[table]
         lines.append(f"  [{table}] {'MISMATCH' if miss or extra else 'ok'}")
         for theta, target in miss:
-            lines.append(f"    missing: theta={','.join(map(str, theta))} "
-                         f"target={target} (expected found, detector disagrees)")
+            lines.append(f"    missing: theta={_theta(theta)} target={target}"
+                         " (expected found, detector disagrees)")
         for theta, target in extra:
-            lines.append(f"    unexpected: theta={','.join(map(str, theta))} "
+            lines.append(f"    unexpected: theta={_theta(theta)} "
                          f"target={target} (detector found, table omits)")
     for table, (theta, target) in report.negatives_violated:
         lines.append(f"  negative violated [{table}]: "
-                     f"theta={','.join(map(str, theta))} target={target}")
+                     f"theta={_theta(theta)} target={target}")
     lines.append("result: " + ("PASS" if report.ok else "FAIL"))
     return lines
 
 
 def projection_doc(pr: ProjectionResult) -> dict:
+    """The project document; each Fraction view of pr is read once."""
     return {
         "schema": SCHEMA,
         "sigma": str(pr.system.label),
@@ -99,30 +110,40 @@ def projection_doc(pr: ProjectionResult) -> dict:
         "d": pr.d,
         "sigma_theta": [vec_strs(v) for v in pr.sigma_theta],
         "delta_theta": [vec_strs(v) for v in pr.delta_theta],
-        "census": census_dict(pr.census),
+        "census": {str(norm): count for norm, count in pr.census.items()},
     }
 
 
-def projection_csv_rows(pr: ProjectionResult) -> List[List[str]]:
-    """CSV rows of a projection, its header row first."""
+def projection_csv_rows(doc: dict) -> List[List[str]]:
+    """CSV rows of a projection_doc document, its header row first."""
     rows = [["kind", "coords", "norm"]]
-    for kind, vectors in (("sigma_theta", pr.sigma_theta),
-                          ("delta_theta", pr.delta_theta)):
-        rows.extend([kind, " ".join(vec_strs(v)), str(norm2(v))]
-                    for v in vectors)
-    rows.extend(["census", str(norm), str(pr.census[norm])]
-                for norm in sorted(pr.census))
+    for kind in ("sigma_theta", "delta_theta"):
+        rows.extend([kind, " ".join(v), str(norm2([Fraction(x) for x in v]))]
+                    for v in doc[kind])
+    rows.extend(["census", norm, str(doc["census"][norm])]
+                for norm in sorted(doc["census"], key=Fraction))
     return rows
+
+
+def projection_text(doc: dict) -> List[str]:
+    """Text lines of a projection_doc document."""
+    lines = [_headline(doc)]
+    for kind in ("sigma_theta", "delta_theta"):
+        lines.append(f"{kind}: {len(doc[kind])} vectors")
+        lines.extend("  (" + ", ".join(v) + ")" for v in doc[kind])
+    lines.append("census:")
+    lines.extend(f"  norm-class {norm} count {doc['census'][norm]}"
+                 for norm in sorted(doc["census"], key=Fraction))
+    return lines
 
 
 def csv_rows(doc: dict) -> List[List[str]]:
     """CSV rows, one per report, of a detection_doc document."""
     rows = []
-    theta_s = ",".join(str(i) for i in doc["theta"])
     for rep in doc["reports"]:
         basis = " ".join("(" + ",".join(v) + ")" for v in rep["basis"] or ())
         rows.append([
-            doc["sigma"], theta_s, str(doc["d"]), rep["target"],
+            doc["sigma"], _theta(doc["theta"]), str(doc["d"]), rep["target"],
             str(rep["restricted"]).lower(), str(rep["found"]).lower(),
             str(rep["basis_from_delta_theta"]).lower(),
             str(rep["closure_size"]), basis,
@@ -130,26 +151,9 @@ def csv_rows(doc: dict) -> List[List[str]]:
     return rows
 
 
-def projection_text(pr: ProjectionResult) -> List[str]:
-    lines = [
-        f"sigma={pr.system.label} theta={','.join(map(str, pr.theta))} d={pr.d}",
-        f"sigma_theta: {len(pr.sigma_theta)} vectors",
-    ]
-    for v in pr.sigma_theta:
-        lines.append("  (" + ", ".join(vec_strs(v)) + ")")
-    lines.append(f"delta_theta: {len(pr.delta_theta)} vectors")
-    for v in pr.delta_theta:
-        lines.append("  (" + ", ".join(vec_strs(v)) + ")")
-    lines.append("census:")
-    for norm in sorted(pr.census):
-        lines.append(f"  norm-class {norm} count {pr.census[norm]}")
-    return lines
-
-
 def detection_text(doc: dict) -> List[str]:
     """Text lines of a detection_doc document."""
-    lines = [f"sigma={doc['sigma']} theta={','.join(map(str, doc['theta']))}"
-             f" d={doc['d']}"]
+    lines = [_headline(doc)]
     for rep in doc["reports"]:
         status = "found" if rep["found"] else "not-found"
         mode = "restricted" if rep["restricted"] else "unrestricted"

@@ -506,12 +506,12 @@ def test_sigma_theta_holds_a_root_system_of_rank_d():
     D_n > A1^2 x D_(n-2), C_n > A1^n, G2 > A2, F4 > A2^2, E6 > A2^3,
     E7 > A7 and E8 > A8, so every rank-d root system contains a rank-d
     product of type-A factors (BC contains B): the unrestricted search
-    for those products alone answers it.  Every theta of F4 and E7 holds
-    one; on E6, exactly the theta whose simple roots form an A3 hold
-    none.  E8 (about 24 s) is left out.
+    for those products alone answers it.  Every theta of F4, E7 and E8
+    holds one; on E6, exactly the theta whose simple roots form an A3
+    hold none.
     """
     missing = {}
-    for name in ("F4", "E6", "E7"):
+    for name in ("F4", "E6", "E7", "E8"):
         sys = build_from_name(name)
         missing[name] = [theta for theta in proper_subsets(sys.rank)
                          if not _holds_a_product_of_a(project_all(sys, theta))]
@@ -520,7 +520,7 @@ def test_sigma_theta_holds_a_root_system_of_rank_d():
           if [label for label, _ in match_type(
               [e6.simple_roots[i - 1] for i in theta])] == [parse_label("A3")]]
     assert len(a3) == 5
-    assert missing == {"F4": [], "E6": a3, "E7": []}
+    assert missing == {"F4": [], "E6": a3, "E7": [], "E8": []}
 
 
 def test_the_unrestricted_found_set_is_closed_downward():

@@ -1,3 +1,5 @@
+import copy
+import csv
 import hashlib
 import io
 import json
@@ -177,6 +179,47 @@ def test_verify_paper_reads_a_saved_enumerate_file(tmp_path, pinned_run):
     code, out, _ = pinned_run("verify-paper --sigma F4 --format text")
     assert (code, out) == (0, "\n".join(output.verification_text(report))
                            + "\n")
+
+
+def test_verify_paper_reports_a_disagreement(monkeypatch, enumerated):
+    # no bundled system reaches the missing or negative-violated lines,
+    # so edit a copy of E7's documents: drop the listed F4 on
+    # theta=(2,5,7) and claim the G2xA1 that the product table rules out
+    # on (2,4,6,7)
+    docs = copy.deepcopy(enumerated("E7").docs)
+    for doc in docs:
+        for rep in doc["reports"]:
+            if (doc["theta"], rep["target"]) == ([2, 5, 7], "F4"):
+                rep["found"] = rep["basis_from_delta_theta"] = False
+            if (doc["theta"], rep["target"]) == ([2, 4, 6, 7], "G2xA1"):
+                rep["found"] = True
+    monkeypatch.setattr(cli, "_documents", lambda label, jobs: iter(docs))
+    runs = {}
+    for fmt in ("text", "json"):
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["verify-paper", "--sigma", "E7", "--format", fmt])
+        runs[fmt] = (code, out.getvalue())
+    missing = "    missing: theta=2,5,7 target=F4 (expected found, " \
+              "detector disagrees)"
+    assert runs["text"] == (1, "\n".join([
+        "verify E7: 126 theta subsets checked",
+        "  [irreducible] MISMATCH", missing,
+        "  [irreducible-restricted] MISMATCH", missing,
+        "  [product-restricted] MISMATCH",
+        "    unexpected: theta=2,4,6,7 target=G2xA1 (detector found, "
+        "table omits)",
+        "  negative violated [product-restricted]: theta=2,4,6,7 "
+        "target=G2xA1",
+        "result: FAIL"]) + "\n")
+    code, text = runs["json"]
+    doc = json.loads(text)
+    assert (code, doc["ok"], doc["records_checked"]) == (1, False, 126)
+    assert doc["missing"] == {"irreducible": [[[2, 5, 7], "F4"]],
+                              "irreducible-restricted": [[[2, 5, 7], "F4"]],
+                              "product-restricted": []}
+    assert doc["unexpected"] == {
+        "irreducible": [], "irreducible-restricted": [],
+        "product-restricted": [[[2, 4, 6, 7], "G2xA1"]]}
 
 
 def test_enumerate_g2_stream(tmp_path):
@@ -782,6 +825,14 @@ PINNED_BYTES = {
         "60222c48fef32c2631a8b7658e75491e8395e175f618477c032d344c1b43c02c",
     "enumerate --sigma E6 --format json":
         "02a763f246fe2278cf68c23d02bc63fe6ce65d24dc4cd19cc9477a78c220a534",
+    "enumerate --sigma F4 --format text":
+        "fa8fecc8cada06aaa727146419f82d0d90baca9e2266121345f5fe9e0ed0d2cf",
+    "enumerate --sigma F4 --format csv":
+        "ab71672bc02270846be4c90a76acacbae843b5742146550938753ffcbd7510fa",
+    "enumerate --sigma E6 --format text":
+        "4ac9252cc8a43508697f3466c41d5d1411104d1d1e1b7a5f7865693cbc3b8b33",
+    "enumerate --sigma E6 --format csv":
+        "fe5b153197942919202ad3951427907ab641f57259b862489fa2951f51834a19",
     # the same bytes as perfbench/reference.json's "enumerate E7" and
     # "enumerate E8"
     "enumerate --sigma E7 --format json":
@@ -823,3 +874,32 @@ def test_command_bytes_are_pinned(capsys, pinned_run):
         assert main(command.split()) == 2, command
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", err), command
+
+
+def test_text_and_csv_render_the_json_document(pinned_run):
+    # text and CSV read nothing but the JSON document, so the saved JSON
+    # lines of each command pinned in all three formats render its text
+    # and CSV bytes again
+    renderers = {"project": (output.projection_text,
+                             output.projection_csv_rows, []),
+                 "detect": (output.detection_text, output.csv_rows,
+                            [output.CSV_COLUMNS]),
+                 "enumerate": (output.detection_text, output.csv_rows,
+                               [output.CSV_COLUMNS])}
+    checked = Counter()
+    for command in PINNED_BYTES:
+        argv = command.split()
+        if argv[0] not in renderers or argv[-1] != "json" \
+                or command.replace("json", "text") not in PINNED_BYTES:
+            continue
+        text, rows, header = renderers[argv[0]]
+        docs = [json.loads(line)
+                for line in pinned_run(command)[1].splitlines()]
+        rendered = pinned_run(command.replace("json", "text"))[1]
+        assert rendered == "".join("\n".join(text(doc)) + "\n"
+                                   for doc in docs), command
+        rendered = pinned_run(command.replace("json", "csv"))[1]
+        assert list(csv.reader(io.StringIO(rendered))) \
+            == header + [row for doc in docs for row in rows(doc)], command
+        checked[argv[0]] += 1
+    assert checked == {"project": 2, "detect": 1, "enumerate": 2}

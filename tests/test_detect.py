@@ -911,7 +911,8 @@ def test_iter_bases_is_handed_half_space_pools_only(monkeypatch):
         in_delta = set(pool) <= set(pr.delta_scaled)
         assert in_pool or in_delta, pool
         kinds[in_pool, in_delta] += 1
-        # some pools are narrowed by _orthogonal
+        # some pools are narrowed to the vectors orthogonal to the
+        # factors placed before
         kinds["narrowed"] += len(pool) < (len(pr.pool_scaled) if in_pool
                                           else len(pr.delta_scaled))
     assert kinds[True, False] and kinds[False, True] and kinds["narrowed"], \
