@@ -8,13 +8,19 @@ dimension 3.  Simple roots follow the Bourbaki numbering throughout.
 ``n_ij = 2<b_i, b_j> / <b_j, b_j>`` of a basis, as ints.  The simple
 roots are the only hand-written root data: every root is kept as its
 integer coefficient vector over them, which is all ``project_all``
-reads, and no root is put in ambient coordinates.  ``_INVARIANTS`` is
-the one table of each type's norm profiles, root count, Cartan
-determinant and node degree (Bourbaki, Lie Groups and Lie Algebras VI,
-planches I-IX), read through ``TypeLabel`` properties.
+reads, and no root is put in ambient coordinates.
+
+``_FAMILIES`` is the one home of the per-family facts of Bourbaki's
+planches I-IX (Lie Groups and Lie Algebras VI): in label order, the
+ranks each family has, the rank from which ``irreducible_labels`` lists
+it, whether it is exceptional (it has a highest rank) and its norm
+profiles, root count, Cartan determinant and node degree.  ``FAMILIES``,
+the label syntax, ``TypeLabel``'s rank checks, refusals and properties
+and ``irreducible_labels`` all read it; only ``_simple_roots`` writes
+the planches out family by family.
 
 This module alone knows which labels name the same system.  The one
-rule reads that table in ``irreducible_labels`` order: a type is the
+rule reads the table in ``irreducible_labels`` order: a type is the
 first label of its rank with its Cartan determinant and simple-root
 profile.  So ``TypeLabel.reduced`` reads C2 as B2, D3 as A3, B1, C1 and
 BC1 as A1 and BC_k as B_k (D2 has none), ``finite_type`` names the type
@@ -40,12 +46,45 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
 
 from .linalg import IntVector, Vector, bareiss_minors, gram, is_zero, to_ints
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
+# The families in label order, one row each, from Bourbaki's planches
+# I-IX (Lie Groups and Lie Algebras VI): the lowest rank, the lowest rank
+# irreducible_labels lists the family at (B1 and C1 are A1, D2 is A1 x A1,
+# D3 is A3), the highest rank (None for the series A-D and BC; a family
+# with one is exceptional) and the invariants at rank k.  Those are how
+# many simple roots and how many roots have each squared length over the
+# shortest (``_invariants`` drops the lengths a rank has none of and
+# rescales), the Cartan determinant and the most links at one node (exact
+# from rank 3 on and for G2).  Writing them out saves building the
+# labels, which would cost a fresh --jobs worker some 12 ms on E8.
+_FAMILIES = {
+    "A": (1, 1, None, lambda k: ({1: k}, {1: k * (k + 1)}, k + 1, 2)),
+    "B": (1, 2, None, lambda k: ({1: 1, 2: k - 1},
+                                 {1: 2 * k, 2: 2 * k * (k - 1)}, 2, 2)),
+    "C": (1, 2, None, lambda k: ({1: k - 1, 2: 1},
+                                 {1: 2 * k * (k - 1), 2: 2 * k}, 2, 2)),
+    "D": (2, 4, None, lambda k: ({1: k}, {1: 2 * k * (k - 1)}, 4,
+                                 min(k - 1, 3))),
+    "E": (6, 6, 8, lambda k: ({1: k}, {1: (72, 126, 240)[k - 6]}, 9 - k, 3)),
+    "F": (4, 4, 4, lambda k: ({1: 2, 2: 2}, {1: 24, 2: 24}, 1, 2)),
+    "G": (2, 2, 2, lambda k: ({1: 1, 3: 1}, {1: 6, 3: 6}, 1, 1)),
+    # B_k plus its 2k doubled short roots, four times as long
+    "BC": (1, 1, None, lambda k: ({1: 1, 2: k - 1},
+                                  {1: 2 * k, 2: 2 * k * (k - 1), 4: 2 * k},
+                                  2, 2)),
+}
 
-# Order used when sorting labels of equal rank into a canonical product string.
-_FAMILY_ORDER = {f: i for i, f in enumerate(FAMILIES)}
+FAMILIES = tuple(_FAMILIES)
 
-_LABEL_RE = re.compile(r"^(BC|[A-G])\s*(\d+)$", re.IGNORECASE)
+_LABEL_RE = re.compile(rf"^({'|'.join(FAMILIES)})\s*(\d+)$", re.IGNORECASE)
+
+
+def _rank_refusal(family: str) -> str:
+    """Why the family has no label of a rank outside its table row."""
+    lowest, _, highest, _ = _FAMILIES[family]
+    if highest is None:
+        return f"{family} needs rank >= {lowest}"
+    ranks = ", ".join(map(str, range(lowest, highest + 1)))
+    return f"{family} exists only in rank{'s' * (highest > lowest)} {ranks}"
 
 
 # A NamedTuple class may not define __new__, so the two validating types
@@ -65,63 +104,37 @@ class TypeLabel(_TypeLabel):
             raise ValueError(f"unknown family {family!r}")
         if rank < 1:
             raise ValueError("rank must be positive")
-        if family == "E" and rank not in (6, 7, 8):
-            raise ValueError("E exists only in ranks 6, 7, 8")
-        if family == "F" and rank != 4:
-            raise ValueError("F exists only in rank 4")
-        if family == "G" and rank != 2:
-            raise ValueError("G exists only in rank 2")
-        if family == "D" and rank < 2:
-            raise ValueError("D needs rank >= 2")
+        lowest, _, highest, _ = _FAMILIES[family]
+        if not lowest <= rank <= (highest or rank):
+            raise ValueError(_rank_refusal(family))
         return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        return (-self.rank, _FAMILY_ORDER[self.family])
-
-    @property
-    def is_exceptional(self) -> bool:
-        return self.family in ("E", "F", "G")
-
-    # the label's row of _INVARIANTS, below
+    # labels of equal rank sort in table order into a canonical product
+    sort_key = property(lambda self: (-self.rank, FAMILIES.index(self.family)))
+    # a family with a highest rank is an exceptional one
+    is_exceptional = property(lambda self: bool(_FAMILIES[self.family][2]))
+    # the label's invariants in its _FAMILIES row
     basis_profile = property(lambda self: _invariants(self)[0])
     root_profile = property(lambda self: _invariants(self)[1])
     cartan_det = property(lambda self: _invariants(self)[2])
     max_degree = property(lambda self: _invariants(self)[3])
+    root_count = property(lambda self: sum(self.root_profile.values()))
     # the type a basis of this label forms; None for D2, which is A1 x A1
     reduced = property(lambda self: _reduced(self))
 
-    @property
-    def root_count(self) -> int:
-        return sum(self.root_profile.values())
-
-
-# Per family, at rank k: how many simple roots and how many roots have each
-# squared length over the shortest root's, the Cartan determinant and the
-# most links at one node (exact from rank 3 on and for G2).  Building the
-# labels instead would cost a fresh --jobs worker some 12 ms on E8.
-_INVARIANTS = {
-    "A": lambda k: ({1: k}, {1: k * (k + 1)}, k + 1, 2),
-    "B": lambda k: ({1: 1, 2: k - 1}, {1: 2 * k, 2: 2 * k * (k - 1)}, 2, 2),
-    "C": lambda k: ({1: k - 1, 2: 1}, {1: 2 * k * (k - 1), 2: 2 * k}, 2, 2),
-    "D": lambda k: ({1: k}, {1: 2 * k * (k - 1)}, 4, min(k - 1, 3)),
-    "E": lambda k: ({1: k}, {1: (72, 126, 240)[k - 6]}, 9 - k, 3),
-    "F": lambda k: ({1: 2, 2: 2}, {1: 24, 2: 24}, 1, 2),
-    "G": lambda k: ({1: 1, 3: 1}, {1: 6, 3: 6}, 1, 1),
-}
-
 
 def _invariants(label: TypeLabel) -> tuple:
-    """The ``_INVARIANTS`` row of a label.  B1 and C1 are A1, and BC_k is
-    B_k plus its 2k doubled short roots, four times as long."""
-    family, k = label
-    if family == "BC":
-        basis, roots, det, degree = _invariants(TypeLabel("B", k))
-        return basis, {**roots, 4: 2 * k}, det, degree
-    return _INVARIANTS["A" if k == 1 else family](k)
+    """The invariants of a label's ``_FAMILIES`` row at its rank, with
+    the lengths no root of that rank has left out and every length over
+    the shortest simple root's: B1 and C1 read as A1, and BC1 as A1 plus
+    its two doubled roots."""
+    basis, roots, det, degree = _FAMILIES[label.family][3](label.rank)
+    short = min(n for n, c in basis.items() if c)
+    return ({n // short: c for n, c in basis.items() if c},
+            {n // short: c for n, c in roots.items() if c}, det, degree)
 
 
 def parse_label(text: str) -> TypeLabel:
@@ -325,25 +338,15 @@ def build(label: TypeLabel) -> RealizedRootSystem:
 
 
 def irreducible_labels(rank: int) -> List[TypeLabel]:
-    """Irreducible detection targets of the given rank.
+    """Irreducible detection targets of the given rank: every family whose
+    ``_FAMILIES`` row lists it at that rank, in table order.
 
-    D2 (= A1 x A1) and D3 (= A3) are excluded so that irreducibility
-    bookkeeping stays unambiguous; BC is included at every rank.
+    B1, C1, D2 (= A1 x A1) and D3 (= A3) are excluded so that
+    irreducibility bookkeeping stays unambiguous; BC is included at every
+    rank.
     """
-    out = [TypeLabel("A", rank)]
-    if rank >= 2:
-        out.append(TypeLabel("B", rank))
-        out.append(TypeLabel("C", rank))
-    if rank >= 4:
-        out.append(TypeLabel("D", rank))
-    if rank in (6, 7, 8):
-        out.append(TypeLabel("E", rank))
-    if rank == 4:
-        out.append(TypeLabel("F", 4))
-    if rank == 2:
-        out.append(TypeLabel("G", 2))
-    out.append(TypeLabel("BC", rank))
-    return out
+    return [TypeLabel(family, rank) for family, (_, listed, highest, _)
+            in _FAMILIES.items() if listed <= rank <= (highest or rank)]
 
 
 @lru_cache(maxsize=None)

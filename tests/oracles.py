@@ -18,6 +18,11 @@ catalog never writes out: it keeps integer coefficients only.
 enumerate document's "p/q" strings, so it can be revalidated without the
 search.
 
+``r_theta`` is the root system of sigma_theta's own reflections and
+``simple_system`` its simple system, found with none of the search's
+machinery; ``maximal_rank_descendants`` lists the rank-d products below
+a type.
+
 ``classical_predicate`` holds the paper's block rules for the classical
 families, which name the rank-d types of the projection from the shape
 of theta alone; ``oracle_equivalence`` holds the detector to them in
@@ -36,8 +41,8 @@ from rootproj.catalog import (RealizedRootSystem, TypeLabel, build,
 from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ComponentWitness,
                              find_subsystem)
-from rootproj.linalg import (Matrix, Vector, dot, gram, is_zero, norm2, scale,
-                             sub)
+from rootproj.linalg import (Matrix, Vector, dot, gram, is_zero, neg, norm2,
+                             scale, sub)
 from rootproj.projection import ProjectionResult, project_all
 
 
@@ -526,6 +531,27 @@ def maximal_rank_step(label: TypeLabel) -> Optional[Tuple[TypeLabel, ...]]:
     return tuple(TypeLabel(f, k) for f, k in steps[label.family])
 
 
+def maximal_rank_descendants(components: Tuple[TypeLabel, ...]
+                             ) -> List[Tuple[TypeLabel, ...]]:
+    """components, normalized, and every product reached from it by
+    ``maximal_rank_step`` on one factor at a time, each normalized with
+    ``normalize_components`` (so D4's step A1 x A1 x D2 goes on as A1^4),
+    once each in the order first reached."""
+    seen = {normalize_components(components): None}
+    frontier = list(seen)
+    while frontier:
+        labels = frontier.pop()
+        for i, label in enumerate(labels):
+            step = maximal_rank_step(label)
+            if step is None:
+                continue
+            smaller = normalize_components(labels[:i] + step + labels[i + 1:])
+            if smaller not in seen:
+                seen[smaller] = None
+                frontier.append(smaller)
+    return list(seen)
+
+
 class OracleEntry(NamedTuple):
     """One theta: the block rules' types against the detector's."""
 
@@ -578,3 +604,39 @@ def oracle_equivalence(label: TypeLabel,
             found=_names(found),
         ))
     return OracleReport(label, tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# R_theta, the root system of sigma_theta's own reflections
+
+
+def r_theta(pr: ProjectionResult) -> frozenset:
+    """R_theta: the v of sigma_theta such that, for every w in
+    sigma_theta, 2<w, v>/<v, v> is an integer and s_v(w) lies in
+    sigma_theta.  It is a root system (Bourbaki, Lie Groups and Lie
+    Algebras VI par. 1.1): closed under negation and, as
+    s_{s_v(w)} = s_v s_w s_v, under its own reflections.  Read on
+    sigma_theta times the projection's denominator, as ints, which
+    changes no ratio."""
+    sigma = pr.sigma_scaled_set
+
+    def reflects(v):
+        nv = norm2(v)
+        for w in sigma:
+            c, r = divmod(2 * dot(w, v), nv)
+            if r or sub(w, scale(c, v)) not in sigma:
+                return False
+        return True
+
+    return frozenset(v for v in sigma if reflects(v))
+
+
+def simple_system(roots: Iterable[Vector]) -> Tuple[Vector, ...]:
+    """The simple system of a root system, reduced or not, sorted: its
+    lex-positive roots that are not u + w for lex-positive roots u and w,
+    u = w allowed (Humphreys, 10.1).  Were u = w not allowed, the doubled
+    root 2v of a BC factor would count as simple and the rank would come
+    out wrong."""
+    positive = {v for v in roots if v > neg(v)}
+    return tuple(sorted(v for v in positive
+                        if not any(sub(v, u) in positive for u in positive)))

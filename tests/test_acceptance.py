@@ -11,9 +11,10 @@ from pathlib import Path
 
 from oracles import (add, build_from_name, certificate_of,
                      classical_predicate, expansion_over_delta_theta,
-                     maximal_rank_step, oracle_equivalence, planche_roots,
-                     project_vector, reflect, simple_root_expansion, vector,
-                     zero)
+                     maximal_rank_descendants, maximal_rank_step,
+                     oracle_equivalence, planche_roots, project_vector,
+                     r_theta, reflect, shape_match_type, simple_root_expansion,
+                     simple_system, vector, zero)
 from rootproj.catalog import (Target, detection_targets, normalize_components,
                               parse_label, parse_target)
 from rootproj.classify import (TABLES, load_golden_tables, proper_subsets,
@@ -551,3 +552,38 @@ def test_the_unrestricted_found_set_is_closed_downward():
                     assert smaller in held, (name, theta, str(t), label)
     assert implications == {"F4": 64, "E6": 14, "B5": 142, "C5": 169,
                             "BC4": 91}
+
+
+def test_r_theta_and_every_type_below_it_are_found():
+    """R_theta, the root system of sigma_theta's own reflections
+    (``oracles.r_theta``), is read off sigma_theta with none of the
+    search's machinery: no ``_iter_bases``, census or pool order.  Where
+    its simple system has d vectors, the unrestricted search must find
+    its type (by the diagram shape) and every ``maximal_rank_step``
+    descendant of that type.  That reaches d = 7, beyond the random
+    slice's d <= 3.  R_theta has rank d on 14 of F4's 14 theta, 32 of
+    E6's 62 and 98 of E7's 126; E8 (242 of 254, about 2.7 s) is left out.
+    """
+    # a doubled root is no simple root: BC3 has the three of B3
+    bc3 = simple_system(planche_roots(parse_label("BC3")))
+    assert [label for label, _ in shape_match_type(bc3)] == [
+        parse_label("B3")]
+    counts = {}
+    for name in ("F4", "E6", "E7"):
+        sys = build_from_name(name)
+        full = queries = 0
+        for theta in proper_subsets(sys.rank):
+            pr = project_all(sys, theta)
+            simple = simple_system(r_theta(pr))
+            if len(simple) < pr.d:
+                continue
+            full += 1
+            shape = shape_match_type(simple)
+            assert shape is not None, (name, theta)
+            for components in maximal_rank_descendants(
+                    tuple(label for label, _ in shape)):
+                queries += 1
+                assert find_subsystem(pr, Target(components)).found, \
+                    (name, theta, components)
+        counts[name] = (full, queries)
+    assert counts == {"F4": (14, 21), "E6": (32, 33), "E7": (98, 171)}

@@ -382,6 +382,30 @@ def test_type_label_invariants():
         TypeLabel("A", 0)
 
 
+@pytest.mark.parametrize("family, rank, message", [
+    ("A", 0, "rank must be positive"),
+    ("BC", 0, "rank must be positive"),
+    ("D", 1, "D needs rank >= 2"),
+    ("E", 5, "E exists only in ranks 6, 7, 8"),
+    ("E", 9, "E exists only in ranks 6, 7, 8"),
+    ("F", 3, "F exists only in rank 4"),
+    ("G", 3, "G exists only in rank 2"),
+    ("X", 1, "unknown family 'X'"),
+])
+def test_type_label_refusal_messages(family, rank, message):
+    # a refusal names what the planches allow, word for word: the CLI
+    # prints it as its one error line
+    with pytest.raises(ValueError) as refused:
+        TypeLabel(family, rank)
+    assert str(refused.value) == message
+
+
+def test_detection_targets_refuse_rank_zero():
+    for flags in product((False, True), repeat=2):
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            detection_targets(0, *flags)
+
+
 def test_ambient_dimensions():
     for name, dim in (("A5", 6), ("B4", 4), ("E6", 8), ("F4", 4), ("G2", 3)):
         assert len(build_from_name(name).simple_roots[0]) == dim

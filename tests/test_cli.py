@@ -771,6 +771,24 @@ def test_serial_enumerate_does_not_load_multiprocessing():
     assert proc.stdout.count("\n") == 2
 
 
+def test_python_m_rootproj_runs_the_cli(capsys):
+    # a checkout runs the commands as ``python -m rootproj``, also with
+    # an enumerate worker pool, whose workers may re-import the main
+    # module: the same bytes as cli.main and as the pinned digest
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-m", "rootproj", *args],
+                              capture_output=True, env=CHILD_ENV)
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+        return proc.stdout
+
+    out = run("project", "--sigma", "A3", "--theta", "2")
+    assert main(["project", "--sigma", "A3", "--theta", "2"]) == 0
+    assert out == capsys.readouterr().out.encode("utf-8")
+    out = run("enumerate", "--sigma", "F4", "--format", "json", "--jobs", "2")
+    assert hashlib.sha256(out).hexdigest() \
+        == PINNED_BYTES["enumerate --sigma F4 --format json"]
+
+
 def test_public_names_resolve():
     # a stale entry in __all__ breaks ``from rootproj import *``
     import rootproj
@@ -861,6 +879,10 @@ PINNED_ERRORS = {
         "error: theta must be a proper nonempty subset of the simple roots\n",
     "detect --sigma E8 --theta 8 --target E6xxA1":
         "error: cannot parse target 'E6xxA1'\n",
+    "project --sigma E9 --theta 1":
+        "error: E exists only in ranks 6, 7, 8\n",
+    "project --sigma E8 --theta 1,x":
+        "error: bad theta '1,x': expected comma-separated indices\n",
 }
 
 

@@ -79,6 +79,11 @@ def test_match_type_positive_pairing_rejected():
     assert match_type([vector([1, 0]), vector([1, 1])]) is None
 
 
+def test_match_type_refuses_an_empty_basis():
+    with pytest.raises(ValueError, match="^empty basis$"):
+        match_type([])
+
+
 def test_match_type_affine_cycle_rejected():
     a = vector([1, -1, 0])
     b = vector([0, 1, -1])
@@ -222,6 +227,15 @@ def test_reflection_closure_escape_is_named():
     res = reflection_closure(basis, pr.sigma_theta_set, max_size=12)
     assert isinstance(res, ClosureFailure)
     assert res.escaping == sub(scale(Fraction(3), u), e4)
+
+
+def test_reflection_closure_names_a_basis_vector_outside_the_universe():
+    # the basis is checked before any reflection: the first one missing
+    # from the universe is the escaping vector
+    a2 = build_from_name("A2")
+    universe = frozenset(planche_roots(a2.label)) - {a2.simple_roots[1]}
+    res = reflection_closure(list(a2.simple_roots), universe)
+    assert res == ClosureFailure(escaping=a2.simple_roots[1])
 
 
 def test_reflection_closure_oversize():
@@ -693,6 +707,24 @@ def test_revalidate_compares_labels_with_target():
             [Fraction(1, 3), 1, 0])}):
         assert not revalidate(
             ClosureCertificate(parse_target("C3"), (witness,)), short)
+
+
+def test_revalidate_refuses_witnesses_that_are_not_orthogonal():
+    # two A1 witnesses of an A1xA1 target, each certified on its own: a1
+    # and a3 of A3 are orthogonal, a1 and a2 are not
+    a3 = build_from_name("A3")
+    universe = frozenset(planche_roots(a3.label))
+
+    def witness(v):
+        return ComponentWitness(TypeLabel("A", 1), (v,),
+                                frozenset({v, neg(v)}))
+
+    a = a3.simple_roots
+    target = parse_target("A1xA1")
+    assert revalidate(ClosureCertificate(
+        target, (witness(a[0]), witness(a[2]))), universe)
+    assert not revalidate(ClosureCertificate(
+        target, (witness(a[0]), witness(a[1]))), universe)
 
 
 def _hand_projection(vectors, delta):

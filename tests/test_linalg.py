@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SingularMatrixError, invert, mat_vec, matrix, vector
-from rootproj.linalg import bareiss_minors, bareiss_solve, dot, gram
+from rootproj.linalg import bareiss_minors, bareiss_solve, dot, gram, sub
 
 
 def transpose(m):
@@ -42,6 +42,11 @@ def test_dot_half_integer_example():
 def test_dot_dimension_mismatch():
     with pytest.raises(ValueError):
         dot(vector([1, 2]), vector([1, 2, 3]))
+
+
+def test_sub_dimension_mismatch():
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 != 3$"):
+        sub(vector([1, 2]), vector([1, 2, 3]))
 
 
 def test_invert_1x1():
