@@ -979,3 +979,34 @@ def test_e6_diagram_automorphism_keeps_every_verdict():
     for theta in moved:
         image = tuple(sorted(E6_FLIP[i] for i in theta))
         assert summaries[image] == summaries[theta], (theta, image)
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # the search's work over F4 and E6: every theta, every reducible
+    # rank-d target, both modes.  A change that keeps the search shows
+    # the same four counts; a faster search that keeps every verdict
+    # shows fewer backtracking nodes (_grow calls) or closures (certify
+    # calls), and then this pin moves with a stated reason
+    work = Counter()
+
+    def counted(name):
+        inner = getattr(detect, name)
+
+        def call(*args):
+            work[name] += 1
+            return inner(*args)
+        return call
+
+    for name in ("_grow", "certify"):
+        monkeypatch.setattr(detect, name, counted(name))
+    for name in ("F4", "E6"):
+        sys = build_from_name(name)
+        for theta in proper_subsets(sys.rank):
+            pr = project_all(sys, theta)
+            for target in detection_targets(pr.d, reducible=True):
+                for restricted in (False, True):
+                    rep = find_subsystem(pr, target, restricted)
+                    work["queries"] += 1
+                    work["found"] += rep.found
+    assert dict(work) == {"queries": 3970, "found": 180, "_grow": 30679,
+                          "certify": 11620}
