@@ -102,6 +102,8 @@ class TypeLabel(_TypeLabel):
     def __new__(cls, family: str, rank: int):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if type(rank) is not int:  # bool, float, str: no rank
+            raise ValueError(f"rank {rank!r} is not an int")
         if rank < 1:
             raise ValueError("rank must be positive")
         lowest, _, highest, _ = _FAMILIES[family]
@@ -220,6 +222,9 @@ class RealizedRootSystem(NamedTuple):
 def check_theta(sys: RealizedRootSystem, theta: Sequence[int]
                 ) -> Tuple[int, ...]:
     """Validate a subset of simple-root indices; returns it sorted."""
+    for i in theta:
+        if type(i) is not int:  # bool, float, str: no index
+            raise ValueError(f"theta index {i!r} is not an int")
     idx = tuple(sorted(theta))
     if len(set(idx)) != len(idx):
         raise ValueError("theta indices must be distinct")

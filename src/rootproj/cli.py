@@ -206,7 +206,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         # outside input, never a verification mismatch
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,7 +28,9 @@ of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
 inside a finite set), so the search behind ``find_subsystem`` and
 ``classify_max_rank`` reads only the int fields of ``ProjectionResult``:
 the projection times its common denominator, ``delta_scaled`` and the
-``census_scaled``, ``sigma_scaled_set`` and ``pool_scaled`` of sigma_theta.
+``census_scaled``, ``sigma_scaled_norms`` and ``pool_scaled`` of
+sigma_theta; the keys of ``sigma_scaled_norms`` are the universe of
+every closure, and its values the squared norms the search reads.
 Each certificate is divided by the projection's ``denominator`` when its
 report is built, which gives its vectors in sigma_theta, and
 ``revalidate`` scales a certificate and its universe to ints the same
@@ -58,8 +60,8 @@ or BC_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Container, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .catalog import (Target, TypeLabel, cartan_matrix, detection_targets,
                       finite_type)
@@ -91,14 +93,11 @@ def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[
             continue
         comp = [start]
         seen.add(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
+        for i in comp:  # the walk visits each node as comp grows
             for j in range(k):
                 if j not in seen and n[i][j] != 0:
                     seen.add(j)
                     comp.append(j)
-                    queue.append(j)
         comp.sort()
         label = finite_type([[n[i][j] for j in comp] for i in comp],
                             [norms[i] for i in comp])
@@ -123,7 +122,7 @@ class ClosureFailure(NamedTuple):
         return False
 
 
-def reflection_closure(basis: Sequence[Vector], universe: frozenset,
+def reflection_closure(basis: Sequence[Vector], universe: Container[Vector],
                        max_size: Optional[int] = None):
     """Orbit of the basis under the reflections it generates.
 
@@ -164,7 +163,8 @@ def reflection_closure(basis: Sequence[Vector], universe: frozenset,
     return frozenset(orbit)
 
 
-def certify(label: TypeLabel, basis: Sequence[Vector], universe: frozenset):
+def certify(label: TypeLabel, basis: Sequence[Vector],
+            universe: Container[Vector]):
     """Root set of the copy of label that basis generates inside universe.
 
     The basis must be a simple system of ``label.reduced`` (D2 has none
@@ -269,6 +269,10 @@ def _iter_bases(label: TypeLabel, pool: Sequence[IntVector],
     is searched as its reduced type at the scales where the census can
     also hold the doubled short roots; ``certify`` checks the doubles.
 
+    The pool is a part of sigma_theta times ``denominator``, so its
+    squared norms are read from ``sigma_scaled_norms``, whose keys are
+    also the universe of every closure.
+
     Precondition: the pool lies in one open half-space, where obtuse
     vectors are linearly independent (Humphreys, Introduction to Lie
     Algebras and Representation Theory, 10.1).  ``_place`` hands it two
@@ -282,17 +286,15 @@ def _iter_bases(label: TypeLabel, pool: Sequence[IntVector],
     len(picks) - edges components that the remaining steps must join.
     """
     inner = label.reduced
-    universe = pr.sigma_scaled_set
-    pool_norms = [(v, norm2(v)) for v in pool]
+    norms = pr.sigma_scaled_norms
     for base in census_scales(label, pr.census_scaled):
         need = {base * rel: cnt for rel, cnt in inner.basis_profile.items()}
-        picked = [(v, n) for v, n in pool_norms if n in need]
-        yield from _grow(label, inner.max_degree, universe,
-                         [v for v, _ in picked], [n for _, n in picked],
-                         0, [], need, [], 0)
+        picked = [v for v in pool if norms[v] in need]
+        yield from _grow(label, inner.max_degree, norms, picked,
+                         [norms[v] for v in picked], 0, [], need, [], 0)
 
 
-def _grow(label: TypeLabel, maxdeg: int, universe: frozenset,
+def _grow(label: TypeLabel, maxdeg: int, universe: Dict[IntVector, int],
           sub_pool: List[IntVector], norms: List[int], start: int,
           picks: List[int], remaining: Dict[int, int], deg: List[int],
           ncomp: int) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
@@ -334,25 +336,27 @@ def _grow(label: TypeLabel, maxdeg: int, universe: frozenset,
 
 
 def _place(pr: ProjectionResult, factors: List[Tuple[TypeLabel, bool]],
-           witnesses: List[ComponentWitness], pool: Sequence[IntVector]
-           ) -> bool:
+           witnesses: List[ComponentWitness],
+           pools: Tuple[Sequence[IntVector], Sequence[IntVector]]) -> bool:
     """``find_subsystem``'s backtracking: append to ``witnesses`` a copy
     of each further (label, pinned) factor, orthogonal to the ones
-    before.  ``pool`` is ``pool_scaled`` narrowed to them; a pinned
-    factor takes the vectors of ``delta_scaled`` orthogonal to them."""
+    before.  ``pools`` is (``pool_scaled``, ``delta_scaled``), and a
+    factor draws from ``pools[pinned]``.  Each placed basis narrows to
+    the vectors orthogonal to it every pool a later factor draws from,
+    and leaves the other as it is."""
     if len(witnesses) == len(factors):
         return True
     label, pinned = factors[len(witnesses)]
-    if pinned:
-        delta = [v for v in pr.delta_scaled if all(
-            dot(v, b) == 0 for w in witnesses for b in w.basis)]
-    for basis, roots in _iter_bases(label, delta if pinned else pool, pr):
+    later = {p for _, p in factors[len(witnesses) + 1:]}
+    for basis, roots in _iter_bases(label, pools[pinned], pr):
         if witnesses and witnesses[-1].label == label \
                 and basis <= witnesses[-1].basis:
             continue  # identical factors: enforce an order, halve the work
         witnesses.append(ComponentWitness(label, basis, roots))
-        if _place(pr, factors, witnesses,
-                  [v for v in pool if all(dot(v, b) == 0 for b in basis)]):
+        if _place(pr, factors, witnesses, tuple(
+                [v for v in pool if all(dot(v, b) == 0 for b in basis)]
+                if p in later else pool
+                for p, pool in zip((False, True), pools))):
             return True
         witnesses.pop()
     return False
@@ -404,7 +408,7 @@ def find_subsystem(pr: ProjectionResult, target: Target,
                       for lab in target.normalized()),
                      key=lambda factor: (not factor[1], factor[0].sort_key))
     found: List[ComponentWitness] = []
-    if not _place(pr, factors, found, pr.pool_scaled):
+    if not _place(pr, factors, found, (pr.pool_scaled, pr.delta_scaled)):
         return DetectionReport(target, restricted, False)
     from_delta = restricted or all(v in pr.delta_scaled
                                    for w in found for v in w.basis)

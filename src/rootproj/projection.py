@@ -17,9 +17,10 @@ outside root a_i at once; s*det*delta_i = det*(s*a_i) - sum_j x_ij (s*a_j)
 is integral, and dividing it and s*det by their gcd gives exactly
 ``to_ints`` of delta_theta.  Every other projection is an integer
 combination of delta_theta, read off the root coefficients.  The result
-stores sigma_theta as ints, with its census and pool, and the Fraction
-pool (``_views`` builds both); every other Fraction view is derived.
-``detect`` searches the ints, and ``output`` writes the Fractions.
+stores sigma_theta as ints, keyed to their squared norms, with its
+census and pool, and the Fraction pool (``_views`` builds both); every
+other Fraction view is derived.  ``detect`` searches the ints, and
+``output`` writes the Fractions.
 """
 
 from __future__ import annotations
@@ -42,11 +43,14 @@ class ProjectionResult(NamedTuple):
     of sigma_theta.  delta_scaled is delta_theta (the projected simple
     roots outside theta, in index order, not deduplicated) times
     ``denominator``, a common denominator of both, as int tuples;
-    census_scaled, sigma_scaled_set and pool_scaled are the views of
+    census_scaled, sigma_scaled_norms and pool_scaled are the views of
     sigma_theta times ``denominator``: the census counts the vectors of
-    each squared length, the keys scaled by its square.  d, delta_theta,
-    sigma_theta (deduplicated and sorted), census and sigma_theta_set
-    are derived from these on each read.
+    each squared length, the keys scaled by its square, and
+    sigma_scaled_norms maps each vector to its squared norm, so its keys
+    are the set of sigma_theta times ``denominator``, delta_scaled and
+    pool_scaled among them.  d, delta_theta, sigma_theta (deduplicated
+    and sorted), census and sigma_theta_set are derived from these on
+    each read.
 
     The search reads the int fields and ``denominator``; of the Fraction
     views only ``output`` reads sigma_theta, delta_theta and census, and
@@ -60,14 +64,14 @@ class ProjectionResult(NamedTuple):
     denominator: int
     delta_scaled: Tuple[IntVector, ...]
     census_scaled: Dict[int, int]
-    sigma_scaled_set: frozenset
+    sigma_scaled_norms: Dict[IntVector, int]
     pool_scaled: Tuple[IntVector, ...]
 
     d = property(lambda self: len(self.delta_scaled))
     delta_theta = property(
         lambda self: from_ints(self.delta_scaled, self.denominator))
-    sigma_theta = property(
-        lambda self: from_ints(sorted(self.sigma_scaled_set), self.denominator))
+    sigma_theta = property(lambda self: from_ints(
+        sorted(self.sigma_scaled_norms), self.denominator))
     census = property(lambda self: {Fraction(k, self.denominator ** 2): c
                                     for k, c in self.census_scaled.items()})
     sigma_theta_set = property(lambda self: frozenset(self.sigma_theta))
@@ -77,13 +81,15 @@ class ProjectionResult(NamedTuple):
         return self.pair_reps
 
 
-def _views(vectors: tuple) -> Tuple[dict, tuple]:
-    """(census, pool) of a sorted, negation-closed tuple of Fraction or
-    int vectors; the pool holds the lex-larger vector of each +-pair,
-    sorted by (squared norm, coords)."""
+def _views(vectors: tuple) -> Tuple[dict, dict, tuple]:
+    """(census, norms, pool) of a sorted, negation-closed tuple of
+    Fraction or int vectors, in the order of ``ProjectionResult``'s
+    fields: the count of each squared norm, each vector's squared norm,
+    and the lex-larger vector of each +-pair, sorted by (squared norm,
+    coords)."""
     norms = {v: norm2(v) for v in vectors}
     reps = {max(v, linalg.neg(v)) for v in vectors}
-    return (dict(Counter(norms.values())),
+    return (dict(Counter(norms.values())), norms,
             tuple(sorted(reps, key=lambda v: (norms[v], v))))
 
 
@@ -113,7 +119,6 @@ def project_all(sys: RealizedRootSystem, theta: Sequence[int]
     restrictions.discard((0,) * len(outside))
     sigma_scaled = tuple(int_combine(restrictions, delta_scaled))
     # mapping pool_scaled to pair_reps (ROADMAP item 2) waits for item 1
-    _, pair_reps = _views(from_ints(sigma_scaled, den))
-    census_scaled, pool_scaled = _views(sigma_scaled)
+    *_, pair_reps = _views(from_ints(sigma_scaled, den))
     return ProjectionResult(sys, idx, pair_reps, den, delta_scaled,
-                            census_scaled, frozenset(sigma_scaled), pool_scaled)
+                            *_views(sigma_scaled))

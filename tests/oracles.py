@@ -618,7 +618,7 @@ def r_theta(pr: ProjectionResult) -> frozenset:
     s_{s_v(w)} = s_v s_w s_v, under its own reflections.  Read on
     sigma_theta times the projection's denominator, as ints, which
     changes no ratio."""
-    sigma = pr.sigma_scaled_set
+    sigma = pr.sigma_scaled_norms.keys()
 
     def reflects(v):
         nv = norm2(v)

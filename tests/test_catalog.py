@@ -400,6 +400,15 @@ def test_type_label_refusal_messages(family, rank, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("rank", [1.5, 1.0, True, "1"])
+def test_type_label_refuses_a_rank_that_is_no_int(rank):
+    # A1.5 and ATrue are no labels, so build is never handed one; a
+    # bool is refused although True == 1
+    with pytest.raises(ValueError) as refused:
+        TypeLabel("A", rank)
+    assert str(refused.value) == f"rank {rank!r} is not an int"
+
+
 def test_detection_targets_refuse_rank_zero():
     for flags in product((False, True), repeat=2):
         with pytest.raises(ValueError, match="^rank must be positive$"):

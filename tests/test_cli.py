@@ -37,7 +37,7 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
 
 
 def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "rootproj.cli", *args],
+    proc = subprocess.run([sys.executable, "-m", "rootproj", *args],
                           capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 

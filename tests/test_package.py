@@ -250,3 +250,14 @@ def test_enumerate_reaches_the_names_the_tracer_times(monkeypatch):
     assert searches == len(reports) + sum(
         "x" not in rep["target"] and not rep["basis_from_delta_theta"]
         for rep in reports) > len(reports)
+
+
+def test_only_main_runs_the_package_as_a_script():
+    # python -m rootproj runs __main__.py; no other module holds an
+    # ``if __name__ == "__main__"`` block, a second way in
+    guarded = [path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.If) and "__name__" in {
+                   name.id for name in ast.walk(node.test)
+                   if isinstance(name, ast.Name)}]
+    assert guarded == ["__main__.py"]

@@ -126,7 +126,7 @@ def test_a_projection_stores_only_what_it_cannot_derive():
     # properties over these
     assert ProjectionResult._fields == (
         "system", "theta", "pair_reps", "denominator", "delta_scaled",
-        "census_scaled", "sigma_scaled_set", "pool_scaled")
+        "census_scaled", "sigma_scaled_norms", "pool_scaled")
     for name in ("d", "delta_theta", "sigma_theta", "census",
                  "sigma_theta_set"):
         assert isinstance(vars(ProjectionResult)[name], property), name
@@ -179,6 +179,17 @@ def test_improper_theta_rejected():
         project_all(A3, ())
     with pytest.raises(ValueError):
         project_all(A3, (1, 2, 3))
+
+
+@pytest.mark.parametrize("theta, bad", [
+    ((True,), True), ((1.0,), 1.0), (("1",), "1"), ((1.5,), 1.5),
+    ((2, True), True), (("1", 2), "1")])
+def test_theta_refuses_an_index_that_is_no_int(theta, bad):
+    # theta = (True,) is no subset of 1..6 although True == 1, and a
+    # float or a string is refused with a message, not a TypeError
+    with pytest.raises(ValueError) as refused:
+        project_all(build_from_name("E6"), theta)
+    assert str(refused.value) == f"theta index {bad!r} is not an int"
 
 
 def test_expansion_of_delta_theta_entry():
@@ -264,9 +275,10 @@ def test_pool_is_one_rep_per_pair():
 @pytest.mark.parametrize("name, max_size", [
     ("F4", 3), ("E6", 5), ("E7", 6), ("E8", 2)])
 def test_int_views_map_onto_the_fraction_ones(name, max_size):
-    # project_all takes the census, member set and pool of sigma_theta and
-    # of sigma_theta times the denominator; divided by it, the int views
-    # are the Fraction ones, the pool in the same order
+    # project_all takes the census, norm table and pool of sigma_theta
+    # times the denominator, and the pool of sigma_theta; divided by it,
+    # the int views are the Fraction ones, the pool in the same order,
+    # and the table holds the squared norm of each of its vectors
     sys = build_from_name(name)
     for theta in proper_subsets(sys.rank):
         if len(theta) > max_size:
@@ -281,12 +293,13 @@ def test_int_views_map_onto_the_fraction_ones(name, max_size):
         assert from_ints(pr.pool_scaled, den) == pr.pair_reps == pr.pool()
         assert all(type(n) is int for n in pr.census_scaled)
         assert pr.census == Counter(norm2(v) for v in pr.sigma_theta)
-        assert len(pr.sigma_scaled_set) == len(pr.sigma_theta_set)
-        assert frozenset(from_ints(pr.sigma_scaled_set, den)) \
+        assert len(pr.sigma_scaled_norms) == len(pr.sigma_theta_set)
+        assert frozenset(from_ints(pr.sigma_scaled_norms, den)) \
             == pr.sigma_theta_set
+        assert all(n == norm2(v) for v, n in pr.sigma_scaled_norms.items())
         # sigma is sorted, closed under negation and zero-free, so its
         # lex-positive half, the pool's members, is its upper half
-        scaled = tuple(sorted(pr.sigma_scaled_set))
+        scaled = tuple(sorted(pr.sigma_scaled_norms))
         for sigma, pool in ((pr.sigma_theta, pr.pair_reps),
                             (scaled, pr.pool_scaled)):
             assert list(sigma) == sorted(set(sigma))

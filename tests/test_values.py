@@ -106,7 +106,7 @@ def test_results_survive_pickle(enumerated):
     pr = values["ProjectionResult"]
     back = pickle.loads(pickle.dumps(pr))
     assert back.pool() == pr.pool() \
-        and back.sigma_scaled_set == pr.sigma_scaled_set
+        and back.sigma_scaled_norms == pr.sigma_scaled_norms
     # the derived views read the same off the round-tripped fields
     assert (back.d, back.delta_theta, back.sigma_theta, back.census,
             back.sigma_theta_set) == (pr.d, pr.delta_theta, pr.sigma_theta,
