@@ -374,7 +374,13 @@ def _reduced(label: TypeLabel) -> Optional[TypeLabel]:
 def finite_type(cartan: List[List[int]], norms: List) -> Optional[TypeLabel]:
     """Type of a connected Cartan matrix whose simple roots have these
     squared norms, or None unless the matrix is positive definite: every
-    Bareiss pivot positive, the last being its determinant."""
+    Bareiss pivot positive, the last being its determinant.
+
+    Connectivity is the caller's to check (``detect.match_type`` counts
+    the diagram's edges): the invariants of a disconnected matrix can
+    be a connected type's, as E8 x A1 x A1 has those of D10.  Its
+    components are typed one by one only in the tests, by
+    ``oracles.shape_match_type``."""
     k = len(cartan)
     det = bareiss_minors(cartan, k)[-1]
     if det <= 0:

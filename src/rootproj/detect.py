@@ -42,19 +42,24 @@ functions here stay generic: ``certify``, ``match_type`` and
 pairing is a Cartan integer exactly when ``divmod`` leaves no
 remainder.
 
-``match_type`` applies the finite-type criterion (Bourbaki, Lie Groups
-and Lie Algebras VI, par. 4; Kac, Infinite-dimensional Lie Algebras,
-Thm 4.3): a connected basis whose Cartan integers
-(``catalog.cartan_matrix``) are integers, none positive off the
-diagonal, is a simple system exactly when its Cartan matrix C is
+``match_type`` answers the one question ``certify`` asks: is this basis
+one connected simple system, and of which type?  It applies the
+finite-type criterion (Bourbaki, Lie Groups and Lie Algebras VI,
+par. 4; Kac, Infinite-dimensional Lie Algebras, Thm 4.3): a basis whose
+Cartan integers (``catalog.cartan_matrix``) are integers, none positive
+off the diagonal, is a simple system exactly when its Cartan matrix C is
 positive definite.  C = 2 G N^-1 for the Gram matrix G and the diagonal
 N of squared norms, so every Bareiss pivot of C is positive exactly when
 G is positive definite (Sylvester), i.e. when the basis is linearly
-independent: no collinear pair, cycle or affine diagram.
-``catalog.finite_type`` makes that test and names the type by (rank k,
-det C (the last pivot), simple-root profile) with ``catalog``'s one
-rule, the rule of ``TypeLabel.reduced``: no component types as C2, D3
-or BC_k.
+independent: no collinear pair, cycle or affine diagram.  Such a
+diagram is a forest, connected exactly when it has one edge fewer than
+the basis has vectors; ``match_type`` counts them first, and a
+disconnected basis has no type.  ``catalog.finite_type`` then makes the
+definiteness test and names the type by (rank k, det C (the last
+pivot), simple-root profile) with ``catalog``'s one rule, the rule of
+``TypeLabel.reduced``: no basis types as C2, D3 or BC_k.  Splitting a
+basis into its typed components is no question the package asks; the
+tests' ``oracles.shape_match_type`` does it by the diagram shape.
 """
 
 from __future__ import annotations
@@ -70,41 +75,24 @@ from .linalg import (IntVector, Vector, dot, from_ints, norm2, scale, sub,
 from .projection import ProjectionResult
 
 
-def match_type(basis: Sequence[Vector]) -> Optional[List[Tuple[TypeLabel, Tuple[int, ...]]]]:
-    """Decompose a candidate basis into typed Dynkin components.
+def match_type(basis: Sequence[Vector]) -> Optional[TypeLabel]:
+    """Type of a basis that is one connected simple system of finite type.
 
-    Returns one (label, indices) pair per connected component, ordered by
-    smallest index, or None when the basis is not a simple system of
-    finite type: a pairing is not an integer or is positive, or some
-    component's Cartan matrix is not positive definite.
+    None when a pairing is not an integer or is positive, when the
+    diagram is not connected, or when the Cartan matrix is not positive
+    definite.  A finite-type diagram is a forest, so it is connected
+    exactly when it has k - 1 edges for k vectors.
     """
     if not basis:
         raise ValueError("empty basis")
     n = cartan_matrix(basis)
-    k = len(basis)
-    if n is None or any(n[i][j] > 0 for i in range(k) for j in range(k)
-                        if i != j):
+    if n is None:
         return None
-    norms = [norm2(b) for b in basis]
-    seen: Set[int] = set()
-    out = []
-    for start in range(k):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for i in comp:  # the walk visits each node as comp grows
-            for j in range(k):
-                if j not in seen and n[i][j] != 0:
-                    seen.add(j)
-                    comp.append(j)
-        comp.sort()
-        label = finite_type([[n[i][j] for j in comp] for i in comp],
-                            [norms[i] for i in comp])
-        if label is None:
-            return None
-        out.append((label, tuple(comp)))
-    return out
+    # n_ij and n_ji have the sign of <b_i, b_j>: one triangle says it all
+    off = [x for i, row in enumerate(n) for x in row[:i]]
+    if any(x > 0 for x in off) or len(off) - off.count(0) != len(n) - 1:
+        return None
+    return finite_type([list(row) for row in n], [norm2(b) for b in basis])
 
 
 class ClosureFailure(NamedTuple):
@@ -176,8 +164,7 @@ def certify(label: TypeLabel, basis: Sequence[Vector],
     for a basis of another type.
     """
     inner = label.reduced
-    decomp = match_type(basis)
-    if decomp is None or len(decomp) != 1 or decomp[0][0] != inner:
+    if inner is None or match_type(basis) != inner:
         return ClosureFailure()
     orbit = reflection_closure(basis, universe, max_size=inner.root_count)
     if isinstance(orbit, ClosureFailure) or label.family != "BC":

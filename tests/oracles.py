@@ -8,7 +8,8 @@ the tests can confirm the projections, and that roots and projected
 roots expand integrally and with one sign.  ``shape_match_type`` types a
 candidate basis the way the package did before it used the finite-type
 criterion: from Fraction pairings, by walking the shape of the Dynkin
-diagram.
+diagram.  It splits the basis into typed components, which the package
+never does: ``detect.match_type`` types one connected basis only.
 
 ``planche_roots`` lists every root of a label in the catalog's
 coordinates from the explicit formulas of Bourbaki's planches, which the
@@ -363,9 +364,11 @@ def _classify_component(comp: List[int], n: Matrix) -> Optional[TypeLabel]:
 
 def shape_match_type(basis: Sequence[Vector]
                      ) -> Optional[List[Tuple[TypeLabel, Tuple[int, ...]]]]:
-    """``detect.match_type`` by the diagram shape: the same (label,
-    indices) pairs, or None for pairings outside {0, -1, -2, -3}, edge
-    weights n_ij n_ji above 3, cycles and unrecognised shapes."""
+    """The typed components of a basis by the diagram shape: one (label,
+    indices) pair per connected component, ordered by smallest index, or
+    None for pairings outside {0, -1, -2, -3}, edge weights n_ij n_ji
+    above 3, cycles and unrecognised shapes.  ``detect.match_type`` is
+    its one-component reading: the label of a single pair, else None."""
     if not basis:
         raise ValueError("empty basis")
     n = pairing_matrix(basis)

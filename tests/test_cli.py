@@ -448,20 +448,21 @@ def _root_profile(label):
     return {norm / short: count for norm, count in norms.items()}
 
 
-def _delta_bases_exist(labels, delta_theta, sigma_theta, chosen=()):
-    """Whether the labels take disjoint, pairwise orthogonal subsets of
-    delta_theta, each orthogonal to chosen and a simple system of its
-    label whose closure stays inside sigma_theta."""
-    if not labels:
+def _bases_exist(factors, sigma_theta, chosen=()):
+    """Whether every (label, pool) factor takes a subset of its pool,
+    orthogonal to chosen and to the other factors' subsets, that is a
+    simple system of the label's reduced type (one diagram component)
+    whose closure stays inside sigma_theta, with the doubled short roots
+    for BC."""
+    if not factors:
         return True
-    label, rest = labels[0], labels[1:]
-    free = [v for v in sorted(delta_theta)
-            if all(dot(v, u) == 0 for u in chosen)]
+    (label, pool), rest = factors[0], factors[1:]
+    free = [v for v in sorted(pool) if all(dot(v, u) == 0 for u in chosen)]
     return any(
-        shape_match_type(basis) == [(label, tuple(range(label.rank)))]
-        and _reflection_closure(basis, sigma_theta, False) is not None
-        and _delta_bases_exist(rest, delta_theta, sigma_theta,
-                               chosen + basis)
+        shape_match_type(basis) == [(label.reduced, tuple(range(label.rank)))]
+        and _reflection_closure(basis, sigma_theta,
+                                label.family == "BC") is not None
+        and _bases_exist(rest, sigma_theta, chosen + basis)
         for basis in combinations(free, label.rank))
 
 
@@ -478,6 +479,9 @@ def _absence_reason(report, sigma_theta, delta_theta, census):
     their bases from delta_theta, have no disjoint, pairwise orthogonal
     subsets of delta_theta that are simple systems of their types with
     their closures inside sigma_theta.
+    "orthogonal": they have, but for none of those choices do the other
+    factors, which may sit anywhere in sigma_theta, have such simple
+    systems among the vectors of sigma_theta orthogonal to it.
     """
     target = parse_target(report["target"])
     for label in target.normalized():
@@ -485,11 +489,16 @@ def _absence_reason(report, sigma_theta, delta_theta, census):
         if not any(all(census[base * rel] >= need
                        for rel, need in profile.items()) for base in census):
             return "census"
-    pinned = tuple(label for label in target.normalized()
-                   if label.is_exceptional)
-    if report["restricted"] and not target.is_irreducible and pinned and \
-            not _delta_bases_exist(pinned, delta_theta, sigma_theta):
+    if not report["restricted"] or target.is_irreducible:
+        return None
+    pinned = [(label, delta_theta) for label in target.normalized()
+              if label.is_exceptional]
+    if pinned and not _bases_exist(pinned, sigma_theta):
         return "delta"
+    free = [(label, sigma_theta) for label in target.normalized()
+            if not label.is_exceptional]
+    if pinned and free and not _bases_exist(pinned + free, sigma_theta):
+        return "orthogonal"
     return None
 
 
@@ -528,15 +537,11 @@ DELTA_TARGETS = {
            "G2xBC1xBC1": 7},
 }
 
-# the not-found reports that neither reason decides: their G2 factor has
-# a basis in delta_theta, and only the search through the pool rules out
-# their classical one
-UNDECIDED = {
-    "F4": set(),
-    "E6": set(),
-    "E7": set(),
-    "E8": {((1, 3, 5, 6), "B2xG2"), ((1, 3, 5, 6), "C2xG2")},
-}
+# the not-found reports that no reason decides.  E8 theta=(1,3,5,6)
+# B2xG2 and C2xG2 were the last: their G2 factor has a basis in
+# delta_theta, and "orthogonal" finds no B2 among the 12 vectors of
+# sigma_theta orthogonal to it
+UNDECIDED = {"F4": set(), "E6": set(), "E7": set(), "E8": set()}
 
 
 @pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
@@ -569,9 +574,10 @@ def test_enumerate_json_absences_recheck_from_its_bytes(name, enumerated):
     assert problems == []
     assert undecided == UNDECIDED[name]
     assert reasons == Counter({
-        None: {"F4": 2, "E6": 1, "E7": 4, "E8": 31}[name],
+        None: {"F4": 2, "E6": 1, "E7": 4, "E8": 29}[name],
         "census": {"F4": 8, "E6": 309, "E7": 1214, "E8": 4270}[name],
-        "delta": {"F4": 4, "E6": 0, "E7": 7, "E8": 177}[name]})
+        "delta": {"F4": 4, "E6": 0, "E7": 7, "E8": 177}[name],
+        "orthogonal": {"F4": 0, "E6": 0, "E7": 0, "E8": 2}[name]})
     assert delta_targets == Counter(DELTA_TARGETS[name])
     assert delta_thetas == DELTA_ABSENCES[name]
 

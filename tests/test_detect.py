@@ -13,8 +13,9 @@ from oracles import (build_from_name, pairing_matrix, planche_roots,
                      reflect, shape_match_type, vector)
 from rootproj import detect
 from rootproj.catalog import (FAMILIES, TypeLabel, build, cartan_matrix,
-                              detection_targets, irreducible_labels,
-                              normalize_components, parse_target)
+                              detection_targets, finite_type,
+                              irreducible_labels, normalize_components,
+                              parse_target)
 from rootproj.classify import proper_subsets
 from rootproj.detect import (ClosureCertificate, ClosureFailure,
                              ComponentWitness, census_admits, census_scales,
@@ -54,21 +55,19 @@ def test_cartan_matrix_rejects_zero():
 
 def test_match_type_self_identification():
     # the simple roots of every label of rank 1 to 8 type as the label's
-    # normalized name, BC_k as B_k: C2 as B2, D3 as A3, B1 and C1 as A1,
-    # and D2 as two A1
+    # normalized name, BC_k as B_k: C2 as B2, D3 as A3, B1 and C1 as A1.
+    # D2 is two A1, no connected basis, so it has no type
     for label in _labels_up_to_rank(8):
         family = "B" if label.family == "BC" else label.family
-        decomp = match_type(list(build(label).simple_roots))
-        assert decomp is not None, label
-        assert sorted((lab for lab, _ in decomp), key=lambda l: l.sort_key) \
-            == list(normalize_components((TypeLabel(family, label.rank),))), \
-            label
+        names = normalize_components((TypeLabel(family, label.rank),))
+        got = match_type(list(build(label).simple_roots))
+        assert got == (names[0] if len(names) == 1 else None), label
+    d2 = list(build(TypeLabel("D", 2)).simple_roots)
+    assert [str(lab) for lab, _ in shape_match_type(d2)] == ["A1", "A1"]
 
 
 def test_match_type_g2_from_pairing():
-    decomp = match_type([vector([-2, 1, 1]), vector([1, -1, 0])])
-    assert decomp is not None
-    assert str(decomp[0][0]) == "G2"
+    assert str(match_type([vector([-2, 1, 1]), vector([1, -1, 0])])) == "G2"
 
 
 def test_match_type_collinear_rejected():
@@ -92,26 +91,48 @@ def test_match_type_affine_cycle_rejected():
 
 
 def test_match_type_components():
+    # a basis of several components has no type; the oracle splits it,
+    # and match_type types each component on its own
     sys = build_from_name("A5")
-    basis = [sys.simple_roots[0], sys.simple_roots[2], sys.simple_roots[4]]
-    decomp = match_type(basis)
-    assert decomp is not None
-    assert sorted(str(l) for l, _ in decomp) == ["A1", "A1", "A1"]
-    basis = [sys.simple_roots[0], sys.simple_roots[1], sys.simple_roots[3]]
-    decomp = match_type(basis)
-    assert sorted(str(l) for l, _ in decomp) == ["A1", "A2"]
+    for picks, names in (((0, 2, 4), ["A1", "A1", "A1"]),
+                         ((0, 1, 3), ["A2", "A1"])):
+        basis = [sys.simple_roots[i] for i in picks]
+        assert match_type(basis) is None
+        decomp = shape_match_type(basis)
+        assert [str(lab) for lab, _ in decomp] == names
+        assert all(match_type([basis[i] for i in comp]) == lab
+                   for lab, comp in decomp)
+
+
+def test_match_type_refuses_e8_x_a1_x_a1_which_has_d10s_invariants():
+    # E8 x A1 x A1 in 10 coordinates: its whole Cartan matrix has D10's
+    # rank, determinant 4 and norms, so only the edge count tells them
+    # apart (8 edges, not 9)
+    pad = (Fraction(0),) * 2
+    basis = [v + pad for v in build_from_name("E8").simple_roots]
+    basis += [vector([0] * 8 + [1, 1]), vector([0] * 8 + [1, -1])]
+    d10 = TypeLabel("D", 10)
+    assert finite_type([list(row) for row in cartan_matrix(basis)],
+                       [norm2(b) for b in basis]) == d10
+    assert [str(lab) for lab, _ in shape_match_type(basis)] == \
+        ["E8", "A1", "A1"]
+    assert match_type(basis) is None
+    universe = frozenset(planche_roots(TypeLabel("E", 8)))
+    universe = {v + pad for v in universe} | {
+        scale(sign, v) for v in basis[8:] for sign in (1, -1)}
+    assert certify(d10, basis, universe) == ClosureFailure()
 
 
 def test_match_type_b_vs_c_orientation():
     b3 = build_from_name("B3")
-    assert str(match_type(list(b3.simple_roots))[0][0]) == "B3"
+    assert str(match_type(list(b3.simple_roots))) == "B3"
     c3 = build_from_name("C3")
-    assert str(match_type(list(c3.simple_roots))[0][0]) == "C3"
+    assert str(match_type(list(c3.simple_roots))) == "C3"
     # rank 2 double edge is reported as B2 regardless of scale
     b2 = build_from_name("B2")
-    assert str(match_type(list(b2.simple_roots))[0][0]) == "B2"
+    assert str(match_type(list(b2.simple_roots))) == "B2"
     c2 = build_from_name("C2")
-    assert str(match_type(list(c2.simple_roots))[0][0]) == "B2"
+    assert str(match_type(list(c2.simple_roots))) == "B2"
 
 
 def _labels_up_to_rank(top):
@@ -162,18 +183,24 @@ def test_match_type_agrees_with_the_shape_walk():
         pr = project_all(sys, theta)
         bases.extend(_signed_sample(rng, pr.sigma_theta, rng.randint(1, pr.d))
                      for _ in range(5))
-    typed = not_definite = 0
+    typed = split = not_definite = 0
     for basis in bases:
         basis = to_ints(basis)[1]
         got = match_type(basis)
-        assert got == shape_match_type(basis), basis
+        shape = shape_match_type(basis)
+        # the oracle's one-component reading: a split basis has no type
+        assert got == (shape[0][0] if shape and len(shape) == 1 else None), \
+            basis
         typed += got is not None
+        split += shape is not None and len(shape) > 1
         n = cartan_matrix(basis)
-        not_definite += got is None and n is not None and all(
+        not_definite += shape is None and n is not None and all(
             x <= 0 for i, row in enumerate(n) for j, x in enumerate(row)
             if i != j)
-    # 5972 bases, 5074 typed, 166 turned down only as not positive definite
-    assert len(bases) > 5900 and typed > 4500 and not_definite > 100
+    # 5972 bases: 2335 connected and typed, 2739 split into several
+    # components and refused, 166 turned down only as not positive definite
+    assert len(bases) > 5900 and typed > 2100 and split > 2400 \
+        and not_definite > 100
 
 
 @pytest.mark.parametrize("basis", [
@@ -194,8 +221,9 @@ def test_match_type_rejects_affine_diagrams(basis):
                if i != j)
     assert match_type(basis) is None
     assert shape_match_type(basis) is None
-    # any proper subset is a simple system of finite type
-    assert all(match_type(basis[:i] + basis[i + 1:]) is not None
+    # any proper subset is a simple system of finite type, maybe of
+    # several components (the centre of the D4 star leaves four A1)
+    assert all(shape_match_type(basis[:i] + basis[i + 1:]) is not None
                for i in range(len(basis)))
 
 
@@ -912,8 +940,9 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     assert leaves
     for basis in leaves:
         assert cartan_matrix(basis) is not None, basis
-        # independent, obtuse and integral: a simple system of finite type
-        assert match_type(basis) is not None, basis
+        # independent, obtuse and integral: a simple system of finite type,
+        # maybe of several components, which the shape walk types
+        assert shape_match_type(basis) is not None, basis
 
 
 def test_iter_bases_is_handed_half_space_pools_only(monkeypatch):
