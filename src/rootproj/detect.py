@@ -16,12 +16,16 @@ factor's bases, pinned or not, come from one incremental backtracking,
 ``_iter_bases``, over a pool: one representative per +-pair sorted by
 squared norm, or delta_theta for a pinned factor.  Partial bases are
 pruned with the norm census of the projection, integral pairings none
-positive and the target's node degrees.  Both pools lie in one open
-half-space, where obtuse vectors are linearly independent (Humphreys,
-10.1), so every partial basis with integral pairings is of finite type
-for ``match_type`` below without a further test.  Every factor the
-search finds lists its basis in pool order: by (squared norm, coords),
-or in delta_theta order for a pinned factor.
+positive, the target's node degrees and one reconnect rule: a pick is
+skipped when the picks still to come, each joining at most max_degree
+components, could not make the diagram connected.  Both pools lie in
+one open half-space, where obtuse vectors are linearly independent
+(Humphreys, 10.1), so every partial basis with integral pairings is of
+finite type for ``match_type`` below without a further test, and at
+the last pick the reconnect rule reads "connected": every basis the
+search hands ``certify`` is one connected simple system.  Every factor
+the search finds lists its basis in pool order: by (squared norm,
+coords), or in delta_theta order for a pinned factor.
 
 Exact rationals at the edge, integers inside, never floats.  Every test
 of the search is a ratio (Cartan integers 2<u, v>/<v, v>, reflections
@@ -271,6 +275,9 @@ def _iter_bases(label: TypeLabel, pool: Sequence[IntVector],
     none positive and the label's node degrees is independent, hence of
     finite type for ``match_type``: its diagram is a forest of
     len(picks) - edges components that the remaining steps must join.
+    ``_grow`` keeps only the picks after which they still can, so every
+    basis it hands ``certify`` is connected: one simple system, which
+    ``match_type`` types.
     """
     inner = label.reduced
     norms = pr.sigma_scaled_norms
@@ -286,20 +293,21 @@ def _grow(label: TypeLabel, maxdeg: int, universe: Dict[IntVector, int],
           picks: List[int], remaining: Dict[int, int], deg: List[int],
           ncomp: int) -> Iterator[Tuple[Tuple[IntVector, ...], frozenset]]:
     """``_iter_bases``'s backtracking at one census scale: extend the
-    partial basis ``picks`` of ``sub_pool`` from index ``start`` on."""
-    k = label.rank
-    if len(picks) == k:
+    partial basis ``picks`` of ``sub_pool`` from index ``start`` on.
+
+    ``ncomp`` counts the components of the partial diagram.  A pick
+    joins at most ``maxdeg`` of them, so each later pick cuts the count
+    by at most maxdeg - 1; a pick that leaves more than the later picks
+    can join is skipped.  After the last pick that reads "one
+    component", so every leaf handed to ``certify`` is connected."""
+    slots = label.rank - len(picks)
+    if not slots:
         basis = tuple(sub_pool[i] for i in picks)
         roots = certify(label, basis, universe)
         if not isinstance(roots, ClosureFailure):
             yield basis, roots
         return
-    slots = k - len(picks)
-    if ncomp - (maxdeg - 1) * slots > 1:
-        return  # cannot reconnect in the remaining steps
-    for idx in range(start, len(sub_pool)):
-        if len(sub_pool) - idx < slots:
-            break
+    for idx in range(start, len(sub_pool) - slots + 1):
         v = sub_pool[idx]
         nv = norms[idx]
         if remaining.get(nv, 0) == 0:
@@ -312,7 +320,8 @@ def _grow(label: TypeLabel, maxdeg: int, universe: Dict[IntVector, int],
                 break
             dots.append(x)
         links = len(dots) - dots.count(0)
-        if len(dots) < len(picks) or links > maxdeg:
+        if len(dots) < len(picks) or links > maxdeg \
+                or ncomp - links - (maxdeg - 1) * (slots - 1) > 0:
             continue
         remaining[nv] -= 1
         yield from _grow(label, maxdeg, universe, sub_pool, norms, idx + 1,

@@ -924,7 +924,8 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     # the DFS prunes every pair whose Cartan pairing leaves a remainder or
     # is positive.  Its lex-positive pool lies in an open half-space, where
     # obtuse vectors are independent, so each basis it completes is a
-    # simple system of finite type
+    # simple system of finite type, and its reconnect rule keeps the
+    # diagram connected at the last pick: every leaf has one type
     leaves = []
 
     def record(label, basis, universe):
@@ -941,8 +942,9 @@ def test_dfs_hands_certify_only_integral_pairings(monkeypatch):
     for basis in leaves:
         assert cartan_matrix(basis) is not None, basis
         # independent, obtuse and integral: a simple system of finite type,
-        # maybe of several components, which the shape walk types
+        # which the shape walk types, and connected, so match_type does
         assert shape_match_type(basis) is not None, basis
+        assert match_type(basis) is not None, basis
 
 
 def test_iter_bases_is_handed_half_space_pools_only(monkeypatch):
@@ -1010,32 +1012,64 @@ def test_e6_diagram_automorphism_keeps_every_verdict():
         assert summaries[image] == summaries[theta], (theta, image)
 
 
+def _count_search_work(monkeypatch) -> Counter:
+    """Count the search's work as it runs: queries (``find_subsystem``
+    calls), census rejects, backtracking nodes (``_grow`` calls),
+    ``certify`` calls and the closures they certify."""
+    work = Counter()
+    tallies = {
+        "find_subsystem": lambda report: {"queries": 1},
+        "census_admits": lambda admitted: {"rejects": not admitted},
+        "_grow": lambda nodes: {"_grow": 1},
+        "certify": lambda roots: {
+            "certify": 1,
+            "certified": not isinstance(roots, ClosureFailure)},
+    }
+
+    def counted(inner, tally):
+        def call(*args):
+            result = inner(*args)
+            work.update(tally(result))
+            return result
+        return call
+
+    for name, tally in tallies.items():
+        monkeypatch.setattr(detect, name,
+                            counted(getattr(detect, name), tally))
+    return work
+
+
 def test_search_work_is_pinned(monkeypatch):
     # the search's work over F4 and E6: every theta, every reducible
     # rank-d target, both modes.  A change that keeps the search shows
-    # the same four counts; a faster search that keeps every verdict
-    # shows fewer backtracking nodes (_grow calls) or closures (certify
-    # calls), and then this pin moves with a stated reason
-    work = Counter()
-
-    def counted(name):
-        inner = getattr(detect, name)
-
-        def call(*args):
-            work[name] += 1
-            return inner(*args)
-        return call
-
-    for name in ("_grow", "certify"):
-        monkeypatch.setattr(detect, name, counted(name))
+    # the same counts; a faster search that keeps every verdict shows
+    # fewer backtracking nodes (_grow calls) or closures (certify calls),
+    # and then this pin moves with a stated reason.  Every basis _grow
+    # completes is connected; the 38 that do not certify are D4 queries
+    # answered by an A4 path, which has D4's norms and degree bound
+    work = _count_search_work(monkeypatch)
     for name in ("F4", "E6"):
         sys = build_from_name(name)
         for theta in proper_subsets(sys.rank):
             pr = project_all(sys, theta)
             for target in detection_targets(pr.d, reducible=True):
                 for restricted in (False, True):
-                    rep = find_subsystem(pr, target, restricted)
-                    work["queries"] += 1
-                    work["found"] += rep.found
-    assert dict(work) == {"queries": 3970, "found": 180, "_grow": 30679,
-                          "certify": 11620}
+                    work["found"] += detect.find_subsystem(
+                        pr, target, restricted).found
+    assert dict(work) == {"queries": 3970, "found": 180, "rejects": 3182,
+                          "_grow": 28141, "certify": 9154,
+                          "certified": 9116}
+
+
+def test_enumerate_search_work_is_pinned(monkeypatch):
+    # the search behind `enumerate E7`: classify_max_rank on every theta.
+    # The census screen rejects all but 11 of its queries; each of the 5
+    # bases the backtracking completes certifies, and they make 4 found
+    # reports
+    work = _count_search_work(monkeypatch)
+    e7 = build_from_name("E7")
+    for theta in proper_subsets(7):
+        reports = classify_max_rank(project_all(e7, theta))
+        work["found"] += sum(rep.found for rep in reports)
+    assert dict(work) == {"queries": 1285, "found": 4, "rejects": 1274,
+                          "_grow": 26, "certify": 5, "certified": 5}
